@@ -38,15 +38,7 @@ from .experiment import (
     run_experiment,
     summarize_empirical,
 )
-from .fbm import FbmPath, sample_fbm_exact, sample_fbm_fast
-from .gram import (
-    GramMatrix,
-    Hurst,
-    SamplingGrid,
-    build_gram,
-    quad_form_uu,
-    quad_form_uy,
-)
+from .gram import GramMatrix, SamplingGrid, build_gram
 from .hurst import (
     FILTERS,
     HurstEstimate,
@@ -54,7 +46,6 @@ from .hurst import (
     asym_variance_a,
     e_k,
     estimate_h,
-    g_scale,
     named_filter,
     pi_gamma,
     s_n,
@@ -73,12 +64,10 @@ __all__ = [
     "ExperimentConfig",
     "FILTERS",
     "FactorizationError",
-    "FbmPath",
     "FilterOrderError",
     "FracmixError",
     "GramMatrix",
     "GridError",
-    "Hurst",
     "HurstEstimate",
     "HurstRangeError",
     "Panel",
@@ -97,16 +86,11 @@ __all__ = [
     "estimate_mu",
     "estimate_sigma2",
     "exact_moments",
-    "g_scale",
     "log_marginal_likelihood",
     "named_filter",
     "pi_gamma",
-    "quad_form_uu",
-    "quad_form_uy",
     "run_experiment",
     "s_n",
-    "sample_fbm_exact",
-    "sample_fbm_fast",
     "simulate_panel",
     "summarize_empirical",
     "transform_to_y",

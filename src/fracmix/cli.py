@@ -21,8 +21,8 @@ from . import __version__
 from .effects import confidence_intervals, estimate_effects
 from .errors import ConfigError, FracmixError, PanelFormatError
 from .experiment import CellSummary, run_experiment
-from .gram import SamplingGrid, build_gram
-from .hurst import FILTERS, estimate_h, named_filter, validate_filter
+from .gram import HURST_MAX, HURST_MIN, SamplingGrid, build_gram
+from .hurst import as_filter, estimate_h
 from .panel import EffectsLaw, simulate_panel
 from .panel_io import (
     dumps_result,
@@ -47,39 +47,19 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
-def _parse_filter(text: str):
-    if "," in text:
-        try:
-            return validate_filter([float(v) for v in text.split(",")])
-        except ValueError as exc:
-            raise _fail(EXIT_USAGE, f"--filter: {exc}") from None
-    try:
-        return named_filter(text)
-    except KeyError:
-        raise _fail(
-            EXIT_USAGE,
-            f"--filter: unknown filter {text!r}; use one of {sorted(FILTERS)} "
-            "or a comma-separated coefficient list",
-        ) from None
-
-
 def cmd_simulate(args) -> int:
     if not 0.0 < args.hurst < 1.0:
-        raise _fail(EXIT_USAGE, f"--hurst must lie in (0, 1), got {args.hurst}")
+        raise _CliError(EXIT_USAGE, f"--hurst must lie in (0, 1), got {args.hurst}")
     if args.subjects < 1:
-        raise _fail(EXIT_USAGE, f"--subjects must be >= 1, got {args.subjects}")
+        raise _CliError(EXIT_USAGE, f"--subjects must be >= 1, got {args.subjects}")
     if args.n_obs < 1:
-        raise _fail(EXIT_USAGE, f"--n-obs must be >= 1, got {args.n_obs}")
+        raise _CliError(EXIT_USAGE, f"--n-obs must be >= 1, got {args.n_obs}")
     if args.horizon <= 0.0:
-        raise _fail(EXIT_USAGE, f"--horizon must be positive, got {args.horizon}")
+        raise _CliError(EXIT_USAGE, f"--horizon must be positive, got {args.horizon}")
     if args.sigma2 < 0.0:
-        raise _fail(EXIT_USAGE, f"--sigma2 must be >= 0, got {args.sigma2}")
+        raise _CliError(EXIT_USAGE, f"--sigma2 must be >= 0, got {args.sigma2}")
     if args.seed < 0:
-        raise _fail(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
+        raise _CliError(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
     grid = SamplingGrid.uniform(args.n_obs, args.horizon)
     try:
         # uniform grids take the FFT sampler; it falls back to the exact
@@ -93,32 +73,35 @@ def cmd_simulate(args) -> int:
             noise="fast",
         )
     except FracmixError as exc:
-        raise _fail(EXIT_SIMULATION, f"simulation failed: {exc}") from None
+        raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from None
     try:
         write_panel_csv(args.out, panel)
     except OSError as exc:
-        raise _fail(EXIT_OUTPUT, f"--out: cannot write {args.out}: {exc}") from None
+        raise _CliError(EXIT_OUTPUT, f"--out: cannot write {args.out}: {exc}") from None
     print(f"seed: {args.seed}", file=sys.stderr)
     print(f"grid: {' '.join(format_real(t) for t in grid.times)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_hurst(args) -> int:
-    filt = _parse_filter(args.filter)
+    try:
+        filt = as_filter(args.filter)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"--filter: {exc}") from None
     if args.k <= 0:
-        raise _fail(EXIT_USAGE, f"--k must be positive, got {args.k}")
+        raise _CliError(EXIT_USAGE, f"--k must be positive, got {args.k}")
     panel = _read_panel(args.input)
     if not 1 <= args.subject <= panel.n_subjects:
-        raise _fail(
+        raise _CliError(
             EXIT_USAGE,
             f"--subject {args.subject} out of range; panel has {panel.n_subjects} subjects",
         )
     if not panel.grid.is_uniform:
-        raise _fail(EXIT_ESTIMATION, "hurst estimation needs a uniform time grid")
+        raise _CliError(EXIT_ESTIMATION, "hurst estimation needs a uniform time grid")
     try:
         est = estimate_h(panel.y[args.subject - 1], panel.grid.horizon, args.k, filt)
     except FracmixError as exc:
-        raise _fail(EXIT_ESTIMATION, f"estimation failed: {exc}") from None
+        raise _CliError(EXIT_ESTIMATION, f"estimation failed: {exc}") from None
     document = {
         "h_hat": est.h_hat,
         "asym_std": est.asym_std,
@@ -134,18 +117,20 @@ def cmd_hurst(args) -> int:
 
 def cmd_effects(args) -> int:
     if not 0.0 < args.level < 1.0:
-        raise _fail(EXIT_USAGE, f"--level must lie in (0, 1), got {args.level}")
-    if not 0.0 < args.hurst < 1.0:
-        raise _fail(EXIT_USAGE, f"--hurst must lie in (0, 1), got {args.hurst}")
+        raise _CliError(EXIT_USAGE, f"--level must lie in (0, 1), got {args.level}")
+    if not HURST_MIN <= args.hurst <= HURST_MAX:
+        raise _CliError(
+            EXIT_USAGE, f"--hurst must lie in [{HURST_MIN}, {HURST_MAX}], got {args.hurst}"
+        )
     panel = _read_panel(args.input)
     if panel.n_subjects < 2:
-        raise _fail(EXIT_ESTIMATION, "effects estimation needs at least two subjects")
+        raise _CliError(EXIT_ESTIMATION, "effects estimation needs at least two subjects")
     try:
         gram = build_gram(panel.grid, args.hurst)
         est = estimate_effects(panel, gram)
         ci_mu, ci_sigma2 = confidence_intervals(est, args.level)
     except FracmixError as exc:
-        raise _fail(EXIT_ESTIMATION, f"estimation failed: {exc}") from None
+        raise _CliError(EXIT_ESTIMATION, f"estimation failed: {exc}") from None
     document = {
         "mu_hat": est.mu_hat,
         "sigma2_hat": est.sigma2_hat,
@@ -170,18 +155,18 @@ def _read_panel(path):
     try:
         return read_panel_csv(path)
     except OSError as exc:
-        raise _fail(EXIT_USAGE, f"--input: cannot read {path}: {exc}") from None
+        raise _CliError(EXIT_USAGE, f"--input: cannot read {path}: {exc}") from None
     except PanelFormatError as exc:
-        raise _fail(EXIT_ESTIMATION, f"--input: {exc}") from None
+        raise _CliError(EXIT_ESTIMATION, f"--input: {exc}") from None
 
 
 def cmd_experiment(args) -> int:
     try:
         cfg = load_experiment_config(args.config)
     except OSError as exc:
-        raise _fail(EXIT_USAGE, f"--config: cannot read {args.config}: {exc}") from None
+        raise _CliError(EXIT_USAGE, f"--config: cannot read {args.config}: {exc}") from None
     except ConfigError as exc:
-        raise _fail(EXIT_USAGE, f"--config: {exc}") from None
+        raise _CliError(EXIT_USAGE, f"--config: {exc}") from None
     out = args.out
     try:
         os.makedirs(out, exist_ok=True)
@@ -190,7 +175,7 @@ def cmd_experiment(args) -> int:
             fh.write("")
         os.remove(probe)
     except OSError as exc:
-        raise _fail(EXIT_OUTPUT, f"--out: directory {out} not writable: {exc}") from None
+        raise _CliError(EXIT_OUTPUT, f"--out: directory {out} not writable: {exc}") from None
     print(
         f"running {len(cfg.cells())} cells x {cfg.replications} replications "
         f"(base seed {cfg.base_seed})",

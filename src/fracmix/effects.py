@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import norm
 
-from .errors import GridError
-from .gram import GramMatrix, quad_form_uu, whiten_rows
+from .gram import GramMatrix, whiten
 from .panel import EffectsLaw, Panel
 
 
@@ -60,10 +59,8 @@ class EffectsEstimate:
 
 def xi_values(panel: Panel, g: GramMatrix) -> np.ndarray:
     """Per-subject slope reads xi_i = u'V^{-1}Y^i / u'V^{-1}u."""
-    if panel.grid is not g.grid and not np.array_equal(panel.grid.times, g.grid.times):
-        raise GridError("panel grid does not match the Gram matrix grid")
-    wy = whiten_rows(g, panel.y)
-    return (wy @ g._wu) / g.quad_uu
+    _, u_v_y = whiten(g, panel.grid, panel.y)
+    return u_v_y / g.quad_uu
 
 
 def estimate_mu(xi: np.ndarray) -> float:
@@ -114,7 +111,7 @@ def exact_moments(sigma2: float, n_subjects: int, q: float) -> ExactMoments:
 def estimate_effects(panel: Panel, g: GramMatrix) -> EffectsEstimate:
     """Full estimation pipeline for one panel at known H."""
     xi = xi_values(panel, g)
-    q = quad_form_uu(g)
+    q = g.quad_uu
     mu_hat = estimate_mu(xi)
     sigma2_hat = estimate_sigma2(xi, q)
     beta_hat = sigma2_hat + 1.0 / q
@@ -169,13 +166,10 @@ def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> flo
     mu, sigma2 = law.mu, law.sigma2
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive for the marginal likelihood, got {sigma2}")
-    if panel.grid is not g.grid and not np.array_equal(panel.grid.times, g.grid.times):
-        raise GridError("panel grid does not match the Gram matrix grid")
     n = len(g.grid)
     q = g.quad_uu
-    wy = whiten_rows(g, panel.y)
+    wy, u_v_y = whiten(g, panel.grid, panel.y)
     y_v_y = np.sum(wy**2, axis=1)
-    u_v_y = wy @ g._wu
     denom = q + 1.0 / sigma2
     quad = mu**2 / sigma2 + y_v_y - (u_v_y + mu / sigma2) ** 2 / denom
     per_subject = (

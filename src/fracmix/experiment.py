@@ -20,7 +20,7 @@ import numpy as np
 
 from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
 from .errors import FracmixError
-from .gram import SamplingGrid, build_gram
+from .gram import GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, estimate_h, named_filter
 from .panel import EffectsLaw, simulate_panel
 from .rng import RngStream
@@ -113,16 +113,10 @@ def make_histogram(samples: np.ndarray) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
-def _replicate_cell(
-    cfg: ExperimentConfig, cell_index: int, h: float, n_subjects: int, n_obs: int, rep: int
+def _replicate_with_gram(
+    cfg: ExperimentConfig, cell_index: int, gram: GramMatrix, n_subjects: int, rep: int
 ) -> tuple[float, float, float | None]:
-    """One replication of one cell; pure in (cfg, cell coordinates, rep)."""
-    grid = SamplingGrid.uniform(n_obs, cfg.horizon)
-    gram = build_gram(grid, h)
-    return _replicate_with_gram(cfg, cell_index, gram, n_subjects, rep)
-
-
-def _replicate_with_gram(cfg, cell_index, gram, n_subjects, rep):
+    """One replication of one cell; pure in (cfg, cell index, gram, rep)."""
     stream = RngStream(cfg.base_seed, cell_index * cfg.replications + rep)
     panel = simulate_panel(
         n_subjects,

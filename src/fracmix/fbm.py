@@ -1,19 +1,22 @@
 """Exact simulation of normalized fractional Brownian motion.
 
-Two samplers with identical output distribution:
+Two samplers with identical output distribution, each returning a
+(count, n) matrix of paths whose row j holds the process at the grid
+times (the deterministic value 0 at t = 0 is not stored):
 
-* ``sample_fbm_exact`` draws the Gaussian vector with covariance V(H)
-  as L z (L the Cholesky factor, z standard normal).  Works on any
-  grid; O(n^3) once per grid, O(n^2) per path.
-* ``sample_fbm_fast`` uses the Davies-Harte circulant embedding of the
+* ``exact_paths`` draws the Gaussian vector with covariance V(H) as
+  L z (L the Cholesky factor, z standard normal).  Works on any grid;
+  O(n^3) once per grid, O(n^2) per path.
+* ``fast_paths`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, synthesis from another, cumulative
   sum and a T^H self-similarity rescale.  Uniform grids only;
   O(n log n) per path.
 
 The embedding is used exactly: eigenvalues below -1e-10 times the
-largest raise ``EmbeddingError`` instead of being clipped, and callers
-fall back to the exact sampler.
+largest raise ``EmbeddingError`` instead of being clipped, and
+``paths_on_grid``, which dispatches between the two, falls back to the
+exact sampler.
 
 [1] Davies, R. B. and Harte, D. S., Biometrika 74 (1987) 95-101.
 [2] Dieker, A., "Simulation of fractional Brownian motion", 2004.
@@ -21,28 +24,15 @@ fall back to the exact sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmbeddingError, GridError
-from .gram import GramMatrix, Hurst, SamplingGrid, build_gram, hurst_value
+from .gram import GramMatrix, SamplingGrid, build_gram, check_grid, hurst_value
 from .rng import RngStream, as_generator
 
 # An eigenvalue this far below zero (relative to the largest) means the
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FbmPath:
-    """One sample path; values[j] is the process at grid.times[j].
-
-    The (deterministic) value 0 at t = 0 is not stored.
-    """
-
-    grid: SamplingGrid
-    values: np.ndarray
 
 
 def exact_paths(gram: GramMatrix, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
@@ -52,15 +42,7 @@ def exact_paths(gram: GramMatrix, rng: RngStream | np.random.Generator, count: i
     return (gram.factor @ z).T
 
 
-def sample_fbm_exact(
-    grid: SamplingGrid, h: float | Hurst, rng: RngStream | np.random.Generator
-) -> FbmPath:
-    """Draw one path of fBm with Hurst exponent h on an arbitrary grid."""
-    gram = build_gram(grid, h)
-    return FbmPath(grid=grid, values=exact_paths(gram, rng, 1)[0])
-
-
-def fgn_spectrum(n: int, h: float | Hurst) -> np.ndarray:
+def fgn_spectrum(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the order-2n circulant embedding of the unit-spacing
     fractional Gaussian noise autocovariance.
 
@@ -100,7 +82,7 @@ def _fgn_draws(lam: np.ndarray, gen: np.random.Generator, count: int) -> np.ndar
 
 
 def fast_paths(
-    n: int, horizon: float, h: float | Hurst, rng: RngStream | np.random.Generator, count: int
+    n: int, horizon: float, h: float, rng: RngStream | np.random.Generator, count: int
 ) -> np.ndarray:
     """(count, n) matrix of fBm paths on the uniform grid j*horizon/n."""
     hv = hurst_value(h)
@@ -112,17 +94,9 @@ def fast_paths(
     return np.cumsum(noise, axis=1) * (float(horizon) / n) ** hv
 
 
-def sample_fbm_fast(
-    n: int, horizon: float, h: float | Hurst, rng: RngStream | np.random.Generator
-) -> FbmPath:
-    """Draw one path on the uniform grid via circulant embedding."""
-    grid = SamplingGrid.uniform(n, horizon)
-    return FbmPath(grid=grid, values=fast_paths(n, horizon, h, rng, 1)[0])
-
-
 def paths_on_grid(
     grid: SamplingGrid,
-    h: float | Hurst,
+    h: float,
     rng: RngStream | np.random.Generator,
     count: int,
     method: str = "exact",
@@ -136,8 +110,8 @@ def paths_on_grid(
     if method == "exact":
         if gram is None:
             gram = build_gram(grid, h)
-        elif gram.grid is not grid and not np.array_equal(gram.grid.times, grid.times):
-            raise GridError("prebuilt GramMatrix grid does not match the requested grid")
+        else:
+            check_grid(gram, grid)
         return exact_paths(gram, rng, count)
     if method == "fast":
         if not grid.is_uniform:

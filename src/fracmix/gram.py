@@ -7,8 +7,9 @@ Gram matrix is
 
 the covariance of the fBm at the observation times.  Every estimator in
 this package consumes V only through the quadratic forms u'V^{-1}u and
-u'V^{-1}y (u the vector of times), which are computed from a cached
-Cholesky factor by triangular solves; V is never inverted explicitly.
+u'V^{-1}Y (u the vector of times), which are computed from a cached
+Cholesky factor by triangular solves (``whiten``); V is never inverted
+explicitly.
 """
 
 from __future__ import annotations
@@ -26,27 +27,12 @@ HURST_MIN = 0.01
 HURST_MAX = 0.99
 
 
-@dataclass(frozen=True)
-class Hurst:
-    """Hurst exponent, restricted to the open interval (0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not np.isfinite(v) or not 0.0 < v < 1.0:
-            raise HurstRangeError(f"Hurst exponent must lie in (0, 1), got {self.value}")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def hurst_value(h: float | Hurst) -> float:
-    """Validate and unwrap a Hurst exponent."""
-    if isinstance(h, Hurst):
-        return h.value
-    return Hurst(h).value
+def hurst_value(h: float) -> float:
+    """Validate a Hurst exponent: a float in the open interval (0, 1)."""
+    v = float(h)
+    if not 0.0 < v < 1.0:  # also rejects NaN
+        raise HurstRangeError(f"Hurst exponent must lie in (0, 1), got {h}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -90,12 +76,6 @@ class SamplingGrid:
         ref = np.arange(1, n + 1) * (self.horizon / n)
         return bool(np.max(np.abs(self.times - ref)) <= 1e-9 * self.horizon)
 
-    def spacing(self) -> float:
-        """Uniform spacing T/n; raises on non-uniform grids."""
-        if not self.is_uniform:
-            raise GridError("grid is not uniform")
-        return self.horizon / len(self)
-
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -108,14 +88,20 @@ class GramMatrix:
 
     grid: SamplingGrid
     h: float
-    V: np.ndarray
     factor: np.ndarray
     _wu: np.ndarray
     quad_uu: float
     log_det: float
 
 
-def build_gram(grid: SamplingGrid, h: float | Hurst) -> GramMatrix:
+def fbm_covariance(grid: SamplingGrid, h: float) -> np.ndarray:
+    """V(H) on the grid, exactly symmetric."""
+    t = grid.times
+    p = t ** (2.0 * h)
+    return 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** (2.0 * h))
+
+
+def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
     """Construct V(H) on the grid and factor it.
 
     Raises
@@ -134,45 +120,33 @@ def build_gram(grid: SamplingGrid, h: float | Hurst) -> GramMatrix:
             f"Hurst exponent {hv} outside [{HURST_MIN}, {HURST_MAX}]; "
             "the covariance matrix is too ill-conditioned there"
         )
-    t = grid.times
-    p = t ** (2.0 * hv)
-    V = 0.5 * (p[:, None] + p[None, :] - np.abs(t[:, None] - t[None, :]) ** (2.0 * hv))
+    V = fbm_covariance(grid, hv)
     try:
         L = cholesky(V, lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"covariance matrix is not positive definite (n={len(grid)}, H={hv}): {exc}"
         ) from exc
-    wu = solve_triangular(L, t, lower=True)
+    wu = solve_triangular(L, grid.times, lower=True)
     q = float(wu @ wu)
     log_det = float(2.0 * np.sum(np.log(np.diag(L))))
-    V.flags.writeable = False
     L.flags.writeable = False
     wu.flags.writeable = False
-    return GramMatrix(grid=grid, h=hv, V=V, factor=L, _wu=wu, quad_uu=q, log_det=log_det)
+    return GramMatrix(grid=grid, h=hv, factor=L, _wu=wu, quad_uu=q, log_det=log_det)
 
 
-def quad_form_uu(g: GramMatrix) -> float:
-    """u'V^{-1}(H)u for u the vector of observation times; always > 0."""
-    return g.quad_uu
+def check_grid(g: GramMatrix, grid: SamplingGrid) -> None:
+    """Raise ``GridError`` unless grid has the Gram matrix's times."""
+    if grid is not g.grid and not np.array_equal(grid.times, g.grid.times):
+        raise GridError("grid does not match the Gram matrix grid")
 
 
-def quad_form_uy(g: GramMatrix, y: np.ndarray) -> float:
-    """u'V^{-1}(H)y via the cached factor (one triangular solve)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (len(g.grid),):
-        raise ValueError(f"y has shape {y.shape}, expected ({len(g.grid)},)")
-    wy = solve_triangular(g.factor, y, lower=True)
-    return float(g._wu @ wy)
+def whiten(g: GramMatrix, grid: SamplingGrid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened rows L^{-1}Y^i, shape (N, n), and u'V^{-1}Y^i per row.
 
-
-def whiten_rows(g: GramMatrix, rows: np.ndarray) -> np.ndarray:
-    """L^{-1} applied to each row of a (N, n) matrix, returned (N, n).
-
-    Shared plumbing for the per-subject forms u'V^{-1}Y^i and
-    Y^i'V^{-1}Y^i used by the effects estimators.
+    y is (N, n) with its columns on ``grid``, which must be g's grid.
+    The shared plumbing for every per-subject quadratic form.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != len(g.grid):
-        raise ValueError(f"rows have length {rows.shape[1]}, expected {len(g.grid)}")
-    return solve_triangular(g.factor, rows.T, lower=True).T
+    check_grid(g, grid)
+    wy = solve_triangular(g.factor, y.T, lower=True).T
+    return wy, wy @ g._wu

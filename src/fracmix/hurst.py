@@ -100,18 +100,13 @@ def validate_filter(coeffs) -> VariationFilter:
         raise FilterOrderError("filter coefficients must be finite")
     if np.all(c == 0.0):
         raise FilterOrderError("filter must not be identically zero")
-    sums = moment_sums(c, c.size)
-    j = np.arange(c.size, dtype=float)
-    order = None
-    for r in range(c.size):
-        jr = np.ones_like(j) if r == 0 else j**r
-        # tolerance scaled by the absolute-value sum so near-cancellation
-        # in float coefficients still certifies the order
-        if abs(sums[r]) > 1e-12 * max(float(np.abs(c) @ jr), 1.0):
-            order = r
-            break
-    if order is None:
+    # tolerance scaled by the absolute-value sums so near-cancellation
+    # in float coefficients still certifies the order
+    scale = np.maximum(moment_sums(np.abs(c), c.size), 1.0)
+    nonzero = np.flatnonzero(np.abs(moment_sums(c, c.size)) > 1e-12 * scale)
+    if nonzero.size == 0:
         raise FilterOrderError("could not certify a filter order (coefficients too small?)")
+    order = int(nonzero[0])
     if order < 2:
         raise FilterOrderError(
             f"filter has order {order} < 2 and cannot annihilate the linear random-effect drift"
@@ -127,22 +122,26 @@ def named_filter(name: str) -> VariationFilter:
         raise KeyError(f"unknown filter {name!r}; known: {sorted(FILTERS)}") from None
 
 
-def _as_filter(f) -> VariationFilter:
-    if isinstance(f, VariationFilter):
-        return f
-    if isinstance(f, str):
-        return named_filter(f)
-    return validate_filter(f)
+def as_filter(spec) -> VariationFilter:
+    """The filter a spec names: a ``VariationFilter``, a name in FILTERS,
+    a "c0,c1,..." coefficient string, or a coefficient sequence.
 
-
-def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
-    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    c = _as_filter(f).coeffs
-    q = np.arange(c.size)
-    d = q[:, None] - q[None, :]
-    return float(-0.5 * np.sum(c[:, None] * c[None, :] * np.abs(d + j) ** (2.0 * t)))
+    Every invalid spec raises ``ValueError`` (``FilterOrderError`` for
+    coefficients of order below 2).
+    """
+    if isinstance(spec, VariationFilter):
+        return spec
+    if isinstance(spec, str):
+        if "," in spec:
+            spec = [float(v) for v in spec.split(",")]
+        elif spec in FILTERS:
+            spec = FILTERS[spec]
+        else:
+            raise ValueError(
+                f"unknown filter {spec!r}; use one of {sorted(FILTERS)} "
+                "or a comma-separated coefficient list"
+            )
+    return validate_filter(spec)
 
 
 def _autocov_weights(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +158,13 @@ def _pi_lags(t: float, f: VariationFilter, lags: np.ndarray) -> np.ndarray:
     return -0.5 * (np.abs(d[:, None] + lags[None, :]) ** (2.0 * t) * w[:, None]).sum(axis=0)
 
 
+def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
+    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j."""
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie in (0, 1), got {t}")
+    return float(_pi_lags(t, as_filter(f), np.array([j]))[0])
+
+
 def e_k(k: float) -> float:
     """k-th absolute moment of a standard normal, E|Z|^k."""
     if k <= 0:
@@ -170,7 +176,7 @@ def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:
     """All n - l filter windows of the series, including the implicit
     Y(0) = 0 ahead of the first observation; the final observation is
     outside every window."""
-    f = _as_filter(f)
+    f = as_filter(f)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("series must be 1-D")
@@ -199,13 +205,6 @@ def scale_function(t: float, spacing: float, k: float, f: VariationFilter) -> fl
     return spacing ** (t * k) * p0 ** (k / 2.0) * e_k(k)
 
 
-def g_scale(t: float, n: int, k: float, f: VariationFilter) -> float:
-    """Unit-horizon scale function (spacing 1/n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return scale_function(t, 1.0 / n, k, f)
-
-
 def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     """Variance constant A(t, k, gamma) of the k-variation CLT.
 
@@ -218,7 +217,7 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
         raise ValueError(f"t must lie in (0, 1), got {t}")
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    f = _as_filter(f)
+    f = as_filter(f)
     p0 = pi_gamma(t, 0, f)
     # grow the lag window until the correlation tail is negligible
     hi = 1024
@@ -260,7 +259,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
     range (for example for a drift-only series with S = 0) and
     ``SeriesLengthError`` when the series has no complete filter window.
     """
-    f = named_filter("diff2") if f is None else _as_filter(f)
+    f = as_filter("diff2" if f is None else f)
     y = np.asarray(y, dtype=float)
     n = y.size
     spacing = float(horizon) / n

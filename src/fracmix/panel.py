@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridError
 from .fbm import paths_on_grid
-from .gram import GramMatrix, Hurst, SamplingGrid, hurst_value
+from .gram import GramMatrix, SamplingGrid, hurst_value
 from .rng import RngStream, as_generator
 
 
@@ -74,7 +74,7 @@ class Panel:
 def simulate_panel(
     n_subjects: int,
     grid: SamplingGrid,
-    h: float | Hurst,
+    h: float,
     law: EffectsLaw,
     rng: RngStream | np.random.Generator,
     *,

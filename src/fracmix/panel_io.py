@@ -2,22 +2,24 @@
 
 Panel CSV contract: header ``subject,t,y``, rows sorted by
 (subject, t), decimal points, UTF-8, LF line endings.  Every subject
-must carry the identical time column.  Floats are written with
-``repr`` (shortest round-trip form), so read -> write reproduces a
-conforming file byte for byte.
+must carry the identical time column, and every value must be finite.
+Floats are written with ``repr`` (shortest round-trip form), so read ->
+write reproduces a conforming file byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigError, PanelFormatError
+from .experiment import ExperimentConfig
 from .gram import SamplingGrid
+from .hurst import as_filter
 from .panel import Panel
 
 PANEL_HEADER = ["subject", "t", "y"]
@@ -25,28 +27,18 @@ PANEL_HEADER = ["subject", "t", "y"]
 
 def write_panel_csv(path, panel: Panel) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_panel(fh, panel)
-
-
-def _write_panel(fh, panel: Panel) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(PANEL_HEADER)
-    for i in range(panel.n_subjects):
-        for t, y in zip(panel.grid.times, panel.y[i]):
-            writer.writerow([i + 1, repr(float(t)), repr(float(y))])
-
-
-def panel_csv_text(panel: Panel) -> str:
-    buf = io.StringIO()
-    _write_panel(buf, panel)
-    return buf.getvalue()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PANEL_HEADER)
+        for i in range(panel.n_subjects):
+            for t, y in zip(panel.grid.times, panel.y[i]):
+                writer.writerow([i + 1, repr(float(t)), repr(float(y))])
 
 
 def read_panel_csv(path) -> Panel:
     """Parse and validate a panel file.
 
-    Raises ``PanelFormatError`` on a bad header, unsorted rows, or
-    subjects whose time columns disagree.
+    Raises ``PanelFormatError`` on a bad header, unsorted rows, a
+    non-finite value, or subjects whose time columns disagree.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -69,6 +61,8 @@ def read_panel_csv(path) -> Panel:
                 y = float(row[2])
             except ValueError as exc:
                 raise PanelFormatError(f"line {lineno}: {exc}") from None
+            if not (math.isfinite(t) and math.isfinite(y)):
+                raise PanelFormatError(f"line {lineno}: non-finite value in {','.join(row)!r}")
             if subject not in by_subject:
                 if order and subject < order[-1]:
                     raise PanelFormatError(f"line {lineno}: rows not sorted by subject")
@@ -158,16 +152,37 @@ def dumps_result(document: dict, indent: int = 2) -> str:
 # experiment config files: flat "key = value" lines, # comments,
 # comma-separated lists
 
-_REQUIRED_KEYS = [
-    "h_list",
-    "subjects_list",
-    "n_obs_list",
-    "horizon",
-    "mu0",
-    "sigma20",
-    "replications",
-]
-_OPTIONAL_KEYS = {"k": "2.0", "filter": "diff2", "base_seed": "0", "estimate_hurst": "false"}
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _bool(text: str) -> bool:
+    v = text.lower()
+    if v in ("true", "1", "yes"):
+        return True
+    if v in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+# ExperimentConfig field -> (parser, default text); None marks a required key
+_KEYS = {
+    "h_list": (_floats, None),
+    "subjects_list": (_ints, None),
+    "n_obs_list": (_ints, None),
+    "horizon": (float, None),
+    "mu0": (float, None),
+    "sigma20": (float, None),
+    "replications": (int, None),
+    "k": (float, "2.0"),
+    "filter": (as_filter, "diff2"),
+    "base_seed": (int, "0"),
+    "estimate_hurst": (_bool, "false"),
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -190,77 +205,23 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def load_experiment_config(path):
+def load_experiment_config(path) -> ExperimentConfig:
     """Parse a config file into an ExperimentConfig."""
-    from .hurst import named_filter, validate_filter
-    from .experiment import ExperimentConfig
-
     with open(path, "r", encoding="utf-8") as fh:
         values = parse_config_text(fh.read())
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
     for key in values:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(known)}")
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(_KEYS)}")
+    for key, (_, default) in _KEYS.items():
+        if key not in values and default is None:
             raise ConfigError(f"missing required config key {key!r}")
-    merged = dict(_OPTIONAL_KEYS)
-    merged.update(values)
-
-    def as_floats(key):
+    fields = {}
+    for key, (parse, default) in _KEYS.items():
         try:
-            return tuple(float(v) for v in merged[key].split(","))
+            fields[key] = parse(values.get(key, default))
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from None
-
-    def as_ints(key):
-        try:
-            return tuple(int(v) for v in merged[key].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    def as_float(key):
-        try:
-            return float(merged[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    def as_int(key):
-        try:
-            return int(merged[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-
-    def as_bool(key):
-        v = merged[key].lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected true/false, got {merged[key]!r}")
-
-    filter_value = merged["filter"]
     try:
-        if "," in filter_value:
-            filt = validate_filter([float(v) for v in filter_value.split(",")])
-        else:
-            filt = named_filter(filter_value)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"key 'filter': {exc}") from None
-
-    try:
-        return ExperimentConfig(
-            h_list=as_floats("h_list"),
-            subjects_list=as_ints("subjects_list"),
-            n_obs_list=as_ints("n_obs_list"),
-            horizon=as_float("horizon"),
-            mu0=as_float("mu0"),
-            sigma20=as_float("sigma20"),
-            replications=as_int("replications"),
-            k=as_float("k"),
-            filter=filt,
-            base_seed=as_int("base_seed"),
-            estimate_hurst=as_bool("estimate_hurst"),
-        )
+        return ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -30,11 +30,11 @@ from fracmix import (
     exact_moments,
     log_marginal_likelihood,
     named_filter,
-    quad_form_uu,
     run_experiment,
     simulate_panel,
 )
 from fracmix.fbm import exact_paths, fast_paths
+from fracmix.gram import fbm_covariance
 
 DIFF2 = named_filter("diff2")
 
@@ -46,7 +46,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_brownian_closed_forms():
     grid = SamplingGrid((1.25, 2.5, 3.75, 5.0))
-    q = quad_form_uu(build_gram(grid, 0.5))
+    q = build_gram(grid, 0.5).quad_uu
     m = exact_moments(1.0, 50, q)
     ok = (
         abs(q - 5.0) <= 1e-10
@@ -94,7 +94,7 @@ def test_criterion_3_sigma2_bias_law():
     grid = SamplingGrid.uniform(n, 5.0)
     gram = build_gram(grid, h)
     law = EffectsLaw(-2.0, 1.0)
-    q = quad_form_uu(gram)
+    q = gram.quad_uu
     s2 = np.empty(reps)
     for r in range(reps):
         panel = simulate_panel(n_subjects, grid, h, law, RngStream(77, r), gram=gram)
@@ -210,10 +210,11 @@ def test_criterion_7_sampler_equivalence(h):
 def _quadrature_loglik(panel, gram, mu, sigma2):
     total = 0.0
     sd = math.sqrt(sigma2)
+    V = fbm_covariance(gram.grid, gram.h)
     for yi in panel.y:
         def f(phi):
             return multivariate_normal.pdf(
-                yi, mean=phi * panel.grid.times, cov=gram.V
+                yi, mean=phi * panel.grid.times, cov=V
             ) * norm.pdf(phi, mu, sd)
 
         val, _ = quad(f, mu - 10 * sd, mu + 10 * sd, epsabs=1e-12, epsrel=1e-10, limit=200)

@@ -86,10 +86,11 @@ def test_simulate_zero_variance_slopes_concentrate(tmp_path):
 
 def test_round_trip_is_byte_identical(tmp_path):
     out, _ = simulate(tmp_path, **{"--subjects": "3", "--n-obs": "8", "--hurst": "0.85"})
-    from fracmix.panel_io import panel_csv_text, read_panel_csv
+    from fracmix.panel_io import read_panel_csv, write_panel_csv
 
-    panel = read_panel_csv(out)
-    assert panel_csv_text(panel).encode() == out.read_bytes()
+    again = tmp_path / "again.csv"
+    write_panel_csv(again, read_panel_csv(out))
+    assert again.read_bytes() == out.read_bytes()
 
 
 # ------------------------------------------------------------------- hurst
@@ -118,6 +119,7 @@ def test_hurst_rejects_unknown_filter_name(tmp_path):
     out, _ = simulate(tmp_path)
     res = run_cli("hurst", "--input", str(out), "--filter", "diff9")
     assert res.returncode == 2
+    assert "--filter" in res.stderr and "diff2" in res.stderr and "diff3" in res.stderr
 
 
 def test_hurst_rejects_bad_subject(tmp_path):
@@ -202,6 +204,29 @@ def test_effects_rejects_bad_level(tmp_path):
     res = run_cli("effects", "--input", str(path), "--hurst", "0.5", "--level", "1.5")
     assert res.returncode == 2
     assert "--level" in res.stderr
+
+
+@pytest.mark.parametrize("hurst", ["0.995", "0.005"])
+def test_effects_rejects_hurst_outside_gram_range(tmp_path, hurst):
+    # inside (0, 1) but outside the range build_gram accepts: an input error
+    path = toy_slope_panel(tmp_path, [1.0, 2.0])
+    res = run_cli("effects", "--input", str(path), "--hurst", hurst)
+    assert res.returncode == 2
+    assert "--hurst" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["effects", "hurst"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_csv_value_exits_4_naming_the_line(tmp_path, command, bad):
+    path = tmp_path / "bad.csv"
+    rows = [f"1,{j / 8!r},{0.1 * j!r}" for j in range(1, 9)]
+    rows[4] = f"1,{5 / 8!r},{bad}"  # line 6 of the file
+    path.write_text("subject,t,y\n" + "\n".join(rows) + "\n")
+    extra = ["--hurst", "0.5"] if command == "effects" else []
+    res = run_cli(command, "--input", str(path), *extra)
+    assert res.returncode == 4, res.stderr
+    assert "line 6" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_effects_grid_inconsistency_exits_4(tmp_path):

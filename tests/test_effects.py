@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal, norm
 
@@ -22,6 +24,7 @@ from fracmix import (
     simulate_panel,
     xi_values,
 )
+from fracmix.gram import fbm_covariance
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
@@ -50,7 +53,7 @@ def test_xi_brownian_matches_dense_inverse():
     y = gen.standard_normal(4)
     panel = make_panel([y])
     u = GRID4.times
-    vinv = np.linalg.inv(gm.V)
+    vinv = np.linalg.inv(fbm_covariance(GRID4, 0.5))
     ref = (u @ vinv @ y) / (u @ vinv @ u)
     assert xi_values(panel, gm)[0] == pytest.approx(ref, rel=1e-10)
 
@@ -66,6 +69,42 @@ def test_xi_grid_mismatch():
     gm = build_gram(SamplingGrid.uniform(4, 1.0), 0.5)
     with pytest.raises(GridError):
         xi_values(make_panel(np.zeros((1, 4))), gm)
+
+
+# property tests of the whitened forms: random panels on the 4-point grid
+panels = st.tuples(
+    st.sampled_from([0.15, 0.5, 0.85]),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+).map(lambda a: (a[0], np.random.default_rng(a[2]).normal(0.0, 3.0, (a[1], 4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=panels, c=st.floats(min_value=-1e3, max_value=1e3))
+def test_xi_shifts_by_added_slope(case, c):
+    # xi(Y + c u) = xi(Y) + c: the slope read is exactly linear in the drift
+    h, y = case
+    gm = build_gram(GRID4, h)
+    base = xi_values(make_panel(y), gm)
+    shifted = xi_values(make_panel(y + c * GRID4.times), gm)
+    scale = np.max(np.abs(y)) + abs(c) * GRID4.horizon
+    assert np.all(np.abs(shifted - (base + c)) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=panels, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_subject_permutation(case, seed):
+    # xi follows the subjects; (mu_hat, sigma2_hat) do not see their order
+    h, y = case
+    gm = build_gram(GRID4, h)
+    perm = np.random.default_rng(seed).permutation(y.shape[0])
+    xi = xi_values(make_panel(y), gm)
+    xi_perm = xi_values(make_panel(y[perm]), gm)
+    eps, m = np.finfo(float).eps, np.max(np.abs(xi))
+    assert np.all(np.abs(xi_perm - xi[perm]) <= 4 * eps * m)
+    a, b = estimate_effects(make_panel(y), gm), estimate_effects(make_panel(y[perm]), gm)
+    assert abs(a.mu_hat - b.mu_hat) <= 8 * eps * m
+    assert abs(a.sigma2_hat - b.sigma2_hat) <= 16 * eps * (m * m + 1.0 / gm.quad_uu)
 
 
 # ------------------------------------------------------------ mu / sigma2
@@ -220,8 +259,9 @@ def quadrature_log_likelihood(panel, gm, mu, sigma2):
     effect law; the independent oracle for the closed form."""
     total = 0.0
     sd = math.sqrt(sigma2)
+    V = fbm_covariance(gm.grid, gm.h)
     for yi in panel.y:
-        f = lambda phi: multivariate_normal.pdf(yi, mean=phi * panel.grid.times, cov=gm.V) * norm.pdf(phi, mu, sd)
+        f = lambda phi: multivariate_normal.pdf(yi, mean=phi * panel.grid.times, cov=V) * norm.pdf(phi, mu, sd)
         val, _ = quad(f, mu - 10 * sd, mu + 10 * sd, epsabs=1e-12, epsrel=1e-10, limit=200)
         total += math.log(val)
     return total

@@ -12,7 +12,7 @@ from fracmix import (
     summarize_empirical,
 )
 from fracmix.effects import estimate_mu, xi_values
-from fracmix.experiment import _replicate_cell, make_histogram
+from fracmix.experiment import _replicate_with_gram, make_histogram
 
 
 def small_config(**overrides):
@@ -74,8 +74,9 @@ def test_replication_order_does_not_matter():
     # replications address disjoint streams, so any execution order
     # reproduces the same aggregates
     cfg = small_config(replications=6)
-    forward = [_replicate_cell(cfg, 0, 0.5, 10, 4, r) for r in range(6)]
-    backward = [_replicate_cell(cfg, 0, 0.5, 10, 4, r) for r in reversed(range(6))]
+    gm = build_gram(SamplingGrid.uniform(4, cfg.horizon), 0.5)
+    forward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in range(6)]
+    backward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in reversed(range(6))]
     assert forward == backward[::-1]
 
 

@@ -2,27 +2,20 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from fracmix import (
-    EmbeddingError,
-    GridError,
-    RngStream,
-    SamplingGrid,
-    build_gram,
-    sample_fbm_exact,
-    sample_fbm_fast,
-)
+from fracmix import EmbeddingError, GridError, RngStream, SamplingGrid, build_gram
 from fracmix.fbm import exact_paths, fast_paths, fgn_spectrum, paths_on_grid
+from fracmix.gram import fbm_covariance
 
 
 def test_rng_stream_reproducible():
     grid = SamplingGrid.uniform(16, 1.0)
-    a = sample_fbm_exact(grid, 0.7, RngStream(42, 3)).values
-    b = sample_fbm_exact(grid, 0.7, RngStream(42, 3)).values
+    a = paths_on_grid(grid, 0.7, RngStream(42, 3), 1)
+    b = paths_on_grid(grid, 0.7, RngStream(42, 3), 1)
     assert np.array_equal(a, b)
-    c = sample_fbm_exact(grid, 0.7, RngStream(42, 4)).values
+    c = paths_on_grid(grid, 0.7, RngStream(42, 4), 1)
     assert not np.array_equal(a, c)
-    x = sample_fbm_fast(64, 1.0, 0.3, RngStream(7)).values
-    y = sample_fbm_fast(64, 1.0, 0.3, RngStream(7)).values
+    x = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
+    y = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
     assert np.array_equal(x, y)
 
 
@@ -59,7 +52,8 @@ def test_exact_covariance_matches_gram():
     gm = build_gram(grid, 0.85)
     paths = exact_paths(gm, RngStream(2), 20_000)
     emp = np.cov(paths.T, bias=True)
-    assert np.max(np.abs(emp - gm.V) / np.abs(gm.V)) < 0.05
+    V = fbm_covariance(grid, 0.85)
+    assert np.max(np.abs(emp - V) / np.abs(V)) < 0.05
 
 
 def test_fast_single_point():
@@ -118,7 +112,7 @@ def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
 
     monkeypatch.setattr(fbm_mod, "fgn_spectrum", bad_spectrum)
     with pytest.raises(EmbeddingError):
-        sample_fbm_fast(8, 1.0, 0.5, RngStream(0))
+        fast_paths(8, 1.0, 0.5, RngStream(0), 1)
     grid = SamplingGrid.uniform(8, 1.0)
     out = paths_on_grid(grid, 0.5, RngStream(0), 3, method="fast")
     assert out.shape == (3, 8)  # fell back to the exact sampler
@@ -131,6 +125,13 @@ def test_fast_requires_uniform_grid():
 
 
 def test_fbm_path_container():
-    path = sample_fbm_fast(32, 1.0, 0.6, RngStream(9))
-    assert path.values.shape == (32,)
-    assert len(path.grid) == 32
+    # one path per row, one column per grid time
+    grid = SamplingGrid.uniform(32, 1.0)
+    for method in ("exact", "fast"):
+        assert paths_on_grid(grid, 0.6, RngStream(9), 1, method=method).shape == (1, 32)
+
+
+def test_prebuilt_gram_grid_must_match():
+    gm = build_gram(SamplingGrid.uniform(4, 1.0), 0.5)
+    with pytest.raises(GridError):
+        paths_on_grid(SamplingGrid.uniform(4, 2.0), 0.5, RngStream(0), 1, gram=gm)

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from fracmix import (
     FactorizationError,
     GridError,
-    Hurst,
     HurstRangeError,
+    Panel,
     SamplingGrid,
     build_gram,
-    quad_form_uu,
-    quad_form_uy,
+    xi_values,
 )
+from fracmix.gram import fbm_covariance, hurst_value
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
@@ -28,11 +28,17 @@ grid_strategy = st.lists(
 ).map(random_grid)
 
 
+def quad_uy(gm, y):
+    """u'V^{-1}y read through the slope of a one-row panel: xi * q."""
+    return xi_values(Panel(grid=gm.grid, y=[y]), gm)[0] * gm.quad_uu
+
+
 def test_hurst_validation():
-    assert float(Hurst(0.5)) == 0.5
-    for bad in (0.0, 1.0, -0.2, 1.7, float("nan")):
+    assert hurst_value(0.5) == 0.5
+    assert type(hurst_value(np.float32(0.5))) is float
+    for bad in (0.0, 1.0, -0.2, 1.7, float("nan"), float("inf")):
         with pytest.raises(HurstRangeError):
-            Hurst(bad)
+            hurst_value(bad)
 
 
 def test_grid_validation():
@@ -52,39 +58,39 @@ def test_grid_validation():
 
 
 def test_brownian_two_point_grid():
-    gm = build_gram(SamplingGrid((1.0, 2.0)), 0.5)
-    assert np.allclose(gm.V, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
+    V = fbm_covariance(SamplingGrid((1.0, 2.0)), 0.5)
+    assert np.allclose(V, [[1.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("h", [0.3, 0.7, 0.85])
 def test_two_point_grid_closed_form(h):
-    gm = build_gram(SamplingGrid((1.0, 2.0)), h)
+    V = fbm_covariance(SamplingGrid((1.0, 2.0)), h)
     expected = np.array([[1.0, 2.0 ** (2 * h - 1)], [2.0 ** (2 * h - 1), 2.0 ** (2 * h)]])
-    assert np.allclose(gm.V, expected, rtol=1e-14)
+    assert np.allclose(V, expected, rtol=1e-14)
 
 
 def test_entries_match_scalar_formula():
     # independent elementwise evaluation of the covariance
     h = 0.85
-    gm = build_gram(GRID4, h)
+    V = fbm_covariance(GRID4, h)
     t = GRID4.times
     for k in range(4):
         for l in range(4):
             ref = 0.5 * (t[k] ** (2 * h) + t[l] ** (2 * h) - abs(t[k] - t[l]) ** (2 * h))
-            assert gm.V[k, l] == pytest.approx(ref, rel=1e-14)
+            assert V[k, l] == pytest.approx(ref, rel=1e-14)
 
 
 def test_symmetry_is_exact():
-    gm = build_gram(GRID4, 0.62)
-    assert np.array_equal(gm.V, gm.V.T)
+    V = fbm_covariance(GRID4, 0.62)
+    assert np.array_equal(V, V.T)
 
 
 @settings(max_examples=60, deadline=None)
 @given(grid=grid_strategy)
 def test_brownian_reduction(grid):
-    gm = build_gram(grid, 0.5)
+    V = fbm_covariance(grid, 0.5)
     t = grid.times
-    assert np.max(np.abs(gm.V - np.minimum(t[:, None], t[None, :]))) < 1e-12
+    assert np.max(np.abs(V - np.minimum(t[:, None], t[None, :]))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,36 +98,36 @@ def test_brownian_reduction(grid):
 def test_markov_closed_form_quad_uu(grid):
     # for H=1/2 the time vector is the last column of V, so u'V^{-1}u = T
     gm = build_gram(grid, 0.5)
-    assert quad_form_uu(gm) == pytest.approx(grid.horizon, abs=1e-10 * max(1.0, grid.horizon))
+    assert gm.quad_uu == pytest.approx(grid.horizon, abs=1e-10 * max(1.0, grid.horizon))
 
 
 def test_quad_uu_reference_grid():
-    assert quad_form_uu(build_gram(GRID4, 0.5)) == pytest.approx(5.0, abs=1e-10)
+    assert build_gram(GRID4, 0.5).quad_uu == pytest.approx(5.0, abs=1e-10)
 
 
 def test_quad_uu_single_point():
     for h in (0.15, 0.5, 0.85):
         for t1 in (0.5, 1.0, 2.0):
             gm = build_gram(SamplingGrid((t1,)), h)
-            assert quad_form_uu(gm) == pytest.approx(t1 ** (2 - 2 * h), rel=1e-12)
+            assert gm.quad_uu == pytest.approx(t1 ** (2 - 2 * h), rel=1e-12)
 
 
 def test_quad_uu_base_rate_backsolve():
     # the closed-form sd of the mean estimator at N=50 pins q on this grid
-    q = quad_form_uu(build_gram(GRID4, 0.15))
+    q = build_gram(GRID4, 0.15).quad_uu
     assert np.sqrt(1 / 50 + 1 / (50 * q)) == pytest.approx(0.1456, abs=5e-5)
 
 
 def test_quad_uy_substitutions():
     gm = build_gram(GRID4, 0.7)
-    assert quad_form_uy(gm, GRID4.times) == pytest.approx(quad_form_uu(gm), rel=1e-12)
-    assert quad_form_uy(gm, np.zeros(4)) == 0.0
+    assert quad_uy(gm, GRID4.times) == pytest.approx(gm.quad_uu, rel=1e-12)
+    assert quad_uy(gm, np.zeros(4)) == 0.0
 
 
 def test_quad_uy_brownian_last_coordinate():
     gm = build_gram(GRID4, 0.5)
     y = np.array([0.3, -1.2, 2.5, 0.7])
-    assert quad_form_uy(gm, y) == pytest.approx(y[-1], abs=1e-10)
+    assert quad_uy(gm, y) == pytest.approx(y[-1], abs=1e-10)
 
 
 def test_quad_uy_against_dense_inverse():
@@ -132,21 +138,26 @@ def test_quad_uy_against_dense_inverse():
         for h in (0.15, 0.5, 0.85):
             gm = build_gram(grid, h)
             y = gen.standard_normal(n)
-            ref = times @ np.linalg.inv(gm.V) @ y
-            assert quad_form_uy(gm, y) == pytest.approx(ref, rel=1e-8, abs=1e-8)
+            ref = times @ np.linalg.inv(fbm_covariance(grid, h)) @ y
+            assert quad_uy(gm, y) == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
 
 def test_quad_uy_dimension_mismatch():
     gm = build_gram(GRID4, 0.5)
     with pytest.raises(ValueError):
-        quad_form_uy(gm, np.ones(3))
+        quad_uy(gm, np.ones(3))
+    short = Panel(grid=SamplingGrid((1.25, 2.5, 3.75)), y=[np.ones(3)])
+    with pytest.raises(GridError):
+        xi_values(short, gm)
 
 
 def test_factor_reconstructs_v():
     for h in (0.05, 0.5, 0.95):
-        gm = build_gram(SamplingGrid.uniform(32, 5.0), h)
+        grid = SamplingGrid.uniform(32, 5.0)
+        gm = build_gram(grid, h)
+        V = fbm_covariance(grid, h)
         recon = gm.factor @ gm.factor.T
-        assert np.max(np.abs(recon - gm.V)) <= 1e-10 * np.max(np.abs(gm.V))
+        assert np.max(np.abs(recon - V)) <= 1e-10 * np.max(np.abs(V))
 
 
 @pytest.mark.parametrize("h", [0.05, 0.15, 0.35, 0.5, 0.65, 0.85, 0.95])

@@ -13,14 +13,13 @@ from fracmix import (
     asym_variance_a,
     e_k,
     estimate_h,
-    g_scale,
     named_filter,
     pi_gamma,
     s_n,
     validate_filter,
 )
 from fracmix.fbm import fast_paths
-from fracmix.hurst import filtered_series, moment_sums, scale_function
+from fracmix.hurst import as_filter, filtered_series, moment_sums, scale_function
 
 DIFF2 = named_filter("diff2")
 DIFF3 = named_filter("diff3")
@@ -59,6 +58,23 @@ def test_filter_rejects_degenerate_input():
 def test_named_filter_unknown():
     with pytest.raises(KeyError):
         named_filter("diff9")
+
+
+def test_as_filter_accepts_every_spec_form():
+    for spec in (DIFF2, "diff2", "1,-2,1", (1.0, -2.0, 1.0), np.array([1.0, -2.0, 1.0])):
+        f = as_filter(spec)
+        assert np.array_equal(f.coeffs, DIFF2.coeffs) and f.order == 2
+    assert as_filter(DIFF3) is DIFF3
+    assert as_filter("-1,3,-3,1").order == 3
+
+
+@pytest.mark.parametrize("spec", ["diff9", "1,x,1", "1,-1", (1.0,)])
+def test_as_filter_rejects_with_value_error(spec):
+    with pytest.raises(ValueError):
+        as_filter(spec)
+    if spec == "diff9":
+        with pytest.raises(ValueError, match="diff2"):
+            as_filter(spec)
 
 
 # ---------------------------------------------------------------- pi_gamma
@@ -173,15 +189,15 @@ def test_sn_scale_equivariance_general(lam, k):
     assert s_n(lam * y, k, DIFF2) == pytest.approx(abs(lam) ** k * s_n(y, k, DIFF2), rel=1e-11)
 
 
-# ----------------------------------------------------------------- g_scale
+# ---------------------------------------------------------- scale_function
 def test_g_scale_reference_value():
-    assert g_scale(0.5, 256, 2.0, DIFF2) == pytest.approx(2.0 / 256, rel=1e-14)
+    assert scale_function(0.5, 1 / 256, 2.0, DIFF2) == pytest.approx(2.0 / 256, rel=1e-14)
 
 
 def test_g_scale_k2_reduces_to_pi_over_power():
     for t in (0.1, 0.5, 0.9):
         for n in (4, 64):
-            assert g_scale(t, n, 2.0, DIFF2) == pytest.approx(
+            assert scale_function(t, 1 / n, 2.0, DIFF2) == pytest.approx(
                 n ** (-2.0 * t) * pi_gamma(t, 0, DIFF2), rel=1e-12
             )
 
@@ -189,7 +205,7 @@ def test_g_scale_k2_reduces_to_pi_over_power():
 @pytest.mark.parametrize("n", [2, 4, 256])
 def test_g_scale_strictly_decreasing(n):
     ts = np.arange(0.01, 0.99 + 1e-9, 1e-3)
-    vals = np.array([g_scale(t, n, 2.0, DIFF2) for t in ts])
+    vals = np.array([scale_function(t, 1 / n, 2.0, DIFF2) for t in ts])
     assert np.all(np.diff(vals) < 0.0)
 
 
@@ -220,6 +236,23 @@ def test_variance_constant_k4_monte_carlo():
     vals = np.array([s_n(row, 4.0, DIFF2) for row in y])
     stat = (n - 2) * vals.var() / vals.mean() ** 2
     assert stat == pytest.approx(15.0, rel=0.20)
+
+
+@pytest.mark.parametrize("f", [DIFF2, DIFF3])
+def test_pi_gamma_matches_double_sum(f):
+    # the offset-weight form against the defining double sum over taps
+    c = f.coeffs
+    q = np.arange(c.size)
+    for t in (0.15, 0.5, 0.85):
+        for j in (0, 1, 3, 17):
+            terms = [
+                c[a] * c[b] * abs(q[a] - q[b] + j) ** (2 * t)
+                for a in range(c.size)
+                for b in range(c.size)
+            ]
+            # the terms cancel at large lags: bound the error by their size
+            tol = 1e-14 * sum(abs(x) for x in terms)
+            assert pi_gamma(t, j, f) == pytest.approx(-0.5 * sum(terms), rel=0, abs=tol)
 
 
 def test_rho_zero_is_one():

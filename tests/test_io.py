@@ -8,7 +8,6 @@ from fracmix.panel_io import (
     dumps_result,
     format_real,
     load_experiment_config,
-    panel_csv_text,
     parse_config_text,
     read_panel_csv,
     write_panel_csv,
@@ -43,7 +42,9 @@ def test_panel_csv_round_trip(tmp_path):
     back = read_panel_csv(path)
     assert np.array_equal(back.grid.times, grid.times)
     assert np.array_equal(back.y, y)
-    assert panel_csv_text(back).encode() == path.read_bytes()
+    again = tmp_path / "again.csv"
+    write_panel_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
 
@@ -60,6 +61,10 @@ def test_panel_csv_round_trip(tmp_path):
         ("subject,t,y\n1,1.0,2.0\n2,2.0,2.5\n", "time column"),
         ("subject,t,y\n1,1.0\n", "3 fields"),
         ("subject,t,y\n1,abc,2.0\n", "line 2"),
+        ("subject,t,y\n1,1.0,2.0\n1,2.0,nan\n", "line 3: non-finite"),
+        ("subject,t,y\n1,1.0,inf\n", "line 2: non-finite"),
+        ("subject,t,y\n1,1.0,2.0\n1,-inf,2.5\n", "line 3: non-finite"),
+        ("subject,t,y\n1,nan,2.0\n", "line 2: non-finite"),
     ],
 )
 def test_panel_csv_rejects_malformed(tmp_path, content, fragment):
@@ -110,6 +115,19 @@ def test_load_experiment_config_errors(tmp_path):
         "mu0 = -2\nsigma20 = 1\nreplications = 3\nfilter = 1,-1\n"
     )
     with pytest.raises(ConfigError, match="filter"):
+        load_experiment_config(cfg)
+    for bad in ("diff9", "1,x,1"):
+        cfg.write_text(
+            "h_list = 0.5\nsubjects_list = 50\nn_obs_list = 4\nhorizon = 5.0\n"
+            f"mu0 = -2\nsigma20 = 1\nreplications = 3\nfilter = {bad}\n"
+        )
+        with pytest.raises(ConfigError, match="filter"):
+            load_experiment_config(cfg)
+    cfg.write_text(
+        "h_list = 0.5\nsubjects_list = 50\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = -2\nsigma20 = 1\nreplications = 3\nestimate_hurst = maybe\n"
+    )
+    with pytest.raises(ConfigError, match="estimate_hurst"):
         load_experiment_config(cfg)
 
 
