@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from fracmix import EffectsLaw, RngStream, SamplingGrid, estimate_h, named_filter, simulate_panel
+from fracmix import EffectsLaw, RngStream, SamplingGrid, as_filter, estimate_h, simulate_panel
 
 
 def main(argv=None) -> int:
@@ -23,10 +23,9 @@ def main(argv=None) -> int:
     parser.add_argument("--replications", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--k", type=float, default=2.0)
-    parser.add_argument("--filter", default="diff2")
+    parser.add_argument("--filter", type=as_filter, default="diff2")
     args = parser.parse_args(argv)
 
-    filt = named_filter(args.filter)
     law = EffectsLaw(-2.0, 1.0)
     print(f"{'H':>5} {'n':>6} | {'mean':>8} {'bias':>9} | {'emp sd':>9} {'asym sd':>9}")
     for h in (0.15, 0.5, 0.85):
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
             for r in range(args.replications):
                 stream = RngStream(args.seed + int(100 * h), log2n * 10_000 + r)
                 panel = simulate_panel(1, grid, h, law, stream, noise="fast")
-                est = estimate_h(panel.y[0], 1.0, args.k, filt)
+                est = estimate_h(panel.y[0], 1.0, args.k, args.filter)
                 hs[r] = est.h_hat
                 asym = est.asym_std
             print(

@@ -43,10 +43,10 @@ from .hurst import (
     FILTERS,
     HurstEstimate,
     VariationFilter,
+    as_filter,
     asym_variance_a,
     e_k,
     estimate_h,
-    named_filter,
     pi_gamma,
     s_n,
     validate_filter,
@@ -76,6 +76,7 @@ __all__ = [
     "SamplingGrid",
     "SeriesLengthError",
     "VariationFilter",
+    "as_filter",
     "asym_variance_a",
     "build_gram",
     "confidence_intervals",
@@ -87,7 +88,6 @@ __all__ = [
     "estimate_sigma2",
     "exact_moments",
     "log_marginal_likelihood",
-    "named_filter",
     "pi_gamma",
     "run_experiment",
     "s_n",

@@ -62,8 +62,6 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
     grid = SamplingGrid.uniform(args.n_obs, args.horizon)
     try:
-        # uniform grids take the FFT sampler; it falls back to the exact
-        # one if the embedding degenerates
         panel = simulate_panel(
             args.subjects,
             grid,

@@ -82,7 +82,7 @@ def estimate_sigma2(xi: np.ndarray, q: float) -> float:
         raise ValueError(f"need at least two subjects, got {xi.size}")
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    return float(np.mean(xi**2) - np.mean(xi) ** 2 - 1.0 / q)
+    return float(np.var(xi) - 1.0 / q)
 
 
 def exact_moments(sigma2: float, n_subjects: int, q: float) -> ExactMoments:

@@ -14,14 +14,15 @@ population-form (divide by R) standard deviations across replications.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
 from .errors import FracmixError
-from .gram import GramMatrix, SamplingGrid, build_gram
-from .hurst import VariationFilter, estimate_h, named_filter
+from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
+from .hurst import VariationFilter, as_filter, estimate_h
 from .panel import EffectsLaw, simulate_panel
 from .rng import RngStream
 
@@ -39,7 +40,7 @@ class ExperimentConfig:
     sigma20: float
     replications: int
     k: float = 2.0
-    filter: VariationFilter = field(default_factory=lambda: named_filter("diff2"))
+    filter: VariationFilter = field(default_factory=lambda: as_filter("diff2"))
     base_seed: int = 0
     estimate_hurst: bool = False
     sampler: str = "exact"
@@ -52,6 +53,21 @@ class ExperimentConfig:
             raise ValueError("h_list, subjects_list and n_obs_list must be nonempty")
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
+        # every cell builds a Gram matrix, so H takes the Gram range
+        if not all(HURST_MIN <= h <= HURST_MAX for h in self.h_list):
+            raise ValueError(
+                f"h_list values must lie in [{HURST_MIN}, {HURST_MAX}], got {self.h_list}"
+            )
+        if min(self.subjects_list) < 1 or min(self.n_obs_list) < 1:
+            raise ValueError("subjects_list and n_obs_list values must be >= 1")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not math.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
+        if not (math.isfinite(self.sigma20) and self.sigma20 >= 0.0):
+            raise ValueError(f"sigma20 must be finite and >= 0, got {self.sigma20}")
+        if not (math.isfinite(self.k) and self.k > 0.0):
+            raise ValueError(f"k must be positive and finite, got {self.k}")
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         """(cell_index, h, n_subjects, n_obs) in stream-id order."""

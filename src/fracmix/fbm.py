@@ -9,17 +9,21 @@ times (the deterministic value 0 at t = 0 is not stored):
   O(n^3) once per grid, O(n^2) per path.
 * ``fast_paths`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
-  FFT of the embedding's first row, synthesis from another, cumulative
-  sum and a T^H self-similarity rescale.  Uniform grids only;
-  O(n log n) per path.
+  FFT of the embedding's first row, synthesis from one complex FFT per
+  pair of paths [3], cumulative sum and a T^H self-similarity rescale.
+  Uniform grids only; O(n log n) per path.
 
 The embedding is used exactly: eigenvalues below -1e-10 times the
-largest raise ``EmbeddingError`` instead of being clipped, and
-``paths_on_grid``, which dispatches between the two, falls back to the
-exact sampler.
+largest raise ``EmbeddingError`` instead of being clipped.  The minimal
+fGn embedding is nonnegative definite for every H ([4] for H <= 1/2,
+[5] for H >= 1/2), so the error marks a genuine failure and reaches
+the caller.
 
 [1] Davies, R. B. and Harte, D. S., Biometrika 74 (1987) 95-101.
 [2] Dieker, A., "Simulation of fractional Brownian motion", 2004.
+[3] Wood, A. T. A. and Chan, G., J. Comput. Graph. Statist. 3 (1994) 409-432.
+[4] Craigmile, P. F., J. Time Ser. Anal. 24 (2003) 505-511.
+[5] Dietrich, C. R. and Newsam, G. N., SIAM J. Sci. Comput. 18 (1997) 1088-1107.
 """
 
 from __future__ import annotations
@@ -65,30 +69,22 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _fgn_draws(lam: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
-    """(count, n) unit-spacing fGn draws from precomputed eigenvalues."""
-    m = lam.size
-    n = m // 2
-    z = np.zeros((count, m), dtype=complex)
-    z[:, 0] = np.sqrt(lam[0] / m) * gen.standard_normal(count)
-    z[:, n] = np.sqrt(lam[n] / m) * gen.standard_normal(count)
-    if n > 1:
-        scale = np.sqrt(lam[1:n] / (2.0 * m))
-        re = gen.standard_normal((count, n - 1))
-        im = gen.standard_normal((count, n - 1))
-        z[:, 1:n] = scale * (re + 1j * im)
-        z[:, n + 1:] = np.conj(z[:, 1:n][:, ::-1])
-    return np.fft.fft(z, axis=1).real[:, :n]
-
-
 def fast_paths(
     n: int, horizon: float, h: float, rng: RngStream | np.random.Generator, count: int
 ) -> np.ndarray:
-    """(count, n) matrix of fBm paths on the uniform grid j*horizon/n."""
+    """(count, n) matrix of fBm paths on the uniform grid j*horizon/n.
+
+    With z complex standard normal, the real and imaginary parts of
+    fft(sqrt(lam/m) z) are two independent unit-spacing fGn draws, so
+    each transform serves two paths.
+    """
     hv = hurst_value(h)
     gen = as_generator(rng)
     lam = fgn_spectrum(n, hv)
-    noise = _fgn_draws(lam, gen, count)
+    m, pairs = lam.size, (count + 1) // 2
+    z = gen.standard_normal((pairs, m)) + 1j * gen.standard_normal((pairs, m))
+    w = np.fft.fft(np.sqrt(lam / m) * z, axis=1)[:, :n]
+    noise = np.concatenate([w.real, w.imag])[:count]
     # cumulated unit-spacing fGn is fBm on 1..n; self-similarity maps it
     # to spacing T/n
     return np.cumsum(noise, axis=1) * (float(horizon) / n) ** hv
@@ -105,7 +101,7 @@ def paths_on_grid(
     """(count, n) fBm paths by the requested method.
 
     method "exact" factors V (or reuses a prebuilt gram); "fast" needs a
-    uniform grid and falls back to exact if the embedding fails.
+    uniform grid.
     """
     if method == "exact":
         if gram is None:
@@ -116,10 +112,5 @@ def paths_on_grid(
     if method == "fast":
         if not grid.is_uniform:
             raise GridError("fast sampler requires a uniform grid")
-        try:
-            return fast_paths(len(grid), grid.horizon, h, rng, count)
-        except EmbeddingError:
-            if gram is None:
-                gram = build_gram(grid, h)
-            return exact_paths(gram, rng, count)
+        return fast_paths(len(grid), grid.horizon, h, rng, count)
     raise ValueError(f"unknown sampling method {method!r}")

@@ -16,7 +16,7 @@ has expectation g(H) with
 
 exactly (the filtered process is stationary Gaussian with variance
 pi_H(0) * spacing^{2H}).  The estimate inverts the strictly decreasing
-g by bisection.  Its sampling dispersion shrinks like
+g by Brent's method.  Its sampling dispersion shrinks like
 sqrt(A(H,k,gamma)) / (k * sqrt(n) * log n), where A sums the squared
 Hermite coefficients of |z|^k against powers of the filtered
 autocorrelation rho_t = pi_t / pi_t(0).
@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
+from .gram import HURST_MAX, HURST_MIN, hurst_value
 
 # Named filters: the minimal order-2 filter is the default; the order-3
 # variant trades a shorter effective sample for faster correlation decay.
@@ -39,10 +41,9 @@ FILTERS = {
     "diff3": (-1.0, 3.0, -3.0, 1.0),
 }
 
-_BISECT_LO = 0.01
-_BISECT_HI = 0.99
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
+# Root finding for the inversion, over the bracket [HURST_MIN, HURST_MAX]
+_ROOT_XTOL = 1e-10
+_ROOT_MAX_ITER = 200
 
 # Series truncation for the asymptotic variance: the lag sum stops once
 # |rho| < RHO_TOL (hard cap LAG_CAP), the order sum once a term adds less
@@ -115,13 +116,6 @@ def validate_filter(coeffs) -> VariationFilter:
     return VariationFilter(coeffs=c, order=order)
 
 
-def named_filter(name: str) -> VariationFilter:
-    try:
-        return validate_filter(FILTERS[name])
-    except KeyError:
-        raise KeyError(f"unknown filter {name!r}; known: {sorted(FILTERS)}") from None
-
-
 def as_filter(spec) -> VariationFilter:
     """The filter a spec names: a ``VariationFilter``, a name in FILTERS,
     a "c0,c1,..." coefficient string, or a coefficient sequence.
@@ -144,25 +138,17 @@ def as_filter(spec) -> VariationFilter:
     return validate_filter(spec)
 
 
-def _autocov_weights(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets d and weights w_d = sum_{q-r=d} gamma_q gamma_r."""
-    l = c.size - 1
-    d = np.arange(-l, l + 1)
-    w = np.convolve(c, c[::-1])
-    return d, w
-
-
 def _pi_lags(t: float, f: VariationFilter, lags: np.ndarray) -> np.ndarray:
-    """pi_t over an array of lags, vectorized through the offset weights."""
-    d, w = _autocov_weights(f.coeffs)
+    """pi_t over an array of lags, vectorized through the offset weights
+    w_d = sum_{q-r=d} gamma_q gamma_r for d = -l..l."""
+    d = np.arange(-f.length, f.length + 1)
+    w = np.convolve(f.coeffs, f.coeffs[::-1])
     return -0.5 * (np.abs(d[:, None] + lags[None, :]) ** (2.0 * t) * w[:, None]).sum(axis=0)
 
 
 def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
     """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    return float(_pi_lags(t, as_filter(f), np.array([j]))[0])
+    return float(_pi_lags(hurst_value(t), as_filter(f), np.array([j]))[0])
 
 
 def e_k(k: float) -> float:
@@ -197,8 +183,7 @@ def s_n(y: np.ndarray, k: float, f: VariationFilter) -> float:
 
 def scale_function(t: float, spacing: float, k: float, f: VariationFilter) -> float:
     """Expected k-variation of filtered fBm(t) at the given grid spacing."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
+    t = hurst_value(t)
     p0 = pi_gamma(t, 0, f)
     if p0 <= 0.0:
         raise ValueError(f"pi_t(0) = {p0} <= 0: invalid filter")
@@ -213,8 +198,7 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     Truncated per the module constants; for even integer k the order
     series terminates exactly.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
+    t = hurst_value(t)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     f = as_filter(f)
@@ -250,10 +234,11 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
     """Estimate H from one trajectory observed at t_j = j*horizon/n.
 
     Computes the k-variation S and solves scale_function(t) = S for t
-    by bisection on [0.01, 0.99].  A three-point probe checks that the
-    scale function is strictly decreasing over the bracket (it always
-    is for spacing < 1; very coarse grids with spacing well above 1 can
-    break this and are rejected).
+    by Brent's method on [HURST_MIN, HURST_MAX], so every estimate is a
+    valid exponent for ``build_gram``.  A three-point probe checks that
+    the scale function is strictly decreasing over the bracket (it
+    always is for spacing < 1; very coarse grids with spacing well above
+    1 can break this and are rejected).
 
     Raises ``EstimationRangeError`` when S falls outside the invertible
     range (for example for a drift-only series with S = 0) and
@@ -268,10 +253,10 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
     def g(t: float) -> float:
         return scale_function(t, spacing, k, f)
 
-    g_lo, g_mid, g_hi = g(_BISECT_LO), g(0.5 * (_BISECT_LO + _BISECT_HI)), g(_BISECT_HI)
+    g_lo, g_mid, g_hi = g(HURST_MIN), g(0.5 * (HURST_MIN + HURST_MAX)), g(HURST_MAX)
     if not g_lo > g_mid > g_hi:
         raise EstimationRangeError(
-            f"scale function is not decreasing over [{_BISECT_LO}, {_BISECT_HI}] "
+            f"scale function is not decreasing over [{HURST_MIN}, {HURST_MAX}] "
             f"at spacing {spacing}; cannot invert"
         )
     if not g_hi <= s_obs <= g_lo:
@@ -279,16 +264,9 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
             f"k-variation {s_obs:.6g} outside the invertible range "
             f"[{g_hi:.6g}, {g_lo:.6g}]; series is inconsistent with fBm scaling"
         )
-    lo, hi = _BISECT_LO, _BISECT_HI
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > s_obs:
-            lo = mid
-        else:
-            hi = mid
-    h_hat = 0.5 * (lo + hi)
+    h_hat = brentq(
+        lambda t: g(t) - s_obs, HURST_MIN, HURST_MAX, xtol=_ROOT_XTOL, maxiter=_ROOT_MAX_ITER
+    )
     a_val = asym_variance_a(h_hat, k, f)
     asym_std = math.sqrt(a_val) / (k * math.sqrt(n) * math.log(n))
     return HurstEstimate(h_hat=h_hat, k=k, filter=f, n=n, asym_std=asym_std)

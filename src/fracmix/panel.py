@@ -84,7 +84,7 @@ def simulate_panel(
     """Simulate a panel of n_subjects trajectories.
 
     noise selects the fBm sampler: "exact" (any grid), "fast"
-    (uniform grids, exact fallback), or "none" (zero noise, a
+    (uniform grids, circulant embedding), or "none" (zero noise, a
     diagnostics hook that makes each row exactly phi_i * t).
     Effects are drawn before the noise, so the same stream yields the
     same phi_i regardless of the noise method.

@@ -22,6 +22,7 @@ from fracmix import (
     ExperimentConfig,
     RngStream,
     SamplingGrid,
+    as_filter,
     asym_variance_a,
     build_gram,
     confidence_intervals,
@@ -29,14 +30,13 @@ from fracmix import (
     estimate_h,
     exact_moments,
     log_marginal_likelihood,
-    named_filter,
     run_experiment,
     simulate_panel,
 )
 from fracmix.fbm import exact_paths, fast_paths
 from fracmix.gram import fbm_covariance
 
-DIFF2 = named_filter("diff2")
+DIFF2 = as_filter("diff2")
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -179,7 +179,7 @@ def test_criterion_6_drift_invariance_bitwise():
     # trajectories and slopes are rounded to 2^-26 on a dyadic grid, so
     # y + c*t is exact in IEEE754 and the filter cancellation is exact
     # integer arithmetic; for full-precision inputs the invariance holds
-    # to the bisection granularity instead
+    # to the root finder's tolerance instead
     n, trials = 1024, 100
     quantum = 2.0**26
     t = np.arange(1, n + 1) / n

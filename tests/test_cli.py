@@ -316,6 +316,17 @@ def test_experiment_missing_key_exits_2(tmp_path):
     assert "replications" in res.stderr
 
 
+def test_experiment_out_of_range_value_exits_2(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "h_list = 1.5\nsubjects_list = 10\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 1\n"
+    )
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "h_list" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_experiment_config_parse_error_names_line(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("h_list = 0.5\nthis line is wrong\n")

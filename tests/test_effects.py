@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_estimate_sigma2_arithmetic():
     a = math.sqrt(1.2)
     xi = np.array([a, -a])  # population variance exactly 1.2
     assert estimate_sigma2(xi, 5.0) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [1e4, 1e6, 1e7])
+def test_estimate_sigma2_exact_at_large_mean(mu):
+    # a large common mean must not cancel the spread away
+    xi = mu + RngStream(5).generator().standard_normal(500)
+    exact = [Fraction(v) for v in xi]
+    mean = sum(exact) / len(exact)
+    ref = sum((v - mean) ** 2 for v in exact) / len(exact) - Fraction(1, 4)
+    assert estimate_sigma2(xi, 4.0) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_estimate_sigma2_needs_two_subjects():

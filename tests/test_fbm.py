@@ -47,10 +47,13 @@ def test_exact_brownian_increments():
     assert abs(corr) < 0.05
 
 
-def test_exact_covariance_matches_gram():
+@pytest.mark.parametrize("method", ["exact", "fast"])
+def test_exact_covariance_matches_gram(method):
     grid = SamplingGrid.uniform(8, 1.0)
     gm = build_gram(grid, 0.85)
-    paths = exact_paths(gm, RngStream(2), 20_000)
+    # an odd count leaves the fast sampler's last pair half used
+    paths = paths_on_grid(grid, 0.85, RngStream(2), 20_001, method=method, gram=gm)
+    assert paths.shape == (20_001, 8)
     emp = np.cov(paths.T, bias=True)
     V = fbm_covariance(grid, 0.85)
     assert np.max(np.abs(emp - V) / np.abs(V)) < 0.05
@@ -96,15 +99,29 @@ def test_stationary_increments():
         assert emp == pytest.approx(abs(t[j] - t[i]) ** (2 * h), rel=0.05)
 
 
+def test_fast_paired_paths_are_uncorrelated():
+    # rows i and pairs + i are the real and imaginary parts of one
+    # transform; their cross-covariance must vanish
+    n, pairs, h = 16, 10_000, 0.85
+    paths = fast_paths(n, 1.0, h, RngStream(12), 2 * pairs)
+    re, im = paths[:pairs], paths[pairs:]
+    cross = re.T @ im / pairs
+    scale = np.sqrt(np.outer(re.var(axis=0), im.var(axis=0)))
+    assert np.max(np.abs(cross) / scale) < 0.05
+
+
 def test_spectrum_nonnegative_across_h():
-    for h in np.linspace(0.05, 0.95, 10):
-        lam = fgn_spectrum(256, h)
-        assert lam.min() >= 0.0
+    # the minimal fGn embedding is nonnegative definite for every H, so
+    # fgn_spectrum never raises EmbeddingError
+    for n in (1, 2, 3, 256, 1000, 2**16):
+        for h in np.linspace(0.01, 0.99, 12):
+            lam = fgn_spectrum(n, h)
+            assert lam.size == 2 * n and lam.min() >= 0.0
 
 
 def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
-    # the fGn embedding is nonnegative definite in practice, so force a
-    # failure to exercise the guard and the panel-level fallback
+    # the fGn embedding is nonnegative definite for every H, so force a
+    # failure to check that the error reaches callers of either entry
     import fracmix.fbm as fbm_mod
 
     def bad_spectrum(n, h):
@@ -114,8 +131,8 @@ def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
     with pytest.raises(EmbeddingError):
         fast_paths(8, 1.0, 0.5, RngStream(0), 1)
     grid = SamplingGrid.uniform(8, 1.0)
-    out = paths_on_grid(grid, 0.5, RngStream(0), 3, method="fast")
-    assert out.shape == (3, 8)  # fell back to the exact sampler
+    with pytest.raises(EmbeddingError):
+        paths_on_grid(grid, 0.5, RngStream(0), 3, method="fast")
 
 
 def test_fast_requires_uniform_grid():

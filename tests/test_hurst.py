@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from fracmix import (
     EstimationRangeError,
     FilterOrderError,
+    HurstRangeError,
     RngStream,
     SeriesLengthError,
     asym_variance_a,
     e_k,
     estimate_h,
-    named_filter,
     pi_gamma,
     s_n,
     validate_filter,
@@ -21,8 +21,8 @@ from fracmix import (
 from fracmix.fbm import fast_paths
 from fracmix.hurst import as_filter, filtered_series, moment_sums, scale_function
 
-DIFF2 = named_filter("diff2")
-DIFF3 = named_filter("diff3")
+DIFF2 = as_filter("diff2")
+DIFF3 = as_filter("diff3")
 
 
 # ----------------------------------------------------------------- filters
@@ -56,8 +56,8 @@ def test_filter_rejects_degenerate_input():
 
 
 def test_named_filter_unknown():
-    with pytest.raises(KeyError):
-        named_filter("diff9")
+    with pytest.raises(ValueError, match="diff9"):
+        as_filter("diff9")
 
 
 def test_as_filter_accepts_every_spec_form():
@@ -105,10 +105,14 @@ def test_pi_gamma_symmetric_in_j(t, j, coeffs):
 
 
 def test_pi_gamma_rejects_bad_t():
-    with pytest.raises(ValueError):
+    with pytest.raises(HurstRangeError):
         pi_gamma(0.0, 0, DIFF2)
-    with pytest.raises(ValueError):
+    with pytest.raises(HurstRangeError):
         pi_gamma(1.0, 0, DIFF2)
+    with pytest.raises(HurstRangeError):
+        scale_function(float("nan"), 0.1, 2.0, DIFF2)
+    with pytest.raises(HurstRangeError):
+        asym_variance_a(1.5, 2.0, DIFF2)
 
 
 # --------------------------------------------------------------------- e_k

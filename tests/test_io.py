@@ -129,6 +129,25 @@ def test_load_experiment_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError, match="estimate_hurst"):
         load_experiment_config(cfg)
+    # values that parse but lie outside their range
+    good = {
+        "h_list": "0.5", "subjects_list": "50", "n_obs_list": "4", "horizon": "5.0",
+        "mu0": "-2", "sigma20": "1", "replications": "3", "estimate_hurst": "true",
+    }
+    for key, bad in (
+        ("subjects_list", "0"),
+        ("n_obs_list", "4, 0"),
+        ("sigma20", "-1"),
+        ("mu0", "nan"),
+        ("k", "-1"),
+        ("h_list", "1.5"),
+        ("h_list", "0.5, 0.005"),
+        ("horizon", "-5"),
+        ("horizon", "inf"),
+    ):
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: bad}.items()))
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            load_experiment_config(cfg)
 
 
 def test_histogram_svg_structure():
