@@ -14,6 +14,7 @@ location not writable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .effects import confidence_intervals, estimate_effects
 from .errors import ConfigError, FracmixError, PanelFormatError
 from .experiment import CellSummary, run_experiment
 from .gram import HURST_MAX, HURST_MIN, SamplingGrid, build_gram
-from .hurst import as_filter, estimate_h
+from .hurst import as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
 from .panel_io import (
     dumps_result,
@@ -54,10 +55,12 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_USAGE, f"--subjects must be >= 1, got {args.subjects}")
     if args.n_obs < 1:
         raise _CliError(EXIT_USAGE, f"--n-obs must be >= 1, got {args.n_obs}")
-    if args.horizon <= 0.0:
-        raise _CliError(EXIT_USAGE, f"--horizon must be positive, got {args.horizon}")
-    if args.sigma2 < 0.0:
-        raise _CliError(EXIT_USAGE, f"--sigma2 must be >= 0, got {args.sigma2}")
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise _CliError(EXIT_USAGE, f"--horizon must be positive and finite, got {args.horizon}")
+    if not math.isfinite(args.mu):
+        raise _CliError(EXIT_USAGE, f"--mu must be finite, got {args.mu}")
+    if not (math.isfinite(args.sigma2) and args.sigma2 >= 0.0):
+        raise _CliError(EXIT_USAGE, f"--sigma2 must be finite and >= 0, got {args.sigma2}")
     if args.seed < 0:
         raise _CliError(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
     grid = SamplingGrid.uniform(args.n_obs, args.horizon)
@@ -70,7 +73,7 @@ def cmd_simulate(args) -> int:
             RngStream(args.seed),
             noise="fast",
         )
-    except FracmixError as exc:
+    except (FracmixError, ValueError) as exc:  # ValueError: a non-finite panel (overflow)
         raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from None
     try:
         write_panel_csv(args.out, panel)
@@ -86,8 +89,10 @@ def cmd_hurst(args) -> int:
         filt = as_filter(args.filter)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, f"--filter: {exc}") from None
-    if args.k <= 0:
-        raise _CliError(EXIT_USAGE, f"--k must be positive, got {args.k}")
+    try:
+        k_value(args.k)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, f"--k: {exc}") from None
     panel = _read_panel(args.input)
     if not 1 <= args.subject <= panel.n_subjects:
         raise _CliError(

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
-from .gram import GramMatrix, whiten
+from .gram import GramMatrix, check_grid
 from .panel import EffectsLaw, Panel
 
 
@@ -58,9 +59,9 @@ class EffectsEstimate:
 
 
 def xi_values(panel: Panel, g: GramMatrix) -> np.ndarray:
-    """Per-subject slope reads xi_i = u'V^{-1}Y^i / u'V^{-1}u."""
-    _, u_v_y = whiten(g, panel.grid, panel.y)
-    return u_v_y / g.quad_uu
+    """Per-subject slope reads xi_i = u'V^{-1}Y^i / u'V^{-1}u = Y^i @ g.weights."""
+    check_grid(g, panel.grid)
+    return panel.y @ g.weights
 
 
 def estimate_mu(xi: np.ndarray) -> float:
@@ -160,16 +161,16 @@ def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> flo
         - 0.5 log(q + 1/sigma2)
         - 0.5 [ mu^2/sigma2 + Y'V^{-1}Y - (u'V^{-1}Y + mu/sigma2)^2 / (q + 1/sigma2) ],
 
-    all quadratic forms read off the cached factorization.  Its argmax
-    over mu is exactly mu_hat for any sigma2 > 0.
+    with u'V^{-1}Y = q * xi and Y'V^{-1}Y read off the cached factor.
+    Its argmax over mu is exactly mu_hat for any sigma2 > 0.
     """
     mu, sigma2 = law.mu, law.sigma2
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive for the marginal likelihood, got {sigma2}")
     n = len(g.grid)
     q = g.quad_uu
-    wy, u_v_y = whiten(g, panel.grid, panel.y)
-    y_v_y = np.sum(wy**2, axis=1)
+    u_v_y = q * xi_values(panel, g)
+    y_v_y = np.sum(solve_triangular(g.factor, panel.y.T, lower=True) ** 2, axis=0)
     denom = q + 1.0 / sigma2
     quad = mu**2 / sigma2 + y_v_y - (u_v_y + mu / sigma2) ** 2 / denom
     per_subject = (

@@ -22,7 +22,7 @@ import numpy as np
 from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
 from .errors import FracmixError
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
-from .hurst import VariationFilter, as_filter, estimate_h
+from .hurst import VariationFilter, as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
 from .rng import RngStream
 
@@ -66,8 +66,7 @@ class ExperimentConfig:
             raise ValueError(f"mu0 must be finite, got {self.mu0}")
         if not (math.isfinite(self.sigma20) and self.sigma20 >= 0.0):
             raise ValueError(f"sigma20 must be finite and >= 0, got {self.sigma20}")
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValueError(f"k must be positive and finite, got {self.k}")
+        k_value(self.k)
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         """(cell_index, h, n_subjects, n_obs) in stream-id order."""

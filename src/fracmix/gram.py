@@ -5,11 +5,10 @@ Gram matrix is
 
     V[k, l] = 0.5 * (t_k^{2H} + t_l^{2H} - |t_k - t_l|^{2H}),
 
-the covariance of the fBm at the observation times.  Every estimator in
-this package consumes V only through the quadratic forms u'V^{-1}u and
-u'V^{-1}Y (u the vector of times), which are computed from a cached
-Cholesky factor by triangular solves (``whiten``); V is never inverted
-explicitly.
+the covariance of the fBm at the observation times.  Slope reads use V
+only through the GLS weights c = V^{-1}u / u'V^{-1}u (u the vector of
+times): xi = Y @ c.  c comes from two triangular solves against the
+cached Cholesky factor, which the likelihood reuses; V is never inverted.
 """
 
 from __future__ import annotations
@@ -79,17 +78,16 @@ class SamplingGrid:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """fBm covariance on a grid, with its lower Cholesky factor.
+    """fBm covariance on a grid, with its lower Cholesky factor L.
 
-    Derived quantities reused throughout (the whitened time vector w =
-    L^{-1}u, the quadratic form q = u'V^{-1}u = w'w and log det V) are
-    computed eagerly at construction.
+    Built eagerly: the read-only GLS weights c = V^{-1}u / q (xi = Y @ c,
+    u @ c = 1), q = u'V^{-1}u = w'w with w = L^{-1}u, and log det V.
     """
 
     grid: SamplingGrid
     h: float
     factor: np.ndarray
-    _wu: np.ndarray
+    weights: np.ndarray
     quad_uu: float
     log_det: float
 
@@ -129,24 +127,14 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         ) from exc
     wu = solve_triangular(L, grid.times, lower=True)
     q = float(wu @ wu)
+    weights = solve_triangular(L, wu / q, lower=True, trans="T")
     log_det = float(2.0 * np.sum(np.log(np.diag(L))))
     L.flags.writeable = False
-    wu.flags.writeable = False
-    return GramMatrix(grid=grid, h=hv, factor=L, _wu=wu, quad_uu=q, log_det=log_det)
+    weights.flags.writeable = False
+    return GramMatrix(grid=grid, h=hv, factor=L, weights=weights, quad_uu=q, log_det=log_det)
 
 
 def check_grid(g: GramMatrix, grid: SamplingGrid) -> None:
     """Raise ``GridError`` unless grid has the Gram matrix's times."""
     if grid is not g.grid and not np.array_equal(grid.times, g.grid.times):
         raise GridError("grid does not match the Gram matrix grid")
-
-
-def whiten(g: GramMatrix, grid: SamplingGrid, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened rows L^{-1}Y^i, shape (N, n), and u'V^{-1}Y^i per row.
-
-    y is (N, n) with its columns on ``grid``, which must be g's grid.
-    The shared plumbing for every per-subject quadratic form.
-    """
-    check_grid(g, grid)
-    wy = solve_triangular(g.factor, y.T, lower=True).T
-    return wy, wy @ g._wu

@@ -151,10 +151,16 @@ def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
     return float(_pi_lags(hurst_value(t), as_filter(f), np.array([j]))[0])
 
 
+def k_value(k: float) -> float:
+    """Validate a variation power: a finite float > 0."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError(f"k must be positive and finite, got {k}")
+    return float(k)
+
+
 def e_k(k: float) -> float:
     """k-th absolute moment of a standard normal, E|Z|^k."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = k_value(k)
     return float(2.0 ** (k / 2.0) * gamma_fn((k + 1.0) / 2.0) / gamma_fn(0.5))
 
 
@@ -175,8 +181,7 @@ def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:
 
 def s_n(y: np.ndarray, k: float, f: VariationFilter) -> float:
     """Empirical k-variation: mean of |filtered windows|^k."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = k_value(k)
     v = filtered_series(y, f)
     return float(np.mean(np.abs(v) ** k))
 
@@ -199,8 +204,7 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     series terminates exactly.
     """
     t = hurst_value(t)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = k_value(k)
     f = as_filter(f)
     p0 = pi_gamma(t, 0, f)
     # grow the lag window until the correlation tail is negligible

@@ -57,6 +57,8 @@ class Panel:
             raise GridError(f"panel has {y.shape[1]} columns, grid has {len(self.grid)} times")
         if y.shape[0] < 1:
             raise ValueError("panel needs at least one subject")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("panel observations must be finite")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
         if self.true_effects is not None:

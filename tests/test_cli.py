@@ -60,6 +60,33 @@ def test_simulate_rejects_bad_hurst(tmp_path):
     assert "--hurst" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--mu", "nan"), ("--mu", "inf"), ("--sigma2", "nan"), ("--sigma2", "inf"),
+     ("--horizon", "nan"), ("--horizon", "inf")],
+)
+def test_simulate_rejects_non_finite_flag(tmp_path, flag, value):
+    flags = {"--hurst": "0.5", "--subjects": "2", "--n-obs": "4", "--horizon": "5",
+             "--mu": "0", "--sigma2": "1", "--seed": "1", flag: value}
+    args = [a for kv in flags.items() for a in kv]
+    res = run_cli("simulate", *args, "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert flag in res.stderr and "Traceback" not in res.stderr
+
+
+def test_simulate_overflowing_panel_exits_3(tmp_path):
+    # finite flags whose drift overflows a double: no file, no traceback
+    out = tmp_path / "x.csv"
+    res = run_cli(
+        "simulate", "--hurst", "0.5", "--subjects", "2", "--n-obs", "4",
+        "--horizon", "10", "--mu", "1e308", "--sigma2", "1", "--seed", "1",
+        "--out", str(out),
+    )
+    assert res.returncode == 3, res.stderr
+    assert "finite" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_simulate_is_seed_deterministic(tmp_path):
     a, _ = simulate(tmp_path, name="a.csv")
     b, _ = simulate(tmp_path, name="b.csv")
@@ -120,6 +147,14 @@ def test_hurst_rejects_unknown_filter_name(tmp_path):
     res = run_cli("hurst", "--input", str(out), "--filter", "diff9")
     assert res.returncode == 2
     assert "--filter" in res.stderr and "diff2" in res.stderr and "diff3" in res.stderr
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+def test_hurst_rejects_bad_k(tmp_path, k):
+    out, _ = simulate(tmp_path)
+    res = run_cli("hurst", "--input", str(out), f"--k={k}")
+    assert res.returncode == 2, res.stderr
+    assert "--k" in res.stderr and "positive and finite" in res.stderr
 
 
 def test_hurst_rejects_bad_subject(tmp_path):

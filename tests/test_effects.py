@@ -59,11 +59,16 @@ def test_xi_brownian_matches_dense_inverse():
     assert xi_values(panel, gm)[0] == pytest.approx(ref, rel=1e-10)
 
 
-def test_xi_noise_free_panel_returns_effects():
-    grid = SamplingGrid.uniform(8, 2.0)
-    gm = build_gram(grid, 0.85)
-    p = simulate_panel(10, grid, 0.85, EffectsLaw(1.0, 4.0), RngStream(5), noise="none")
-    assert np.allclose(xi_values(p, gm), p.true_effects, atol=1e-10)
+@pytest.mark.parametrize("h,n", [(0.85, 8), (0.85, 256), (0.99, 1024)])
+def test_xi_noise_free_panel_returns_effects(h, n):
+    # without noise xi must equal phi exactly; the GLS weights keep the
+    # rounding error to a few eps even where V is badly conditioned
+    grid = SamplingGrid.uniform(n, 2.0)
+    gm = build_gram(grid, h)
+    p = simulate_panel(512, grid, h, EffectsLaw(1.0, 4.0), RngStream(5), noise="none")
+    xi = xi_values(p, gm)
+    assert np.allclose(xi, p.true_effects, atol=1e-10)
+    assert np.max(np.abs(xi / p.true_effects - 1.0)) <= 128 * np.finfo(float).eps
 
 
 def test_xi_grid_mismatch():
@@ -72,7 +77,7 @@ def test_xi_grid_mismatch():
         xi_values(make_panel(np.zeros((1, 4))), gm)
 
 
-# property tests of the whitened forms: random panels on the 4-point grid
+# property tests of the slope read: random panels on the 4-point grid
 panels = st.tuples(
     st.sampled_from([0.15, 0.5, 0.85]),
     st.integers(min_value=2, max_value=12),

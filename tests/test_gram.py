@@ -151,6 +151,14 @@ def test_quad_uy_dimension_mismatch():
         xi_values(short, gm)
 
 
+@pytest.mark.parametrize("h,n", [(0.85, 8), (0.85, 256), (0.99, 1024)])
+def test_gls_weights_read_only_and_unbiased(h, n):
+    # c = V^{-1}u / q reads the slope of u itself as exactly 1
+    gm = build_gram(SamplingGrid.uniform(n, 2.0), h)
+    assert not gm.weights.flags.writeable
+    assert abs(gm.grid.times @ gm.weights - 1.0) <= 32 * np.finfo(float).eps
+
+
 def test_factor_reconstructs_v():
     for h in (0.05, 0.5, 0.95):
         grid = SamplingGrid.uniform(32, 5.0)

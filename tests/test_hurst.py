@@ -19,7 +19,7 @@ from fracmix import (
     validate_filter,
 )
 from fracmix.fbm import fast_paths
-from fracmix.hurst import as_filter, filtered_series, moment_sums, scale_function
+from fracmix.hurst import _ROOT_XTOL, as_filter, filtered_series, moment_sums, scale_function
 
 DIFF2 = as_filter("diff2")
 DIFF3 = as_filter("diff3")
@@ -122,6 +122,17 @@ def test_absolute_normal_moments():
     assert e_k(4.0) == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(ValueError):
         e_k(0.0)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
+def test_variation_power_must_be_positive_and_finite(k):
+    y = np.arange(1.0, 9.0) ** 2
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        e_k(k)
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        s_n(y, k, DIFF2)
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        asym_variance_a(0.5, k, DIFF2)
 
 
 # --------------------------------------------------------------------- s_n
@@ -284,6 +295,23 @@ def test_estimator_ignores_added_drift():
     for c in (-512.25, 1.0, 977.5):
         shifted = estimate_h(y + c * t, 1.0)
         assert shifted.h_hat == base.h_hat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.sampled_from([0.15, 0.5, 0.85]),
+    stream=st.integers(min_value=0, max_value=2**16),
+    c=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_estimator_ignores_added_drift_at_full_precision(h, stream, c):
+    # no dyadic rounding: y + c t rounds in the last bits, which moves
+    # S by ~1e-11 relative; the estimate may move only within the root
+    # finder's tolerance
+    n = 2**10
+    t = np.arange(1, n + 1) / n
+    y = fast_paths(n, 1.0, h, RngStream(24, stream), 1)[0]
+    base = estimate_h(y, 1.0).h_hat
+    assert abs(estimate_h(y + c * t, 1.0).h_hat - base) <= _ROOT_XTOL
 
 
 def test_inversion_round_trip():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmix import ConfigError, Panel, PanelFormatError, SamplingGrid
 from fracmix.panel_io import (
@@ -47,6 +49,31 @@ def test_panel_csv_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+fuzzed_panels = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=n, max_size=n, unique=True,
+        ),
+        st.lists(st.lists(finite, min_size=n, max_size=n), min_size=1, max_size=4),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fuzzed_panels)
+def test_panel_csv_round_trip_fuzzed(tmp_path_factory, case):
+    # any finite panel, subnormals and -0.0 included: write -> read -> write
+    times, rows = case
+    panel = Panel(grid=SamplingGrid(sorted(times)), y=rows)
+    first = tmp_path_factory.mktemp("csv") / "p.csv"
+    again = first.with_name("again.csv")
+    write_panel_csv(first, panel)
+    write_panel_csv(again, read_panel_csv(first))
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize(

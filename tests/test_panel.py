@@ -4,6 +4,7 @@ import pytest
 from fracmix import (
     EffectsLaw,
     GridError,
+    Panel,
     RngStream,
     SamplingGrid,
     simulate_panel,
@@ -68,6 +69,14 @@ def test_panel_grid_mismatch_is_rejected():
 
     with pytest.raises(GridError):
         Panel(grid=SamplingGrid.uniform(4, 1.0), y=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_panel_rejects_non_finite_y(bad):
+    y = np.zeros((2, 4))
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Panel(grid=SamplingGrid.uniform(4, 1.0), y=y)
 
 
 def test_transform_zero_drift():
