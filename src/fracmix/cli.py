@@ -132,7 +132,7 @@ def cmd_effects(args) -> int:
         gram = build_gram(panel.grid, args.hurst)
         est = estimate_effects(panel, gram)
         ci_mu, ci_sigma2 = confidence_intervals(est, args.level)
-    except FracmixError as exc:
+    except (FracmixError, ValueError) as exc:  # ValueError: sigma2_hat below -1/q
         raise _CliError(EXIT_ESTIMATION, f"estimation failed: {exc}") from None
     document = {
         "mu_hat": est.mu_hat,

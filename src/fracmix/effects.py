@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from .gram import GramMatrix, check_grid
@@ -90,8 +89,8 @@ def exact_moments(sigma2: float, n_subjects: int, q: float) -> ExactMoments:
     """Closed-form finite-sample moments of (mu_hat, sigma2_hat).
 
     ``sigma2`` may be the true value (experiment tables) or a plug-in
-    estimate (data analysis); it must be >= -1/q so the variance of
-    mu_hat stays nonnegative.
+    estimate (data analysis); it must be >= -1/q, up to rounding, so the
+    variance of mu_hat stays nonnegative.
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
@@ -99,7 +98,11 @@ def exact_moments(sigma2: float, n_subjects: int, q: float) -> ExactMoments:
         raise ValueError(f"q must be positive, got {q}")
     var_mu = sigma2 / n_subjects + 1.0 / (n_subjects * q)
     if var_mu < 0.0:
-        raise ValueError(f"sigma2={sigma2} below -1/q; variance of mu_hat would be negative")
+        # at sigma2 = -1/q (a panel of identical subjects) the two terms
+        # cancel to a few ulps of either sign: that is a zero variance
+        if var_mu < -4.0 * np.finfo(float).eps * (abs(sigma2) + 1.0 / q) / n_subjects:
+            raise ValueError(f"sigma2={sigma2} below -1/q; variance of mu_hat would be negative")
+        var_mu = 0.0
     n = n_subjects
     beta = sigma2 + 1.0 / q
     return ExactMoments(
@@ -161,7 +164,7 @@ def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> flo
         - 0.5 log(q + 1/sigma2)
         - 0.5 [ mu^2/sigma2 + Y'V^{-1}Y - (u'V^{-1}Y + mu/sigma2)^2 / (q + 1/sigma2) ],
 
-    with u'V^{-1}Y = q * xi and Y'V^{-1}Y read off the cached factor.
+    with u'V^{-1}Y = q * xi and Y'V^{-1}Y from ``GramMatrix.quad_yy``.
     Its argmax over mu is exactly mu_hat for any sigma2 > 0.
     """
     mu, sigma2 = law.mu, law.sigma2
@@ -170,7 +173,7 @@ def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> flo
     n = len(g.grid)
     q = g.quad_uu
     u_v_y = q * xi_values(panel, g)
-    y_v_y = np.sum(solve_triangular(g.factor, panel.y.T, lower=True) ** 2, axis=0)
+    y_v_y = g.quad_yy(panel.y)
     denom = q + 1.0 / sigma2
     quad = mu**2 / sigma2 + y_v_y - (u_v_y + mu / sigma2) ** 2 / denom
     per_subject = (

@@ -166,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
 
 def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
     grid = SamplingGrid.uniform(n_obs, cfg.horizon)
-    gram = build_gram(grid, h)  # one factorization per cell
+    gram = build_gram(grid, h)  # one per cell; the exact sampler factors it once
     mu_hats = np.empty(cfg.replications)
     s2_hats = np.empty(cfg.replications)
     h_hats = np.empty(cfg.replications) if cfg.estimate_hurst else None

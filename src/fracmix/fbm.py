@@ -31,7 +31,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmbeddingError, GridError
-from .gram import GramMatrix, SamplingGrid, build_gram, check_grid, hurst_value
+from .gram import (
+    GramMatrix,
+    SamplingGrid,
+    build_gram,
+    check_grid,
+    fgn_autocovariance,
+    hurst_value,
+)
 from .rng import RngStream, as_generator
 
 # An eigenvalue this far below zero (relative to the largest) means the
@@ -56,8 +63,7 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
     hv = hurst_value(h)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    k = np.arange(n + 1, dtype=float)
-    acov = 0.5 * ((k + 1) ** (2 * hv) - 2.0 * k ** (2 * hv) + np.abs(k - 1) ** (2 * hv))
+    acov = fgn_autocovariance(n + 1, hv)
     first_row = np.concatenate([acov[:n], [acov[n]], acov[1:n][::-1]])
     lam = np.fft.fft(first_row).real
     floor = -_NEG_EIG_TOL * lam.max()

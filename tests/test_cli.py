@@ -219,6 +219,33 @@ def test_effects_clamps_negative_sigma2(tmp_path):
     assert doc["sigma2_hat_clamped"] == 0.0
 
 
+@pytest.mark.parametrize("subjects", [7, 5])
+def test_effects_on_identical_subjects(tmp_path, subjects):
+    # sigma2_hat = -1/q exactly; the variance of mu_hat cancels to a few
+    # ulps below zero at these (q, N) and must read as 0, not crash
+    path = tmp_path / "same.csv"
+    times, row = (1.25, 2.5, 3.75, 5.0), (0.3, -1.1, 0.8, 2.4)
+    lines = [f"{i},{t!r},{y!r}" for i in range(1, subjects + 1) for t, y in zip(times, row)]
+    path.write_text("subject,t,y\n" + "\n".join(lines) + "\n")
+    res = run_cli("effects", "--input", str(path), "--hurst", "0.49")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["exact_std_mu"] == 0.0
+    assert doc["sigma2_hat"] == -1.0 / doc["q"]
+
+
+def test_effects_estimation_value_error_exits_4(tmp_path, monkeypatch, capsys):
+    from fracmix import cli
+
+    def refuse(panel, gram):
+        raise ValueError("sigma2=-1 below -1/q; variance of mu_hat would be negative")
+
+    monkeypatch.setattr(cli, "estimate_effects", refuse)
+    path = toy_slope_panel(tmp_path, [1.0, 3.0])
+    assert cli.main(["effects", "--input", str(path), "--hurst", "0.5"]) == 4
+    assert "estimation failed: sigma2=-1 below -1/q" in capsys.readouterr().err
+
+
 def test_effects_brownian_mu_is_endpoint_mean(tmp_path):
     out, _ = simulate(tmp_path, **{"--subjects": "20", "--n-obs": "8"})
     res = run_cli("effects", "--input", str(out), "--hurst", "0.5")

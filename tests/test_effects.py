@@ -172,6 +172,22 @@ def test_exact_moments_validation():
         exact_moments(-10.0, 10, 5.0)  # below -1/q
 
 
+def test_exact_moments_zero_spread_panel_has_zero_mu_variance():
+    # a panel of identical subjects has sigma2_hat = -1/q exactly, where
+    # sigma2/N and 1/(N q) cancel to a few ulps of either sign
+    below = []
+    for q in np.linspace(0.5, 50.0, 400):
+        for n in (3, 5, 7):
+            sigma2 = -1.0 / q
+            if sigma2 / n + 1.0 / (n * q) < 0.0:
+                below.append((sigma2, n, q))
+    assert below
+    for sigma2, n, q in below:
+        assert exact_moments(sigma2, n, q).std_mu == 0.0
+    with pytest.raises(ValueError):
+        exact_moments(-1.0001 / 5.0, 7, 5.0)  # below -1/q by more than rounding
+
+
 # ------------------------------------------------- sampling distributions
 def _replicate(h, n, n_subjects, reps, seed, horizon=5.0):
     grid = SamplingGrid.uniform(n, horizon)
@@ -301,6 +317,15 @@ def test_likelihood_matches_quadrature(h, mu, s2):
     got = log_marginal_likelihood(p, gm, EffectsLaw(mu, s2))
     want = quadrature_log_likelihood(p, gm, mu, s2)
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_likelihood_matches_quadrature_on_non_uniform_grid():
+    # non-uniform grids read Y'V^{-1}Y through the Cholesky factor
+    grid = SamplingGrid((1.0, 1.2, 4.0, 4.5))
+    gm = build_gram(grid, 0.7)
+    p = simulate_panel(3, grid, 0.7, EffectsLaw(-1.0, 0.5), RngStream(64), gram=gm)
+    got = log_marginal_likelihood(p, gm, EffectsLaw(-1.0, 0.5))
+    assert got == pytest.approx(quadrature_log_likelihood(p, gm, -1.0, 0.5), abs=1e-6)
 
 
 def test_likelihood_argmax_in_mu_is_mu_hat():

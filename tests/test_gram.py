@@ -1,17 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cholesky, solve_triangular
 
 from fracmix import (
+    EffectsLaw,
     FactorizationError,
     GridError,
     HurstRangeError,
     Panel,
+    RngStream,
     SamplingGrid,
     build_gram,
+    estimate_effects,
+    log_marginal_likelihood,
+    simulate_panel,
     xi_values,
 )
+from fracmix import gram
 from fracmix.gram import fbm_covariance, hurst_value
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
@@ -187,3 +196,119 @@ def test_near_duplicate_times_fail_loudly():
     grid = SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
     with pytest.raises(FactorizationError):
         build_gram(grid, 0.99)
+
+
+# ------------------------------------------------ Toeplitz backend (uniform grids)
+def dense_reference(grid, h):
+    """quad_uu, log_det, weights and the Cholesky factor from V itself."""
+    L = cholesky(fbm_covariance(grid, h), lower=True)
+    wu = solve_triangular(L, grid.times, lower=True)
+    q = wu @ wu
+    weights = solve_triangular(L, wu / q, lower=True, trans="T")
+    return q, 2.0 * np.sum(np.log(np.diag(L))), weights, L
+
+
+def dense_log_likelihood(panel, h, law):
+    """The marginal log-likelihood of effects.log_marginal_likelihood,
+    with every V^{-1} read through the Cholesky factor."""
+    q, log_det, weights, L = dense_reference(panel.grid, h)
+    y_v_y = np.sum(solve_triangular(L, panel.y.T, lower=True) ** 2, axis=0)
+    u_v_y = q * (panel.y @ weights)
+    denom = q + 1.0 / law.sigma2
+    quad = law.mu**2 / law.sigma2 + y_v_y - (u_v_y + law.mu / law.sigma2) ** 2 / denom
+    n = len(panel.grid)
+    return np.sum(
+        -0.5 * n * np.log(2.0 * np.pi) - 0.5 * np.log(law.sigma2) - 0.5 * log_det
+        - 0.5 * np.log(denom) - 0.5 * quad
+    )
+
+
+def assert_backends_agree(grid, h, rtol):
+    """Compare build_gram with the dense reference at relative tolerance
+    rtol; return the Gram matrix and the dense Cholesky factor."""
+    gm = build_gram(grid, h)
+    q, log_det, weights, L = dense_reference(grid, h)
+    assert gm.quad_uu == pytest.approx(q, rel=rtol)
+    assert abs(gm.log_det - log_det) <= rtol * max(1.0, abs(log_det))
+    assert np.max(np.abs(gm.weights - weights)) <= rtol * np.max(np.abs(weights))
+    law = EffectsLaw(-2.0, 1.0)
+    panel = simulate_panel(4, grid, h, law, RngStream(11), gram=gm)
+    got = log_marginal_likelihood(panel, gm, law)
+    assert got == pytest.approx(dense_log_likelihood(panel, h, law), rel=rtol)
+    return gm, L
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 256])
+@pytest.mark.parametrize("h", [0.01, 0.15, 0.5, 0.85, 0.99])
+def test_toeplitz_backend_matches_dense_reference(h, n):
+    # the dense reference is backward stable, so its forward error is
+    # bounded by a small multiple of eps * cond(V)
+    grid = SamplingGrid.uniform(n, 5.0)
+    cond = np.linalg.cond(fbm_covariance(grid, h))
+    gm, L = assert_backends_agree(grid, h, 128 * np.finfo(float).eps * cond)
+    # the exact sampler draws with the same factor as a dense build
+    assert np.array_equal(gm.factor, L)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.15, 0.5, 0.85, 0.99])
+def test_toeplitz_backend_on_decimal_times(h):
+    # 0.025 * j written in decimal: uniform within 1e-9 relative, but not
+    # bitwise the times of SamplingGrid.uniform
+    grid = SamplingGrid([float(f"{0.025 * j:.3f}") for j in range(1, 201)])
+    assert grid.is_uniform
+    assert not np.array_equal(grid.times, SamplingGrid.uniform(200, grid.horizon).times)
+    assert_backends_agree(grid, h, 1e-8)
+
+
+def test_toeplitz_slope_read_against_60_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    h, n = 0.99, 64
+    grid = SamplingGrid.uniform(n, 5.0)  # spacing 5/64: exact in binary
+    gen = np.random.default_rng(3)
+    y = np.cumsum(gen.standard_normal(n)) - 2.0 * grid.times
+    with mpmath.workdps(60):
+        t = [mpmath.mpf(float(v)) for v in grid.times]
+        two_h = 2 * mpmath.mpf(h)
+        V = mpmath.matrix(n, n)
+        for k in range(n):
+            for l in range(n):
+                V[k, l] = (t[k] ** two_h + t[l] ** two_h - abs(t[k] - t[l]) ** two_h) / 2
+        v_inv_u = mpmath.lu_solve(V, mpmath.matrix(t))
+        exact = float(
+            mpmath.fsum(v_inv_u[j] * mpmath.mpf(float(y[j])) for j in range(n))
+            / mpmath.fsum(v_inv_u[j] * t[j] for j in range(n))
+        )
+    xi = xi_values(Panel(grid=grid, y=[y]), build_gram(grid, h))[0]
+    assert abs(xi / exact - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "acov",
+    [
+        lambda n, h: np.ones(n),  # rank one: the order-2 prediction error is 0
+        lambda n, h: np.where(np.arange(n) == 1, 2.0, 1.0) * (np.arange(n) < 2),  # indefinite
+    ],
+    ids=["singular", "indefinite"],
+)
+def test_toeplitz_backend_rejects_non_positive_definite_autocovariance(monkeypatch, acov):
+    monkeypatch.setattr(gram, "fgn_autocovariance", acov)
+    with pytest.raises(FactorizationError):
+        build_gram(SamplingGrid.uniform(8, 5.0), 0.5)
+
+
+def test_uniform_grid_estimation_allocates_no_n_by_n_array():
+    # a dense V alone would take 8 n^2 bytes = 2.1 GB here
+    n = 2**14
+    grid = SamplingGrid.uniform(n, 5.0)
+    y = np.cumsum(np.random.default_rng(4).standard_normal((4, n)), axis=1)
+    panel = Panel(grid=grid, y=y)
+    tracemalloc.start()
+    try:
+        gm = build_gram(grid, 0.85)
+        est = estimate_effects(panel, gm)
+        loglik = log_marginal_likelihood(panel, gm, EffectsLaw(est.mu_hat, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loglik) and np.isfinite(est.sigma2_hat)
+    assert peak < 16e6
