@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .gram import GramMatrix, check_grid
 from .panel import EffectsLaw, Panel
@@ -145,7 +145,7 @@ def confidence_intervals(
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if est.n_subjects < 2:
         raise ValueError("need at least two subjects for intervals")
-    z = float(norm.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     n = est.n_subjects
     half_mu = z * np.sqrt(est.beta_hat / n)
     half_s2 = z * est.beta_hat * np.sqrt(2.0 / n)

@@ -34,8 +34,8 @@ from .errors import EmbeddingError, GridError
 from .gram import (
     GramMatrix,
     SamplingGrid,
-    build_gram,
     check_grid,
+    cholesky_factor,
     fgn_autocovariance,
     hurst_value,
 )
@@ -48,9 +48,14 @@ _NEG_EIG_TOL = 1e-10
 
 def exact_paths(gram: GramMatrix, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
     """(count, n) matrix of independent exact fBm paths on gram's grid."""
+    return _correlate(gram.factor, rng, count)
+
+
+def _correlate(factor: np.ndarray, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
+    """(count, n) rows L z for standard normal z, with L = factor."""
     gen = as_generator(rng)
-    z = gen.standard_normal((len(gram.grid), count))
-    return (gram.factor @ z).T
+    z = gen.standard_normal((factor.shape[0], count))
+    return (factor @ z).T
 
 
 def fgn_spectrum(n: int, h: float) -> np.ndarray:
@@ -106,14 +111,13 @@ def paths_on_grid(
 ) -> np.ndarray:
     """(count, n) fBm paths by the requested method.
 
-    method "exact" factors V (or reuses a prebuilt gram); "fast" needs a
-    uniform grid.
+    method "exact" factors V (or reuses a prebuilt gram's factor); "fast"
+    needs a uniform grid.
     """
     if method == "exact":
         if gram is None:
-            gram = build_gram(grid, h)
-        else:
-            check_grid(gram, grid)
+            return _correlate(cholesky_factor(grid, h), rng, count)
+        check_grid(gram, grid)
         return exact_paths(gram, rng, count)
     if method == "fast":
         if not grid.is_uniform:

@@ -22,7 +22,8 @@ the grid; V is never inverted.
   come from two triangular solves, and y'V^{-1}y from one.
 
 Either way ``GramMatrix.factor`` is the Cholesky factor L that the exact
-sampler draws with; on uniform grids it is made on first use.
+sampler draws with; on uniform grids it is made on first use.  A sampler
+without a Gram matrix at hand takes L alone from ``cholesky_factor``.
 
 [1] Levinson, N., J. Math. Phys. 25 (1947) 261-278.
 [2] Durbin, J., Rev. Int. Statist. Inst. 28 (1960) 233-244.
@@ -119,7 +120,7 @@ class GramMatrix:
         on uniform grids that shows on first use, not in ``build_gram``.
         """
         if self._factor is None:
-            object.__setattr__(self, "_factor", _cholesky(self.grid, self.h))
+            object.__setattr__(self, "_factor", cholesky_factor(self.grid, self.h))
         return self._factor
 
     def quad_yy(self, y: np.ndarray) -> np.ndarray:
@@ -160,12 +161,7 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         or extreme ill-conditioning).  No jitter is added: estimator
         formulas assume the exact V.
     """
-    hv = hurst_value(h)
-    if not HURST_MIN <= hv <= HURST_MAX:
-        raise HurstRangeError(
-            f"Hurst exponent {hv} outside [{HURST_MIN}, {HURST_MAX}]; "
-            "the covariance matrix is too ill-conditioned there"
-        )
+    hv = _gram_hurst(h)
     if grid.is_uniform:
         n = len(grid)
         step = grid.horizon / n
@@ -179,7 +175,7 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         log_det = float(2.0 * hv * n * np.log(step) + np.sum(np.log(v)))
         L = None
     else:
-        L = _cholesky(grid, hv)
+        L = cholesky_factor(grid, hv)
         wu = solve_triangular(L, grid.times, lower=True)
         q = float(wu @ wu)
         weights = solve_triangular(L, wu / q, lower=True, trans="T")
@@ -188,13 +184,30 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
     return GramMatrix(grid=grid, h=hv, weights=weights, quad_uu=q, log_det=log_det, _factor=L)
 
 
-def _cholesky(grid: SamplingGrid, h: float) -> np.ndarray:
-    """Read-only lower Cholesky factor of V(H) on the grid."""
+def _gram_hurst(h: float) -> float:
+    """Validate a Hurst exponent for a Gram matrix: within [HURST_MIN, HURST_MAX]."""
+    hv = hurst_value(h)
+    if not HURST_MIN <= hv <= HURST_MAX:
+        raise HurstRangeError(
+            f"Hurst exponent {hv} outside [{HURST_MIN}, {HURST_MAX}]; "
+            "the covariance matrix is too ill-conditioned there"
+        )
+    return hv
+
+
+def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
+    """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V.
+
+    The same factor as ``build_gram(grid, h).factor``, without the GLS
+    weights, q and log det that only the estimators read.  Raises as
+    ``build_gram`` does.
+    """
+    hv = _gram_hurst(h)
     try:
-        L = cholesky(fbm_covariance(grid, h), lower=True)
+        L = cholesky(fbm_covariance(grid, hv), lower=True)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
-            f"covariance matrix is not positive definite (n={len(grid)}, H={h}): {exc}"
+            f"covariance matrix is not positive definite (n={len(grid)}, H={hv}): {exc}"
         ) from exc
     L.flags.writeable = False
     return L

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -138,17 +139,24 @@ def as_filter(spec) -> VariationFilter:
     return validate_filter(spec)
 
 
-def _pi_lags(t: float, f: VariationFilter, lags: np.ndarray) -> np.ndarray:
-    """pi_t over an array of lags, vectorized through the offset weights
-    w_d = sum_{q-r=d} gamma_q gamma_r for d = -l..l."""
+def _lag_table(f: VariationFilter, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The t-free part of pi_t over an array of lags: the distances
+    |d + j| (rows d = -l..l, columns the lags j) and the offset weights
+    w_d = sum_{q-r=d} gamma_q gamma_r as a column."""
     d = np.arange(-f.length, f.length + 1)
     w = np.convolve(f.coeffs, f.coeffs[::-1])
-    return -0.5 * (np.abs(d[:, None] + lags[None, :]) ** (2.0 * t) * w[:, None]).sum(axis=0)
+    return np.abs(d[:, None] + lags[None, :]), w[:, None]
+
+
+def _pi_lags(t: float, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """pi_t over the lags of a ``_lag_table``."""
+    dist, w = table
+    return -0.5 * (dist ** (2.0 * t) * w).sum(axis=0)
 
 
 def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
     """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j."""
-    return float(_pi_lags(hurst_value(t), as_filter(f), np.array([j]))[0])
+    return float(_pi_lags(hurst_value(t), _lag_table(as_filter(f), np.array([j])))[0])
 
 
 def k_value(k: float) -> float:
@@ -188,11 +196,24 @@ def s_n(y: np.ndarray, k: float, f: VariationFilter) -> float:
 
 def scale_function(t: float, spacing: float, k: float, f: VariationFilter) -> float:
     """Expected k-variation of filtered fBm(t) at the given grid spacing."""
-    t = hurst_value(t)
-    p0 = pi_gamma(t, 0, f)
-    if p0 <= 0.0:
-        raise ValueError(f"pi_t(0) = {p0} <= 0: invalid filter")
-    return spacing ** (t * k) * p0 ** (k / 2.0) * e_k(k)
+    return _scale_curve(spacing, k, f)(t)
+
+
+def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[float], float]:
+    """t -> scale_function(t, spacing, k, f), with k and the filter
+    validated, E_k computed and the lag-0 table built once."""
+    k = k_value(k)
+    table = _lag_table(as_filter(f), np.array([0]))
+    ek = e_k(k)
+
+    def g(t: float) -> float:
+        t = hurst_value(t)
+        p0 = float(_pi_lags(t, table)[0])
+        if p0 <= 0.0:
+            raise ValueError(f"pi_t(0) = {p0} <= 0: invalid filter")
+        return spacing ** (t * k) * p0 ** (k / 2.0) * ek
+
+    return g
 
 
 def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
@@ -210,12 +231,12 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     # grow the lag window until the correlation tail is negligible
     hi = 1024
     while True:
-        tail = _pi_lags(t, f, np.arange(hi - 8, hi + 1)) / p0
+        tail = _pi_lags(t, _lag_table(f, np.arange(hi - 8, hi + 1))) / p0
         if np.max(np.abs(tail)) < _RHO_TOL or hi >= _LAG_CAP:
             break
         hi *= 4
     hi = min(hi, _LAG_CAP)
-    rho = _pi_lags(t, f, np.arange(0, hi + 1)) / p0
+    rho = _pi_lags(t, _lag_table(f, np.arange(0, hi + 1))) / p0
     below = np.nonzero(np.abs(rho) < _RHO_TOL)[0]
     if below.size:
         rho = rho[: below[0]]
@@ -253,9 +274,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
     n = y.size
     spacing = float(horizon) / n
     s_obs = s_n(y, k, f)
-
-    def g(t: float) -> float:
-        return scale_function(t, spacing, k, f)
+    g = _scale_curve(spacing, k, f)
 
     g_lo, g_mid, g_hi = g(HURST_MIN), g(0.5 * (HURST_MIN + HURST_MAX)), g(HURST_MAX)
     if not g_lo > g_mid > g_hi:

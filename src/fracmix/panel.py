@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridError
 from .fbm import paths_on_grid
@@ -130,5 +129,5 @@ def transform_to_y(
     if np.any(np.diff(t) <= 0.0):
         raise GridError("times must be strictly increasing")
     a_vals = np.array([float(drift(v)) for v in xv])
-    accum = cumulative_trapezoid(a_vals, t, initial=0.0)
-    return xv[1:] - xv[0] - accum[1:]
+    accum = np.cumsum(np.diff(t) * (a_vals[1:] + a_vals[:-1]) / 2.0)
+    return xv[1:] - xv[0] - accum

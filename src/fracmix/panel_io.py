@@ -26,12 +26,12 @@ PANEL_HEADER = ["subject", "t", "y"]
 
 
 def write_panel_csv(path, panel: Panel) -> None:
+    # no field needs quoting: the values are integers and finite reprs
+    times = [repr(float(t)) for t in panel.grid.times]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for i in range(panel.n_subjects):
-            for t, y in zip(panel.grid.times, panel.y[i]):
-                writer.writerow([i + 1, repr(float(t)), repr(float(y))])
+        fh.write(",".join(PANEL_HEADER) + "\n")
+        for i, row in enumerate(panel.y.tolist(), start=1):
+            fh.write("".join([f"{i},{t},{y!r}\n" for t, y in zip(times, row)]))
 
 
 def read_panel_csv(path) -> Panel:

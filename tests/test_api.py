@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fracmix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_export_resolves():
@@ -6,3 +13,15 @@ def test_every_export_resolves():
     missing = [name for name in fracmix.__all__ if not hasattr(fracmix, name)]
     assert missing == []
     assert len(set(fracmix.__all__)) == len(fracmix.__all__)
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # every CLI call pays the import; these four cost more than the rest of it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, fracmix; print('\\n'.join(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    subpackages = {".".join(name.split(".")[:2]) for name in out.split()}
+    heavy = {"scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy.ndimage"}
+    assert subpackages & heavy == set()

@@ -259,6 +259,20 @@ def test_interval_half_width_reference():
     assert z * math.sqrt(1.2 / 500) == pytest.approx(0.09602, abs=5e-6)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_interval_quantile_is_normal_ppf_bitwise(level):
+    panel = make_panel([[1.0, 2.0, 3.5, 4.0], [0.5, 1.5, 2.0, 3.0], [2.0, 2.5, 4.0, 6.5]])
+    est = estimate_effects(panel, build_gram(GRID4, 0.7))
+    n = est.n_subjects
+    z = float(norm.ppf(0.5 * (1.0 + level)))
+    half_mu = z * np.sqrt(est.beta_hat / n)
+    half_s2 = z * est.beta_hat * np.sqrt(2.0 / n)
+    assert confidence_intervals(est, level) == (
+        (est.mu_hat - half_mu, est.mu_hat + half_mu),
+        (est.sigma2_hat - half_s2, est.sigma2_hat + half_s2),
+    )
+
+
 def test_interval_level_to_zero_collapses():
     grid = SamplingGrid.uniform(4, 5.0)
     gm = build_gram(grid, 0.5)

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from fracmix import EmbeddingError, GridError, RngStream, SamplingGrid, build_gram
+from fracmix import (
+    EffectsLaw,
+    EmbeddingError,
+    GridError,
+    HurstRangeError,
+    RngStream,
+    SamplingGrid,
+    build_gram,
+    simulate_panel,
+)
 from fracmix.fbm import exact_paths, fast_paths, fgn_spectrum, paths_on_grid
 from fracmix.gram import fbm_covariance
 
@@ -152,3 +161,21 @@ def test_prebuilt_gram_grid_must_match():
     gm = build_gram(SamplingGrid.uniform(4, 1.0), 0.5)
     with pytest.raises(GridError):
         paths_on_grid(SamplingGrid.uniform(4, 2.0), 0.5, RngStream(0), 1, gram=gm)
+
+
+def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):
+    # the sampler reads only the Cholesky factor, so the Toeplitz pieces
+    # that build_gram makes on a uniform grid must not run
+    grid, law = SamplingGrid.uniform(64, 5.0), EffectsLaw(-2.0, 1.0)
+    want = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), gram=build_gram(grid, 0.85))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Toeplitz build ran for the exact sampler")
+
+    monkeypatch.setattr("fracmix.gram._durbin", refuse)
+    monkeypatch.setattr("fracmix.gram.solve_toeplitz", refuse)
+    got = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), noise="exact")
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.true_effects, want.true_effects)
+    with pytest.raises(HurstRangeError):
+        simulate_panel(6, grid, 0.995, law, RngStream(8, 2), noise="exact")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from fracmix import (
     EffectsLaw,
@@ -118,6 +119,21 @@ def test_transform_quadrature_error_is_second_order():
         assert errs[n] <= 1.0 * dt**2
     # halving the step should cut the error roughly fourfold
     assert errs[16] / errs[32] == pytest.approx(4.0, rel=0.5)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_transform_matches_scipy_trapezoid_bitwise(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 300))
+    times = np.concatenate([[0.0], np.cumsum(10.0 ** gen.uniform(-5, 2, n - 1))])
+    x = gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 5)
+    a, b = gen.standard_normal(2)
+
+    def drift(s):
+        return a * np.sin(s) + b * s**2
+
+    want = x[1:] - x[0] - cumulative_trapezoid([drift(v) for v in x], times, initial=0.0)[1:]
+    assert np.array_equal(transform_to_y(times, x, drift), want)
 
 
 def test_transform_input_validation():
