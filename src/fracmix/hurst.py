@@ -19,18 +19,36 @@ pi_H(0) * spacing^{2H}).  The estimate inverts the strictly decreasing
 g by Brent's method.  Its sampling dispersion shrinks like
 sqrt(A(H,k,gamma)) / (k * sqrt(n) * log n), where A sums the squared
 Hermite coefficients of |z|^k against powers of the filtered
-autocorrelation rho_t = pi_t / pi_t(0).
+autocorrelation rho_t = pi_t / pi_t(0) over all lags.
+
+Past the lag l of the last tap the distances d + j in pi_t are all
+positive, and expanding (1 + d/j)^{2t} by the binomial series gives
+
+    pi_t(j) = -0.5 * j^{2t} * sum_{m >= 2p, m even} C(2t, m) M_m j^{-m},
+    M_m = sum_d w_d d^m,  w = gamma convolved with reversed gamma,
+
+because the moments of w below 2p vanish for a filter of order p.  For
+the named filters every term has the same sign, so nothing cancels,
+whereas the defining sum cancels to rounding noise: at t = 0.85 it is
+59 times too large at lag 16384.  Lags up to 3l are summed directly and
+the first 18 series terms reach double precision past them.  A sums
+that head of lags and, order by order, a closed-form tail of Hurwitz
+zeta values, so its cost and memory do not depend on t.  Against a
+40-digit reference it is within 1e-14 relative for the named filters
+over [HURST_MIN, HURST_MAX].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
+from scipy.special import zeta
 
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
 from .gram import HURST_MAX, HURST_MIN, hurst_value
@@ -46,11 +64,16 @@ FILTERS = {
 _ROOT_XTOL = 1e-10
 _ROOT_MAX_ITER = 200
 
-# Series truncation for the asymptotic variance: the lag sum stops once
-# |rho| < RHO_TOL (hard cap LAG_CAP), the order sum once a term adds less
-# than TERM_TOL of the running total (hard cap ORDER_CAP).
-_RHO_TOL = 1e-12
-_LAG_CAP = 100_000
+# pi_t is summed directly over the head lags 0..HEAD_SPAN*l and by its
+# binomial series past them, where (d/j)^2 <= 1/9 makes SERIES_TERMS
+# terms exact to double precision.
+_HEAD_SPAN = 3
+_SERIES_TERMS = 18
+_SERIES_POWERS = 2.0 * np.arange(_SERIES_TERMS)  # the series runs in j^{-2s}
+
+# The order sum of the asymptotic variance stops once a term adds less
+# than TERM_TOL of the running total (hard cap ORDER_CAP); an order's
+# zeta tail is skipped once its bound is that small.
 _TERM_TOL = 1e-14
 _ORDER_CAP = 50
 
@@ -74,6 +97,26 @@ class VariationFilter:
     def length(self) -> int:
         """l, the largest tap index."""
         return self.coeffs.size - 1
+
+    @property
+    def head(self) -> int:
+        """The last lag at which pi_t is summed directly."""
+        return _HEAD_SPAN * self.length
+
+    @cached_property
+    def head_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_lag_table`` over the head lags 0..head, built once."""
+        return _lag_table(self, np.arange(self.head + 1))
+
+    @cached_property
+    def series_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The t-free parts of ``_pi_series``, built once: m and 1/(m+1)
+        for the binomial steps C(2t, m+1) = C(2t, m) (2t-m)/(m+1), and
+        -M_m/2 with M_m = sum_d w_d d^m for the SERIES_TERMS even m from 2p."""
+        m = np.arange(2 * self.order + 2 * _SERIES_TERMS - 2, dtype=float)
+        dist, w = _lag_table(self, np.array([0]))
+        moments = -0.5 * (w * dist ** (2 * self.order + _SERIES_POWERS)).sum(axis=0)
+        return m, 1.0 / (m + 1.0), moments
 
 
 @dataclass(frozen=True)
@@ -117,6 +160,13 @@ def validate_filter(coeffs) -> VariationFilter:
     return VariationFilter(coeffs=c, order=order)
 
 
+@lru_cache(maxsize=None)
+def _named_filter(name: str) -> VariationFilter:
+    """A filter of FILTERS, certified on first use only: every estimate
+    that takes the default filter gets one object and its lag tables."""
+    return validate_filter(FILTERS[name])
+
+
 def as_filter(spec) -> VariationFilter:
     """The filter a spec names: a ``VariationFilter``, a name in FILTERS,
     a "c0,c1,..." coefficient string, or a coefficient sequence.
@@ -130,7 +180,7 @@ def as_filter(spec) -> VariationFilter:
         if "," in spec:
             spec = [float(v) for v in spec.split(",")]
         elif spec in FILTERS:
-            spec = FILTERS[spec]
+            return _named_filter(spec)
         else:
             raise ValueError(
                 f"unknown filter {spec!r}; use one of {sorted(FILTERS)} "
@@ -143,7 +193,7 @@ def _lag_table(f: VariationFilter, lags: np.ndarray) -> tuple[np.ndarray, np.nda
     """The t-free part of pi_t over an array of lags: the distances
     |d + j| (rows d = -l..l, columns the lags j) and the offset weights
     w_d = sum_{q-r=d} gamma_q gamma_r as a column."""
-    d = np.arange(-f.length, f.length + 1)
+    d = np.arange(-f.length, f.length + 1, dtype=float)
     w = np.convolve(f.coeffs, f.coeffs[::-1])
     return np.abs(d[:, None] + lags[None, :]), w[:, None]
 
@@ -154,9 +204,24 @@ def _pi_lags(t: float, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return -0.5 * (dist ** (2.0 * t) * w).sum(axis=0)
 
 
+def _pi_series(t: float, f: VariationFilter) -> np.ndarray:
+    """Coefficients c_s with pi_t(j) = sum_s c_s |j|^{2t-2p-2s} for
+    |j| > f.head: c_s = -0.5 C(2t, 2p+2s) M_{2p+2s}."""
+    m, inverse, moments = f.series_table
+    binom = np.cumprod((2.0 * t - m) * inverse)  # C(2t, m + 1)
+    return binom[2 * f.order - 1 :: 2] * moments
+
+
 def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
-    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j."""
-    return float(_pi_lags(hurst_value(t), _lag_table(as_filter(f), np.array([j])))[0])
+    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j.
+
+    Summed directly up to lag ``f.head``, by the series past it."""
+    t = hurst_value(t)
+    f = as_filter(f)
+    if abs(j) <= f.head:
+        return float(_pi_lags(t, _lag_table(f, np.array([j])))[0])
+    x = float(abs(j))
+    return float(x ** (2.0 * t - 2 * f.order) * (_pi_series(t, f) @ x**-_SERIES_POWERS))
 
 
 def k_value(k: float) -> float:
@@ -221,37 +286,48 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
 
     A = sum_{j>=1} (c_{2j}^k)^2 (2j)! sum_{i in Z} rho_t(i)^{2j}, with
     c_{2j}^k = prod_{q<j}(k - 2q) / (2j)! and rho_t = pi_t / pi_t(0).
-    Truncated per the module constants; for even integer k the order
-    series terminates exactly.
+    The lags up to ``f.head`` are summed directly.  Past them
+    rho_t(i)^2 = i^{-sigma} sum_r s_r i^{-2r} with sigma = 2(2p - 2t), so
+    the tail of order j is sum_r b_r zeta(j sigma + 2r, f.head + 1), b
+    being the coefficients of (sum_r s_r x^r)^j.  Tails stop once they
+    are bounded below TERM_TOL of the total, and the order sum stops once
+    a term adds less than that (hard cap ORDER_CAP); for even integer k
+    it terminates exactly.  Cost and memory do not depend on t, and the
+    result is within about 1e-14 relative of the exact series.
     """
     t = hurst_value(t)
     k = k_value(k)
     f = as_filter(f)
-    p0 = pi_gamma(t, 0, f)
-    # grow the lag window until the correlation tail is negligible
-    hi = 1024
-    while True:
-        tail = _pi_lags(t, _lag_table(f, np.arange(hi - 8, hi + 1))) / p0
-        if np.max(np.abs(tail)) < _RHO_TOL or hi >= _LAG_CAP:
-            break
-        hi *= 4
-    hi = min(hi, _LAG_CAP)
-    rho = _pi_lags(t, _lag_table(f, np.arange(0, hi + 1))) / p0
-    below = np.nonzero(np.abs(rho) < _RHO_TOL)[0]
-    if below.size:
-        rho = rho[: below[0]]
-    rho2 = rho**2
+    pi = _pi_lags(t, f.head_table)
+    rho2 = (pi[1:] / pi[0]) ** 2
+    a = _pi_series(t, f) / pi[0]
+    sq = np.convolve(a, a)[: a.size]  # rho(i)^2 i^sigma in powers of i^{-2}
+    q = f.head + 1
+    sigma = 2.0 * (2 * f.order - 2.0 * t)
+    # |rho(i)| <= rho_q (q/i)^{sigma/2} for i >= q, so the order-j tail is
+    # at most rho_q^{2j} zeta(j sigma, q) <= rho_q^{2j} (1 + q/(j sigma - 1))
+    rho_q2 = (float(np.abs(a) @ float(q) ** -_SERIES_POWERS) * q ** (-sigma / 2.0)) ** 2
+    # for even integer k the coefficients vanish past order k/2
+    orders = min(_ORDER_CAP, int(k) // 2) if k % 2.0 == 0.0 else _ORDER_CAP
+    heads = (rho2 ** np.arange(1, orders + 1)[:, None]).sum(axis=1).tolist()
+    tails = True
     # (c_{2j}^k)^2 (2j)! iterates as f_1 = k^2/2, f_{j+1} = f_j (k-2j)^2 / ((2j+1)(2j+2))
     coef = k * k / 2.0
-    power = rho2.copy()
     total = 0.0
-    for j in range(1, _ORDER_CAP + 1):
-        term = coef * (power[0] + 2.0 * power[1:].sum())
+    for j in range(1, orders + 1):
+        part = heads[j - 1]
+        if tails:
+            b = sq if j == 1 else np.convolve(b, sq)[: a.size]
+            part += float(b @ zeta(j * sigma + _SERIES_POWERS, q))
+        term = coef * (1.0 + 2.0 * part)
         total += term
         if term <= _TERM_TOL * total:
             break
         coef *= (k - 2.0 * j) ** 2 / ((2.0 * j + 1.0) * (2.0 * j + 2.0))
-        power *= rho2
+        if tails and j + 1 >= k / 4 and rho_q2 < 1.0:
+            # past order k/4 the coefficients fall, so this bound only falls
+            bound = 2.0 * coef * rho_q2 ** (j + 1) * (1.0 + q / ((j + 1) * sigma - 1.0))
+            tails = bound > _TERM_TOL * total
     return float(total)
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +20,17 @@ from fracmix import (
     s_n,
     validate_filter,
 )
+from fracmix import hurst
 from fracmix.fbm import fast_paths
-from fracmix.hurst import _ROOT_XTOL, as_filter, filtered_series, moment_sums, scale_function
+from fracmix.hurst import (
+    _ORDER_CAP,
+    _ROOT_XTOL,
+    _TERM_TOL,
+    as_filter,
+    filtered_series,
+    moment_sums,
+    scale_function,
+)
 
 DIFF2 = as_filter("diff2")
 DIFF3 = as_filter("diff3")
@@ -270,13 +281,112 @@ def test_pi_gamma_matches_double_sum(f):
             assert pi_gamma(t, j, f) == pytest.approx(-0.5 * sum(terms), rel=0, abs=tol)
 
 
+def _mp_pi(mp, t, j, coeffs):
+    """pi_t(j) by its defining sum in the current mpmath precision."""
+    c = [mp.mpf(v) for v in coeffs]
+    two_t = 2 * mp.mpf(t)
+    return -sum(
+        c[a] * c[b] * abs(a - b + j) ** two_t for a in range(len(c)) for b in range(len(c))
+    ) / 2
+
+
+@pytest.mark.parametrize("f", [DIFF2, DIFF3])
+def test_pi_gamma_accurate_at_large_lags(f):
+    # the defining sum cancels to rounding noise at these lags in double
+    # precision; 80 working digits leave more than 40 after the cancellation
+    mp = pytest.importorskip("mpmath")
+    for t in (0.15, 0.85, 0.99):
+        for j in (10, 1000, 16384, 100000):
+            with mp.workdps(80):
+                want = _mp_pi(mp, t, j, f.coeffs.tolist())
+            assert float(abs((pi_gamma(t, j, f) - want) / want)) < 1e-10, (t, j)
+
+
 def test_rho_zero_is_one():
     for t in (0.1, 0.5, 0.9):
         for f in (DIFF2, DIFF3):
             assert pi_gamma(t, 0, f) / pi_gamma(t, 0, f) == 1.0
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_rho_squared(mp, t, coeffs, lags):
+    """pi_t(0) and rho_t(i)^2 for i = 1..lags at 40 digits, from the
+    defining sum over the offsets d of w = gamma * reversed gamma."""
+    with mp.workdps(40):
+        w = np.convolve(coeffs, coeffs[::-1])
+        l = len(coeffs) - 1
+        powers = [mp.mpf(x) ** (2 * mp.mpf(t)) for x in range(lags + l + 1)]
+        pi = [
+            -mp.fsum(v * powers[abs(i + d)] for d, v in zip(range(-l, l + 1), w)) / 2
+            for i in range(lags + 1)
+        ]
+        return pi[0], [(x / pi[0]) ** 2 for x in pi[1:]]
+
+
+def _mp_variance_constant(mp, t, k, f, lags=2000):
+    """A(t, k, gamma) at 40 digits with the same order truncation as the
+    estimator: rho summed directly over the first ``lags`` lags, beyond
+    them the leading power term a_0 i^{2t-2p} summed by mpmath.zeta."""
+    coeffs = tuple(f.coeffs.tolist())
+    p0, rho2 = _mp_rho_squared(mp, t, coeffs, lags)
+    with mp.workdps(40):
+        w = np.convolve(coeffs, coeffs[::-1])
+        l = len(coeffs) - 1
+        moment = mp.fsum(v * mp.mpf(d) ** (2 * f.order) for d, v in zip(range(-l, l + 1), w))
+        a0 = -mp.binomial(2 * mp.mpf(t), 2 * f.order) * moment / (2 * p0)
+        sigma = 2 * (2 * f.order - 2 * mp.mpf(t))
+        k = mp.mpf(k)
+        coef, total, power = k * k / 2, mp.mpf(0), list(rho2)
+        for j in range(1, _ORDER_CAP + 1):
+            tail = a0 ** (2 * j) * mp.zeta(j * sigma, lags + 1)
+            term = coef * (1 + 2 * (mp.fsum(power) + tail))
+            total += term
+            if term <= _TERM_TOL * total:
+                break
+            coef *= (k - 2 * j) ** 2 / ((2 * j + 1) * (2 * j + 2))
+            power = [x * y for x, y in zip(power, rho2)]
+        return total
+
+
+@pytest.mark.parametrize(
+    "t, k, f",
+    [(t, 2.0, f) for f in (DIFF2, DIFF3) for t in (0.01, 0.15, 0.5, 0.85, 0.99)]
+    + [(t, k, DIFF2) for k in (1.3, 4.0) for t in (0.15, 0.99)],
+)
+def test_variance_constant_matches_40_digit_oracle(t, k, f):
+    mp = pytest.importorskip("mpmath")
+    want = _mp_variance_constant(mp, t, k, f)
+    assert float(abs((asym_variance_a(t, k, f) - want) / want)) < 1e-13
+
+
+@pytest.mark.parametrize("t", [0.15, 0.85, 0.99])
+@pytest.mark.parametrize("k", [1.3, 2.0])
+def test_variance_constant_needs_no_lag_window(t, k):
+    asym_variance_a(t, k, DIFF2)  # the filter's lag tables are built once, here
+    tracemalloc.start()
+    try:
+        asym_variance_a(t, k, DIFF2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e3
+
+
 # -------------------------------------------------------------- estimate_h
+def test_default_filter_is_certified_once(monkeypatch):
+    y = fast_paths(256, 5.0, 0.7, RngStream(25), 1)[0]
+    explicit = estimate_h(y, 5.0, f=validate_filter((1.0, -2.0, 1.0)))
+    as_filter("diff2")  # the first use certifies it
+
+    def refuse(coeffs):
+        raise AssertionError("the named filter was certified again")
+
+    monkeypatch.setattr(hurst, "validate_filter", refuse)
+    est = estimate_h(y, 5.0)
+    assert (est.h_hat, est.asym_std) == (explicit.h_hat, explicit.asym_std)
+    assert np.array_equal(est.filter.coeffs, explicit.filter.coeffs)
+
+
 def test_estimator_consistent_on_brownian():
     gen = RngStream(21)
     n, reps = 2**10, 50
