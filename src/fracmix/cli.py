@@ -185,6 +185,13 @@ def cmd_experiment(args) -> int:
         file=sys.stderr,
     )
     summaries = run_experiment(cfg)
+    for s in summaries:
+        if s.hurst_refusals:
+            print(
+                f"cell (H={format(s.h, 'g')}, N={s.n_subjects}, n={s.n_obs}): H estimate "
+                f"refused in {s.hurst_refusals} of {cfg.replications} replications",
+                file=sys.stderr,
+            )
     _write_tables(out, cfg, summaries)
     _write_histograms(out, summaries)
     manifest = {
@@ -202,6 +209,11 @@ def cmd_experiment(args) -> int:
             "estimate_hurst": cfg.estimate_hurst,
         },
     }
+    if cfg.estimate_hurst:
+        manifest["hurst_refusals"] = [
+            {"H": s.h, "N": s.n_subjects, "n": s.n_obs, "refusals": s.hurst_refusals}
+            for s in summaries
+        ]
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_result(manifest))
     print(f"wrote tables, histograms and manifest to {out}", file=sys.stderr)

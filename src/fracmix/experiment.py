@@ -2,9 +2,11 @@
 
 Each cell fixes a Hurst exponent, a subject count and an observation
 count; R replications each simulate a fresh panel and estimate
-(mu, sigma2), optionally plus H from subject 1.  Replication r of cell
-c draws from stream id c*R + r, so cells and replications are
-independent and any execution order reproduces the same aggregates.
+(mu, sigma2), optionally plus H from subject 1; a refused H estimate
+is counted, and the H statistics cover the other replications.
+Replication r of cell c draws from stream id c*R + r, so cells and
+replications are independent and any execution order reproduces the
+same aggregates.
 
 Reported "exact" standard deviations evaluate the closed-form moment
 formulas at the TRUE configured sigma2 (they are properties of the
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
-from .errors import FracmixError
+from .errors import EstimationRangeError, FracmixError
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
@@ -100,6 +102,7 @@ class CellSummary:
     histograms: dict[str, Histogram]
     mean_h_hat: float | None = None
     emp_std_h: float | None = None
+    hurst_refusals: int = 0
 
 
 def summarize_empirical(samples: np.ndarray) -> tuple[float, float]:
@@ -147,7 +150,10 @@ def _replicate_with_gram(
     sigma2_hat = estimate_sigma2(xi, gram.quad_uu) if n_subjects >= 2 else float("nan")
     h_hat = None
     if cfg.estimate_hurst:
-        h_hat = estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter).h_hat
+        try:
+            h_hat = estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter).h_hat
+        except EstimationRangeError:  # a refusal, counted by the cell
+            h_hat = float("nan")
     return mu_hat, sigma2_hat, h_hat
 
 
@@ -183,9 +189,14 @@ def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
     if n_subjects >= 2:  # sigma2 undefined for single-subject panels
         histograms["sigma2"] = make_histogram(s2_hats)
     mean_h = emp_std_h = None
+    refusals = 0
     if h_hats is not None:
-        mean_h, emp_std_h = summarize_empirical(h_hats)
-        histograms["hurst"] = make_histogram(h_hats)
+        finite = h_hats[np.isfinite(h_hats)]
+        refusals = cfg.replications - finite.size
+        mean_h = emp_std_h = float("nan")
+        if finite.size:
+            mean_h, emp_std_h = summarize_empirical(finite)
+            histograms["hurst"] = make_histogram(finite)
     return CellSummary(
         h=h,
         n_subjects=n_subjects,
@@ -199,4 +210,5 @@ def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
         histograms=histograms,
         mean_h_hat=mean_h,
         emp_std_h=emp_std_h,
+        hurst_refusals=refusals,
     )

@@ -14,10 +14,11 @@ the grid; V is never inverted.
 * Uniform grids (``SamplingGrid.is_uniform``), t_j = j*delta: the
   increments Dy of a path (D the differencing matrix) are fractional
   Gaussian noise with Toeplitz covariance delta^{2H} R, so
-  V^{-1} = delta^{-2H} D'R^{-1}D.  One Levinson solve s = R^{-1}1 [1]
-  gives c and q, and Durbin's recursion [2] gives det R and the
-  innovations behind y'V^{-1}y, in O(n^2) time and O(n) memory: V
-  itself is never formed.
+  V^{-1} = delta^{-2H} D'R^{-1}D.  One compiled Levinson solve [1, 2],
+  O(n^2) time and O(n) memory, gives s = R^{-1}1 (for c and q), det R
+  and x = R^{-1}e_1.  x fixes R^{-1} = (L1 L1' - L2 L2') / x_0 [3], L1
+  and L2 lower triangular Toeplitz with first columns x and
+  (0, x_{n-1}, ..., x_1), so each y'V^{-1}y is two FFT convolutions.
 * Other grids: V is formed and factored as V = L L' (Cholesky); c and q
   come from two triangular solves, and y'V^{-1}y from one.
 
@@ -27,6 +28,7 @@ without a Gram matrix at hand takes L alone from ``cholesky_factor``.
 
 [1] Levinson, N., J. Math. Phys. 25 (1947) 261-278.
 [2] Durbin, J., Rev. Int. Statist. Inst. 28 (1960) 233-244.
+[3] Gohberg, I. C. and Semencul, A. A., Mat. Issled. 7 (1972) 201-223.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_toeplitz, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg._solve_toeplitz import levinson
 
 from .errors import FactorizationError, GridError, HurstRangeError
 
@@ -111,6 +114,7 @@ class GramMatrix:
     quad_uu: float
     log_det: float
     _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _inv_column: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def factor(self) -> np.ndarray:
@@ -125,12 +129,13 @@ class GramMatrix:
 
     def quad_yy(self, y: np.ndarray) -> np.ndarray:
         """y'V^{-1}y for each row of the (count, n) array y."""
-        if self.grid.is_uniform:
-            n = len(self.grid)
-            increments = np.diff(y, axis=1, prepend=0.0)
-            _, quad = _durbin(fgn_autocovariance(n, self.h), increments)
-            return quad * (self.grid.horizon / n) ** (-2.0 * self.h)
-        return np.sum(solve_triangular(self.factor, y.T, lower=True) ** 2, axis=0)
+        x = self._inv_column
+        if x is None:
+            return np.sum(solve_triangular(self.factor, y.T, lower=True) ** 2, axis=0)
+        # ||L'e|| = ||L J e|| for lower triangular Toeplitz L, J the reversal
+        p1, p2 = _gs_factors(x, np.diff(y, axis=1, prepend=0.0)[:, ::-1])
+        quad = np.sum(p1 * p1, axis=1) - np.sum(p2 * p2, axis=1)
+        return quad / x[0] * (self.grid.horizon / len(self.grid)) ** (-2.0 * self.h)
 
 
 def fbm_covariance(grid: SamplingGrid, h: float) -> np.ndarray:
@@ -162,18 +167,16 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         formulas assume the exact V.
     """
     hv = _gram_hurst(h)
+    x = L = None
     if grid.is_uniform:
         n = len(grid)
         step = grid.horizon / n
-        r = fgn_autocovariance(n, hv)
-        v, _ = _durbin(r, np.empty((0, n)))
-        s = solve_toeplitz(r, np.ones(n))
+        s, x, v = _levinson(fgn_autocovariance(n + 1, hv))
         # V^{-1}u = D'R^{-1}Du / step^{2H}, and Du = step * 1
         d_s = s - np.append(s[1:], 0.0)
         weights = d_s / (grid.times @ d_s)
         q = float(step ** (2.0 - 2.0 * hv) * np.sum(s))
         log_det = float(2.0 * hv * n * np.log(step) + np.sum(np.log(v)))
-        L = None
     else:
         L = cholesky_factor(grid, hv)
         wu = solve_triangular(L, grid.times, lower=True)
@@ -181,7 +184,7 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         weights = solve_triangular(L, wu / q, lower=True, trans="T")
         log_det = float(2.0 * np.sum(np.log(np.diag(L))))
     weights.flags.writeable = False
-    return GramMatrix(grid=grid, h=hv, weights=weights, quad_uu=q, log_det=log_det, _factor=L)
+    return GramMatrix(grid, hv, weights, q, log_det, _factor=L, _inv_column=x)
 
 
 def _gram_hurst(h: float) -> float:
@@ -213,33 +216,30 @@ def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
     return L
 
 
-def _durbin(r: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Durbin's recursion on the symmetric Toeplitz matrix R with first row r.
+def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """s = R^{-1}1, x = R^{-1}e_1 and the prediction error variances v
+    (det R = prod v) of the symmetric Toeplitz R with first row r_{0:n}.
+    R is real, so one compiled Levinson solve of R (phi + i s) = r_{1:n+1} + i
+    gives s and the order-n predictor phi, whose reflection coefficients
+    give v_k = r_0 prod_{j<=k} (1 - kappa_j^2); one step down from phi gives
+    x.  Raises ``FactorizationError`` unless v_0..v_n are positive."""
+    n = r.size - 1
+    try:
+        y, kappa = levinson(np.append(r[n - 1 : 0 : -1], r[:n]).astype(complex), r[1:] + 1j)
+    except np.linalg.LinAlgError as exc:  # a singular leading minor
+        raise FactorizationError(f"Toeplitz covariance is singular (n={n})") from exc
+    phi, k = y.real, kappa.real[1:]
+    v = r[0] * np.cumprod(np.append(1.0, (1.0 - k) * (1.0 + k)))
+    if not np.all(v > 0.0):  # also catches NaN
+        raise FactorizationError(f"Toeplitz covariance is not positive definite (n={n})")
+    return y.imag, np.append(1.0 / v[n - 1], -(phi[:-1] + k[-1] * phi[-2::-1]) / v[n]), v[:n]
 
-    Returns the one-step prediction error variances v (det R = prod v)
-    and, for each row of x, x'R^{-1}x = sum_k e_k^2 / v_k over the row's
-    innovations e_k.  All rows share one pass: O(n^2 (1 + rows)) time,
-    O(n) memory besides x.  Raises ``FactorizationError`` unless every
-    v_k is positive.
-    """
-    n = r.size
-    v = np.empty(n)
-    quad = np.zeros(x.shape[0])
-    b = np.empty(0)  # order-k predictor of x_k from x_0..x_{k-1}
-    var = r[0]
-    for k in range(n):
-        if k:
-            kappa = (r[k] - b @ r[1:k]) / var
-            b = np.concatenate(([kappa], b - kappa * b[::-1]))
-            var *= (1.0 - kappa) * (1.0 + kappa)
-        if not var > 0.0:  # also catches NaN
-            raise FactorizationError(
-                f"Toeplitz covariance is not positive definite at order {k + 1} of {n}"
-            )
-        v[k] = var
-        e = x[:, k] - x[:, :k] @ b
-        quad += e * e / var
-    return v, quad
+
+def _gs_factors(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(L1 z, L2 z) of [3] for the rows of z: causal convolutions, by FFT."""
+    m = 2 * x.size
+    cols = np.fft.rfft(np.stack((x, np.append(0.0, x[:0:-1]))), m)
+    return np.fft.irfft(cols[:, None] * np.fft.rfft(z, m), m)[..., : x.size]
 
 
 def check_grid(g: GramMatrix, grid: SamplingGrid) -> None:

@@ -1,16 +1,23 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from fracmix import (
     EffectsLaw,
+    EstimationRangeError,
     ExperimentConfig,
     RngStream,
     SamplingGrid,
+    SeriesLengthError,
     build_gram,
+    estimate_h,
     run_experiment,
     simulate_panel,
     summarize_empirical,
 )
+from fracmix.cli import main
 from fracmix.effects import estimate_mu, xi_values
 from fracmix.experiment import _replicate_with_gram, make_histogram
 
@@ -119,6 +126,91 @@ def test_hurst_statistics_optional():
     assert "hurst" in cell.histograms
     off = run_experiment(small_config(replications=2))[0]
     assert off.mean_h_hat is None
+
+
+def test_hurst_refusals_are_counted_not_fatal():
+    # at n = 4 the one-subject H estimate is refused in about a third of
+    # the replications; the run goes on and (mu, sigma2) do not move
+    cfg = small_config(
+        h_list=(0.15, 0.5, 0.85), subjects_list=(50,), n_obs_list=(4, 32),
+        replications=40, estimate_hurst=True,
+    )
+    cells = run_experiment(cfg)
+    plain = run_experiment(dataclasses.replace(cfg, estimate_hurst=False))
+    law = EffectsLaw(cfg.mu0, cfg.sigma20)
+    for (idx, h, n_sub, n_obs), cell, ref in zip(cfg.cells(), cells, plain):
+        gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
+        refused = 0
+        for rep in range(cfg.replications):
+            stream = RngStream(cfg.base_seed, idx * cfg.replications + rep)
+            panel = simulate_panel(n_sub, gm.grid, h, law, stream, gram=gm)
+            try:
+                estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter)
+            except EstimationRangeError:
+                refused += 1
+        assert cell.hurst_refusals == refused
+        assert ref.hurst_refusals == 0
+        assert cell.histograms["hurst"].counts.sum() == cfg.replications - refused
+        assert np.isfinite(cell.mean_h_hat) and np.isfinite(cell.emp_std_h)
+        for name in ("mu", "sigma2"):
+            for stat in (f"mean_{name}_hat", f"emp_std_{name}", f"exact_std_{name}"):
+                assert getattr(cell, stat) == getattr(ref, stat)
+            assert np.array_equal(cell.histograms[name].counts, ref.histograms[name].counts)
+            assert np.array_equal(cell.histograms[name].edges, ref.histograms[name].edges)
+    assert cells[0].hurst_refusals > 0  # the cell (0.15, 50, 4)
+
+
+def test_hurst_statistics_when_every_estimate_is_refused(monkeypatch):
+    def refuse(*args):
+        raise EstimationRangeError("refused")
+
+    monkeypatch.setattr("fracmix.experiment.estimate_h", refuse)
+    (cell,) = run_experiment(small_config(estimate_hurst=True))
+    assert cell.hurst_refusals == 5
+    assert np.isnan(cell.mean_h_hat) and np.isnan(cell.emp_std_h)
+    assert "hurst" not in cell.histograms
+    assert np.isfinite(cell.mean_mu_hat)
+
+
+def test_other_hurst_errors_still_abort(monkeypatch):
+    def fail(*args):
+        raise SeriesLengthError("too short")
+
+    monkeypatch.setattr("fracmix.experiment.estimate_h", fail)
+    with pytest.raises(SeriesLengthError, match="cell"):
+        run_experiment(small_config(estimate_hurst=True))
+
+
+def test_cli_reports_hurst_refusals(tmp_path, capsys):
+    cfg_text = (
+        "h_list = 0.15, 0.85\nsubjects_list = 50\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 40\nbase_seed = 123\n"
+    )
+    runs = {}
+    for flag in ("false", "true"):
+        path = tmp_path / f"{flag}.cfg"
+        path.write_text(cfg_text + f"estimate_hurst = {flag}\n")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / flag)]) == 0
+        runs[flag] = capsys.readouterr().err.splitlines()
+        manifest = json.loads((tmp_path / flag / "manifest.json").read_text())
+        if flag == "false":
+            assert "hurst_refusals" not in manifest
+    cells = run_experiment(
+        small_config(h_list=(0.15, 0.85), subjects_list=(50,), replications=40, estimate_hurst=True)
+    )
+    counts = [c.hurst_refusals for c in cells]
+    assert manifest["hurst_refusals"] == [
+        {"H": 0.15, "N": 50, "n": 4, "refusals": counts[0]},
+        {"H": 0.85, "N": 50, "n": 4, "refusals": counts[1]},
+    ]
+    lines = [line for line in runs["true"] if "refused" in line]
+    assert len(lines) == sum(c > 0 for c in counts) > 0
+    assert lines[0] == (
+        f"cell (H=0.15, N=50, n=4): H estimate refused in {counts[0]} of 40 replications"
+    )
+    assert not any("refused" in line for line in runs["false"])
+    table = "table_n4.csv"
+    assert (tmp_path / "true" / table).read_bytes() == (tmp_path / "false" / table).read_bytes()
 
 
 def test_histogram_contract():

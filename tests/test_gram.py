@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from fracmix import (
     EffectsLaw,
@@ -294,6 +294,94 @@ def test_toeplitz_backend_rejects_non_positive_definite_autocovariance(monkeypat
     monkeypatch.setattr(gram, "fgn_autocovariance", acov)
     with pytest.raises(FactorizationError):
         build_gram(SamplingGrid.uniform(8, 5.0), 0.5)
+
+
+def durbin_reference(r):
+    """Durbin's recursion in Python on the symmetric Toeplitz R with first
+    row r: the prediction error variances v and x = R^{-1}e_1."""
+    n = r.size
+    v = np.empty(n)
+    b = np.empty(0)  # order-k predictor of x_k from x_0..x_{k-1}
+    var = r[0]
+    for k in range(n):
+        if k:
+            kappa = (r[k] - b @ r[1:k]) / var
+            b = np.concatenate(([kappa], b - kappa * b[::-1]))
+            var *= (1.0 - kappa) * (1.0 + kappa)
+        if not var > 0.0:  # also catches NaN
+            raise FactorizationError(f"not positive definite at order {k + 1} of {n}")
+        v[k] = var
+    return v, np.append(1.0, -b[::-1]) / var
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+@pytest.mark.parametrize("h", [0.01, 0.5, 0.99])
+def test_levinson_matches_durbin_reference(h, n):
+    # pins the layout of the private scipy solver's reflection coefficients
+    r = gram.fgn_autocovariance(n + 1, h)
+    s, x, v = gram._levinson(r)
+    v_ref, x_ref = durbin_reference(r[:n])
+    assert np.max(np.abs(v / v_ref - 1.0)) <= 1e-13
+    log_det = np.sum(np.log(v_ref))
+    assert abs(np.sum(np.log(v)) - log_det) <= 1e-13 * max(1.0, abs(log_det))
+    assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+    R = toeplitz(r[:n])
+    assert np.max(np.abs(R @ s - 1.0)) <= 1e-13 * np.linalg.norm(R, np.inf) * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize(
+    "r", [np.ones(8), np.array([1.0, 2.0, 0, 0, 0, 0, 0, 0])], ids=["singular", "indefinite"]
+)
+def test_levinson_rejects_what_durbin_rejects(r):
+    with pytest.raises(FactorizationError):
+        durbin_reference(r[:-1])
+    with pytest.raises(FactorizationError):
+        gram._levinson(r)
+
+
+def test_one_levinson_solve_per_uniform_build(monkeypatch):
+    solve, calls = gram.levinson, []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    def refuse(*args):
+        raise AssertionError("a Toeplitz solve ran after build_gram")
+
+    monkeypatch.setattr(gram, "levinson", counting)
+    law = EffectsLaw(-2.0, 1.0)
+    for n in (2, 64, 300):
+        grid = SamplingGrid.uniform(n, 5.0)
+        gm = build_gram(grid, 0.7)
+        assert len(calls) == 1
+        panel = simulate_panel(5, grid, 0.7, law, RngStream(n), gram=gm)
+        est = estimate_effects(panel, gm)
+        want = log_marginal_likelihood(panel, gm, law)
+        # y'V^{-1}y reads only the stored first column of R^{-1}
+        monkeypatch.setattr(gram, "levinson", refuse)
+        assert log_marginal_likelihood(panel, gm, law) == want
+        assert estimate_effects(panel, gm) == est
+        monkeypatch.setattr(gram, "levinson", counting)
+        calls.clear()
+    build_gram(SamplingGrid((1.0, 1.5, 3.0)), 0.7)  # the Cholesky backend
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 256])
+@pytest.mark.parametrize("h", [0.15, 0.5, 0.85])
+def test_quad_yy_on_drift_dominated_rows(h, n):
+    # on uniform grids y'V^{-1}y is a difference of two squared norms,
+    # both of which a large drift inflates
+    grid = SamplingGrid.uniform(n, 5.0)
+    _, _, _, L = dense_reference(grid, h)
+    noise = np.random.default_rng(9).standard_normal((6, n)) @ L.T
+    drift = np.array([0.0, 1.0, -30.0, 1e2, -1e3, 1e3])
+    y = np.vstack((drift[:, None] * grid.times + noise, 1e6 * grid.times))
+    ref = np.sum(solve_triangular(L, y.T, lower=True) ** 2, axis=0)
+    cond = np.linalg.cond(fbm_covariance(grid, h))
+    got = build_gram(grid, h).quad_yy(y)
+    assert np.all(np.abs(got - ref) <= 128 * np.finfo(float).eps * cond * ref)
 
 
 def test_uniform_grid_estimation_allocates_no_n_by_n_array():
