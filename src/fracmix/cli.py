@@ -211,7 +211,8 @@ def cmd_experiment(args) -> int:
     }
     if cfg.estimate_hurst:
         manifest["hurst_refusals"] = [
-            {"H": s.h, "N": s.n_subjects, "n": s.n_obs, "refusals": s.hurst_refusals}
+            {"H": s.h, "N": s.n_subjects, "n": s.n_obs, "refusals": s.hurst_refusals,
+             "mean_h_hat": s.mean_h_hat, "emp_std_h": s.emp_std_h}
             for s in summaries
         ]
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:

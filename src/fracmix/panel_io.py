@@ -10,9 +10,9 @@ write reproduces a conforming file byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
-from typing import Any
 
 import numpy as np
 
@@ -42,53 +42,50 @@ def read_panel_csv(path) -> Panel:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("empty panel file") from None
+        header = next(reader, None)
+        if header is None:
+            raise PanelFormatError("empty panel file")
         if header != PANEL_HEADER:
             raise PanelFormatError(f"expected header {','.join(PANEL_HEADER)!r}, got {header}")
-        by_subject: dict[int, list[tuple[float, float]]] = {}
-        order: list[int] = []
+        starts: dict[int, int] = {}  # subject -> index of its first row
+        ts, ys = [], []  # every row's t and y
+        last = -math.inf  # the previous row's subject; every int is above -inf
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
                 raise PanelFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
             try:
-                subject = int(row[0])
-                t = float(row[1])
-                y = float(row[2])
+                subject, t, y = int(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise PanelFormatError(f"line {lineno}: {exc}") from None
             if not (math.isfinite(t) and math.isfinite(y)):
                 raise PanelFormatError(f"line {lineno}: non-finite value in {','.join(row)!r}")
-            if subject not in by_subject:
-                if order and subject < order[-1]:
+            if subject != last:
+                if subject < last:
                     raise PanelFormatError(f"line {lineno}: rows not sorted by subject")
-                by_subject[subject] = []
-                order.append(subject)
-            elif subject != order[-1]:
-                raise PanelFormatError(f"line {lineno}: rows not sorted by subject")
-            rows = by_subject[subject]
-            if rows and t <= rows[-1][0]:
+                starts[subject] = len(ts)
+                last = subject
+            elif t <= ts[-1]:
                 raise PanelFormatError(
                     f"line {lineno}: times not strictly increasing within subject {subject}"
                 )
-            rows.append((t, y))
-    if not by_subject:
+            ts.append(t)
+            ys.append(y)
+    if not ts:
         raise PanelFormatError("panel file has no data rows")
-    first = order[0]
-    times = np.array([t for t, _ in by_subject[first]])
-    y = np.empty((len(order), times.size))
-    for i, subject in enumerate(order):
-        rows = by_subject[subject]
-        if len(rows) != times.size or any(t != times[j] for j, (t, _) in enumerate(rows)):
-            raise PanelFormatError(
-                f"subject {subject} has a different time column than subject {first}"
-            )
-        y[i] = [v for _, v in rows]
-    return Panel(grid=SamplingGrid(times), y=y)
+    # every subject's block of rows must repeat the first: length and times
+    times = np.array(ts)
+    bounds = np.array([*starts.values(), times.size])
+    n = bounds[1]
+    window = np.minimum(bounds[:-1, None] + np.arange(n), times.size - 1)
+    bad = np.flatnonzero((np.diff(bounds) != n) | (times[window] != times[:n]).any(axis=1))
+    if bad.size:
+        subjects = list(starts)
+        raise PanelFormatError(
+            f"subject {subjects[bad[0]]} has a different time column than subject {subjects[0]}"
+        )
+    return Panel(grid=SamplingGrid(times[:n]), y=np.array(ys).reshape(-1, n))
 
 
 def format_real(x: float) -> str:
@@ -96,56 +93,33 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_encode(obj: Any) -> Any:
-    """Recursively rewrite floats as markers carrying 17-digit text."""
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return _RawReal(format_real(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_encode(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _json_encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_encode(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-class _RawReal:
-    def __init__(self, text: str):
-        self.text = text
-
-
 def dumps_result(document: dict, indent: int = 2) -> str:
-    """Serialize a result document, all reals at 17 significant digits."""
-    encoded = _json_encode(document)
+    """Serialize a result document, all reals at 17 significant digits;
+    a non-finite real becomes ``null``, as JSON has no NaN or infinity."""
 
     def render(obj, depth):
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
-        if isinstance(obj, _RawReal):
-            return obj.text
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, str)):
+        if isinstance(obj, (np.ndarray, np.generic)):
+            obj = obj.tolist()  # numpy scalars and arrays as Python values
+        if isinstance(obj, (bool, int, str)) or obj is None:
             return json.dumps(obj)
+        if isinstance(obj, (float, np.floating)):
+            return format_real(obj) if math.isfinite(obj) else "null"
         if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            items = [f"{inner}{json.dumps(str(k))}: {render(v, depth + 1)}" for k, v in obj.items()]
-            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        if isinstance(obj, list):
-            if not obj:
-                return "[]"
-            items = [f"{inner}{render(v, depth + 1)}" for v in obj]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        raise TypeError(f"cannot render {type(obj)!r}")
+            brackets = "{}"
+            keyed = {str(k): v for k, v in obj.items()}  # keys of equal text merge
+            items = [f"{json.dumps(k)}: {render(v, depth + 1)}" for k, v in keyed.items()]
+        elif isinstance(obj, (list, tuple)):
+            brackets = "[]"
+            items = [render(v, depth + 1) for v in obj]
+        else:
+            raise TypeError(f"cannot serialize {type(obj)!r}")
+        if not items:
+            return brackets
+        pad = " " * (indent * depth)
+        body = ",\n".join(pad + " " * indent + item for item in items)
+        return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}"
 
-    return render(encoded, 0) + "\n"
+    return render(document, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +143,19 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-# ExperimentConfig field -> (parser, default text); None marks a required key
+# ExperimentConfig field -> parser; a key the file omits takes the field's default
 _KEYS = {
-    "h_list": (_floats, None),
-    "subjects_list": (_ints, None),
-    "n_obs_list": (_ints, None),
-    "horizon": (float, None),
-    "mu0": (float, None),
-    "sigma20": (float, None),
-    "replications": (int, None),
-    "k": (float, "2.0"),
-    "filter": (as_filter, "diff2"),
-    "base_seed": (int, "0"),
-    "estimate_hurst": (_bool, "false"),
+    "h_list": _floats,
+    "subjects_list": _ints,
+    "n_obs_list": _ints,
+    "horizon": float,
+    "mu0": float,
+    "sigma20": float,
+    "replications": int,
+    "k": float,
+    "filter": as_filter,
+    "base_seed": int,
+    "estimate_hurst": _bool,
 }
 
 
@@ -212,15 +186,16 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in values:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(_KEYS)}")
-    for key, (_, default) in _KEYS.items():
-        if key not in values and default is None:
-            raise ConfigError(f"missing required config key {key!r}")
+    for f in dataclasses.fields(ExperimentConfig):  # required: no default of either kind
+        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {f.name!r}")
     fields = {}
-    for key, (parse, default) in _KEYS.items():
-        try:
-            fields[key] = parse(values.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
+    for key, parse in _KEYS.items():
+        if key in values:
+            try:
+                fields[key] = parse(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,16 +8,29 @@ import sys
 import numpy as np
 import pytest
 
+from fracmix.cli import main
+
 RUN = [sys.executable, "-m", "fracmix"]
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run(
-        RUN + list(args), capture_output=True, text=True, timeout=600, **kwargs
-    )
+def run_cli(*args):
+    """Run the CLI in this process, with its streams captured; argparse's
+    usage errors arrive as SystemExit and give its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def simulate(tmp_path, name="panel.csv", **overrides):
+def run_entry_point(*args):
+    """Run ``python -m fracmix`` in a fresh interpreter."""
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, timeout=600)
+
+
+def simulate(tmp_path, name="panel.csv", run=run_cli, **overrides):
     flags = {
         "--hurst": "0.5",
         "--subjects": "2",
@@ -31,14 +46,14 @@ def simulate(tmp_path, name="panel.csv", **overrides):
     for k, v in flags.items():
         args.extend([k, str(v)])
     args.extend(["--out", str(out)])
-    res = run_cli(*args)
+    res = run(*args)
     assert res.returncode == 0, res.stderr
     return out, res
 
 
 # ---------------------------------------------------------------- simulate
 def test_simulate_writes_expected_rows(tmp_path):
-    out, res = simulate(tmp_path)
+    out, res = simulate(tmp_path, run=run_entry_point)
     lines = out.read_text().splitlines()
     assert lines[0] == "subject,t,y"
     assert len(lines) == 1 + 8  # header + N*n data rows
@@ -257,7 +272,7 @@ def test_effects_brownian_mu_is_endpoint_mean(tmp_path):
 
 def test_effects_requires_hurst_flag(tmp_path):
     path = toy_slope_panel(tmp_path, [1.0, 2.0])
-    res = run_cli("effects", "--input", str(path))
+    res = run_entry_point("effects", "--input", str(path))
     assert res.returncode == 2
 
 

@@ -160,7 +160,7 @@ def test_hurst_refusals_are_counted_not_fatal():
     assert cells[0].hurst_refusals > 0  # the cell (0.15, 50, 4)
 
 
-def test_hurst_statistics_when_every_estimate_is_refused(monkeypatch):
+def test_hurst_statistics_when_every_estimate_is_refused(monkeypatch, tmp_path):
     def refuse(*args):
         raise EstimationRangeError("refused")
 
@@ -170,6 +170,16 @@ def test_hurst_statistics_when_every_estimate_is_refused(monkeypatch):
     assert np.isnan(cell.mean_h_hat) and np.isnan(cell.emp_std_h)
     assert "hurst" not in cell.histograms
     assert np.isfinite(cell.mean_mu_hat)
+    # the manifest stays valid JSON: the NaN statistics are written null
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "h_list = 0.5\nsubjects_list = 10\nn_obs_list = 4\nhorizon = 5.0\nmu0 = -2.0\n"
+        "sigma20 = 1.0\nreplications = 5\nbase_seed = 123\nestimate_hurst = true\n"
+    )
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    (entry,) = json.loads((tmp_path / "o" / "manifest.json").read_text())["hurst_refusals"]
+    assert entry["refusals"] == 5
+    assert entry["mean_h_hat"] is None and entry["emp_std_h"] is None
 
 
 def test_other_hurst_errors_still_abort(monkeypatch):
@@ -200,8 +210,10 @@ def test_cli_reports_hurst_refusals(tmp_path, capsys):
     )
     counts = [c.hurst_refusals for c in cells]
     assert manifest["hurst_refusals"] == [
-        {"H": 0.15, "N": 50, "n": 4, "refusals": counts[0]},
-        {"H": 0.85, "N": 50, "n": 4, "refusals": counts[1]},
+        {"H": 0.15, "N": 50, "n": 4, "refusals": counts[0],
+         "mean_h_hat": cells[0].mean_h_hat, "emp_std_h": cells[0].emp_std_h},
+        {"H": 0.85, "N": 50, "n": 4, "refusals": counts[1],
+         "mean_h_hat": cells[1].mean_h_hat, "emp_std_h": cells[1].emp_std_h},
     ]
     lines = [line for line in runs["true"] if "refused" in line]
     assert len(lines) == sum(c > 0 for c in counts) > 0

@@ -23,9 +23,7 @@ from fracmix import (
 from fracmix import hurst
 from fracmix.fbm import fast_paths
 from fracmix.hurst import (
-    _ORDER_CAP,
     _ROOT_XTOL,
-    _TERM_TOL,
     as_filter,
     filtered_series,
     moment_sums,
@@ -324,9 +322,11 @@ def _mp_rho_squared(mp, t, coeffs, lags):
 
 
 def _mp_variance_constant(mp, t, k, f, lags=2000):
-    """A(t, k, gamma) at 40 digits with the same order truncation as the
-    estimator: rho summed directly over the first ``lags`` lags, beyond
-    them the leading power term a_0 i^{2t-2p} summed by mpmath.zeta."""
+    """A(t, k, gamma) at 40 digits, every Hermite order included: lag 0
+    by Gauss's closed form E_{2k}/E_k^2 - 1, each lag i <= ``lags`` as
+    2F1(-k/2, -k/2; 1/2; rho_i^2) - 1 (the order sum at correlation
+    rho_i), and beyond them the leading power term a_0 i^{2t-2p} of rho,
+    order by order, summed by mpmath.zeta."""
     coeffs = tuple(f.coeffs.tolist())
     p0, rho2 = _mp_rho_squared(mp, t, coeffs, lags)
     with mp.workdps(40):
@@ -336,22 +336,23 @@ def _mp_variance_constant(mp, t, k, f, lags=2000):
         a0 = -mp.binomial(2 * mp.mpf(t), 2 * f.order) * moment / (2 * p0)
         sigma = 2 * (2 * f.order - 2 * mp.mpf(t))
         k = mp.mpf(k)
-        coef, total, power = k * k / 2, mp.mpf(0), list(rho2)
-        for j in range(1, _ORDER_CAP + 1):
-            tail = a0 ** (2 * j) * mp.zeta(j * sigma, lags + 1)
-            term = coef * (1 + 2 * (mp.fsum(power) + tail))
-            total += term
-            if term <= _TERM_TOL * total:
-                break
+        total = mp.gamma(k + 0.5) * mp.gamma(0.5) / mp.gamma((k + 1) / 2) ** 2 - 1
+        total += 2 * mp.fsum(mp.hyp2f1(-k / 2, -k / 2, 0.5, r) - 1 for r in rho2)
+        coef = k * k / 2
+        for j in range(1, 100):
+            tail = 2 * coef * a0 ** (2 * j) * mp.zeta(j * sigma, lags + 1)
+            total += tail
+            if abs(tail) < mp.mpf(10) ** -45 * total:
+                return total
             coef *= (k - 2 * j) ** 2 / ((2 * j + 1) * (2 * j + 2))
-            power = [x * y for x, y in zip(power, rho2)]
-        return total
+        raise AssertionError("the lag tail did not converge")
 
 
 @pytest.mark.parametrize(
     "t, k, f",
     [(t, 2.0, f) for f in (DIFF2, DIFF3) for t in (0.01, 0.15, 0.5, 0.85, 0.99)]
-    + [(t, k, DIFF2) for k in (1.3, 4.0) for t in (0.15, 0.99)],
+    + [(t, k, DIFF2) for k in (1.3, 4.0) for t in (0.15, 0.99)]
+    + [(t, k, f) for k in (1.0, 3.0) for t, f in ((0.15, DIFF2), (0.99, DIFF2), (0.5, DIFF3))],
 )
 def test_variance_constant_matches_40_digit_oracle(t, k, f):
     mp = pytest.importorskip("mpmath")

@@ -35,6 +35,11 @@ def test_dumps_result_structures():
     assert json.loads(dumps_result(doc)) == doc
 
 
+def test_dumps_result_writes_non_finite_reals_as_null():
+    doc = {"x": float("nan"), "y": [np.inf, -np.inf, np.float64("nan")], "z": np.array([np.nan])}
+    assert json.loads(dumps_result(doc)) == {"x": None, "y": [None, None, None], "z": [None]}
+
+
 def test_panel_csv_round_trip(tmp_path):
     grid = SamplingGrid((0.5, 1.0, 1.75))
     y = np.array([[0.1, -0.2, 0.3], [1.0, 2.0, 3.0]])
@@ -92,6 +97,9 @@ def test_panel_csv_round_trip_fuzzed(tmp_path_factory, case):
         ("subject,t,y\n1,1.0,inf\n", "line 2: non-finite"),
         ("subject,t,y\n1,1.0,2.0\n1,-inf,2.5\n", "line 3: non-finite"),
         ("subject,t,y\n1,nan,2.0\n", "line 2: non-finite"),
+        ("subject,t,y\n1.5,1.0,2.0\n", "line 2: invalid literal for int"),
+        ("subject,t,y\n1,1.0,2.0\n1,2.0,2.5\n2,1.0,2.0\n", "subject 2 has a different time"),
+        ("subject,t,y\n1,1.0,2.0\n2,1.0,2.0\n2,2.0,2.5\n", "subject 2 has a different time"),
     ],
 )
 def test_panel_csv_rejects_malformed(tmp_path, content, fragment):
@@ -99,6 +107,27 @@ def test_panel_csv_rejects_malformed(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(PanelFormatError, match=fragment):
         read_panel_csv(path)
+
+
+@pytest.mark.parametrize(
+    "content,subjects,times,y",
+    [
+        ("subject,t,y\n1,1.0,2.0\n\n1,2.0,3.0\n", 1, [1.0, 2.0], [[2.0, 3.0]]),
+        ("subject,t,y\r\n1,1.0,2.0\r\n2,1.0,3.0\r\n", 2, [1.0], [[2.0], [3.0]]),
+        (
+            "subject,t,y\n-5,0.5,1.0\n123456789012345678901234567890,0.5,2.0\n",
+            2, [0.5], [[1.0], [2.0]],
+        ),
+    ],
+)
+def test_panel_csv_accepts_edge_cases(tmp_path, content, subjects, times, y):
+    # blank lines, CRLF line endings, negative and 30-digit subject ids
+    path = tmp_path / "edge.csv"
+    path.write_bytes(content.encode())
+    panel = read_panel_csv(path)
+    assert panel.n_subjects == subjects
+    assert panel.grid.times.tolist() == times
+    assert panel.y.tolist() == y
 
 
 def test_parse_config_lines():
