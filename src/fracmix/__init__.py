@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .effects import (
     EffectsEstimate,
     confidence_intervals,
-    continuous_mu_tilde,
     estimate_effects,
     estimate_mu,
     estimate_sigma2,
@@ -47,7 +46,6 @@ from .hurst import (
     asym_variance_a,
     e_k,
     estimate_h,
-    pi_gamma,
     s_n,
     validate_filter,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "asym_variance_a",
     "build_gram",
     "confidence_intervals",
-    "continuous_mu_tilde",
     "e_k",
     "estimate_effects",
     "estimate_h",
@@ -88,7 +85,6 @@ __all__ = [
     "estimate_sigma2",
     "exact_moments",
     "log_marginal_likelihood",
-    "pi_gamma",
     "run_experiment",
     "s_n",
     "simulate_panel",

@@ -158,38 +158,26 @@ def confidence_intervals(
 def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> float:
     """Log-likelihood of the panel with the Gaussian effect integrated out.
 
-    Sum over subjects of
+    Y'V^{-1}Y splits into q xi^2 and a residual free of phi, so each
+    subject contributes
 
-        -(n/2) log 2pi - 0.5 log sigma2 - 0.5 log det V
-        - 0.5 log(q + 1/sigma2)
-        - 0.5 [ mu^2/sigma2 + Y'V^{-1}Y - (u'V^{-1}Y + mu/sigma2)^2 / (q + 1/sigma2) ],
+        log N(xi; mu, tau2)
+        - 0.5 [ (n-1) log 2pi + log det V + log q + Y'V^{-1}Y - q xi^2 ],
 
-    with u'V^{-1}Y = q * xi and Y'V^{-1}Y from ``GramMatrix.quad_yy``.
-    Its argmax over mu is exactly mu_hat for any sigma2 > 0.
+    with tau2 = sigma2 + 1/q and Y'V^{-1}Y from ``GramMatrix.quad_yy``.
+    Valid for every sigma2 >= 0; its argmax over mu is exactly mu_hat.
     """
-    mu, sigma2 = law.mu, law.sigma2
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive for the marginal likelihood, got {sigma2}")
     n = len(g.grid)
     q = g.quad_uu
-    u_v_y = q * xi_values(panel, g)
-    y_v_y = g.quad_yy(panel.y)
-    denom = q + 1.0 / sigma2
-    quad = mu**2 / sigma2 + y_v_y - (u_v_y + mu / sigma2) ** 2 / denom
-    per_subject = (
-        -0.5 * n * np.log(2.0 * np.pi)
-        - 0.5 * np.log(sigma2)
-        - 0.5 * g.log_det
-        - 0.5 * np.log(denom)
-        - 0.5 * quad
+    xi = xi_values(panel, g)
+    tau2 = law.sigma2 + 1.0 / q
+    per_subject = -0.5 * (
+        n * np.log(2.0 * np.pi)
+        + np.log(tau2)
+        + (xi - law.mu) ** 2 / tau2
+        + g.log_det
+        + np.log(q)
+        + g.quad_yy(panel.y)
+        - q * xi**2
     )
     return float(np.sum(per_subject))
-
-
-def continuous_mu_tilde(panel: Panel) -> float:
-    """Endpoint estimator mean_i Y^i(T) / T.
-
-    The continuous-observation analogue of mu_hat; coincides with it
-    exactly in the Brownian case H = 1/2.
-    """
-    return float(np.mean(panel.y[:, -1]) / panel.grid.horizon)

@@ -69,6 +69,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.sigma20) and self.sigma20 >= 0.0):
             raise ValueError(f"sigma20 must be finite and >= 0, got {self.sigma20}")
         k_value(self.k)
+        if self.sampler not in ("exact", "fast"):
+            raise ValueError(f"sampler must be 'exact' or 'fast', got {self.sampler!r}")
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         """(cell_index, h, n_subjects, n_obs) in stream-id order."""

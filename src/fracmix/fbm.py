@@ -6,7 +6,7 @@ times (the deterministic value 0 at t = 0 is not stored):
 
 * ``exact_paths`` draws the Gaussian vector with covariance V(H) as
   L z (L the Cholesky factor, z standard normal).  Works on any grid;
-  O(n^3) once per grid, O(n^2) per path.
+  O(n^3) once per grid for L, O(n^2) per path.
 * ``fast_paths`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, synthesis from one complex FFT per
@@ -30,15 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmbeddingError, GridError
-from .gram import (
-    GramMatrix,
-    SamplingGrid,
-    check_grid,
-    cholesky_factor,
-    fgn_autocovariance,
-    hurst_value,
-)
+from .errors import EmbeddingError
+from .gram import fgn_autocovariance, hurst_value
 from .rng import RngStream, as_generator
 
 # An eigenvalue this far below zero (relative to the largest) means the
@@ -46,13 +39,9 @@ from .rng import RngStream, as_generator
 _NEG_EIG_TOL = 1e-10
 
 
-def exact_paths(gram: GramMatrix, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
-    """(count, n) matrix of independent exact fBm paths on gram's grid."""
-    return _correlate(gram.factor, rng, count)
-
-
-def _correlate(factor: np.ndarray, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
-    """(count, n) rows L z for standard normal z, with L = factor."""
+def exact_paths(factor: np.ndarray, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
+    """(count, n) matrix of independent exact fBm paths: the rows of
+    (L z)' for standard normal z, L = factor the Cholesky factor of V."""
     gen = as_generator(rng)
     z = gen.standard_normal((factor.shape[0], count))
     return (factor @ z).T
@@ -99,28 +88,3 @@ def fast_paths(
     # cumulated unit-spacing fGn is fBm on 1..n; self-similarity maps it
     # to spacing T/n
     return np.cumsum(noise, axis=1) * (float(horizon) / n) ** hv
-
-
-def paths_on_grid(
-    grid: SamplingGrid,
-    h: float,
-    rng: RngStream | np.random.Generator,
-    count: int,
-    method: str = "exact",
-    gram: GramMatrix | None = None,
-) -> np.ndarray:
-    """(count, n) fBm paths by the requested method.
-
-    method "exact" factors V (or reuses a prebuilt gram's factor); "fast"
-    needs a uniform grid.
-    """
-    if method == "exact":
-        if gram is None:
-            return _correlate(cholesky_factor(grid, h), rng, count)
-        check_grid(gram, grid)
-        return exact_paths(gram, rng, count)
-    if method == "fast":
-        if not grid.is_uniform:
-            raise GridError("fast sampler requires a uniform grid")
-        return fast_paths(len(grid), grid.horizon, h, rng, count)
-    raise ValueError(f"unknown sampling method {method!r}")

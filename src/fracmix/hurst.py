@@ -213,18 +213,6 @@ def _pi_series(t: float, f: VariationFilter) -> np.ndarray:
     return binom[2 * f.order - 1 :: 2] * moments
 
 
-def pi_gamma(t: float, j: int, f: VariationFilter) -> float:
-    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}; symmetric in j.
-
-    Summed directly up to lag ``f.head``, by the series past it."""
-    t = hurst_value(t)
-    f = as_filter(f)
-    if abs(j) <= f.head:
-        return float(_pi_lags(t, _lag_table(f, np.array([j])))[0])
-    x = float(abs(j))
-    return float(x ** (2.0 * t - 2 * f.order) * (_pi_series(t, f) @ x**-_SERIES_POWERS))
-
-
 def k_value(k: float) -> float:
     """Validate a variation power: a finite float > 0."""
     if not (math.isfinite(k) and k > 0.0):
@@ -260,14 +248,10 @@ def s_n(y: np.ndarray, k: float, f: VariationFilter) -> float:
     return float(np.mean(np.abs(v) ** k))
 
 
-def scale_function(t: float, spacing: float, k: float, f: VariationFilter) -> float:
-    """Expected k-variation of filtered fBm(t) at the given grid spacing."""
-    return _scale_curve(spacing, k, f)(t)
-
-
 def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[float], float]:
-    """t -> scale_function(t, spacing, k, f), with k and the filter
-    validated, E_k computed and the lag-0 table built once."""
+    """t -> g(t), the expected k-variation of filtered fBm(t) at the
+    given grid spacing, with k and the filter validated, E_k computed
+    and the lag-0 table built once."""
     k = k_value(k)
     table = _lag_table(as_filter(f), np.array([0]))
     ek = e_k(k)
@@ -337,7 +321,7 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
 def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEstimate:
     """Estimate H from one trajectory observed at t_j = j*horizon/n.
 
-    Computes the k-variation S and solves scale_function(t) = S for t
+    Computes the k-variation S and solves g(t) = S for t (``_scale_curve``)
     by Brent's method on [HURST_MIN, HURST_MAX], so every estimate is a
     valid exponent for ``build_gram``.  A three-point probe checks that
     the scale function is strictly decreasing over the bracket (it

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError
-from .fbm import paths_on_grid
-from .gram import GramMatrix, SamplingGrid, hurst_value
+from .errors import GridError, HurstRangeError
+from .fbm import exact_paths, fast_paths
+from .gram import GramMatrix, SamplingGrid, check_grid, cholesky_factor, hurst_value
 from .rng import RngStream, as_generator
 
 
@@ -84,22 +84,36 @@ def simulate_panel(
 ) -> Panel:
     """Simulate a panel of n_subjects trajectories.
 
-    noise selects the fBm sampler: "exact" (any grid), "fast"
-    (uniform grids, circulant embedding), or "none" (zero noise, a
-    diagnostics hook that makes each row exactly phi_i * t).
-    Effects are drawn before the noise, so the same stream yields the
-    same phi_i regardless of the noise method.
+    noise selects the fBm sampler: "exact" (any grid; draws with a
+    prebuilt gram's Cholesky factor, or factors V when none is given),
+    "fast" (uniform grids, circulant embedding), or "none" (zero noise,
+    a diagnostics hook that makes each row exactly phi_i * t).  A gram
+    must be built on grid at h.  Effects are drawn before the noise, so
+    the same stream yields the same phi_i regardless of the noise method.
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
     hv = hurst_value(h)
+    if gram is not None:
+        check_grid(gram, grid)
+        if gram.h != hv:
+            raise HurstRangeError(f"Gram matrix is built at H={gram.h}, simulation asks H={hv}")
     gen = as_generator(rng)
     phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
-    if noise == "none":
+    if noise == "exact":
+        factor = cholesky_factor(grid, hv) if gram is None else gram.factor
+        w = exact_paths(factor, gen, n_subjects)
+    elif noise == "fast":
+        if not grid.is_uniform:
+            raise GridError("fast sampler requires a uniform grid")
+        w = fast_paths(len(grid), grid.horizon, hv, gen, n_subjects)
+    elif noise == "none":
         w = np.zeros((n_subjects, len(grid)))
     else:
-        w = paths_on_grid(grid, hv, gen, n_subjects, method=noise, gram=gram)
-    y = phi[:, None] * grid.times[None, :] + w
+        raise ValueError(f"unknown sampling method {noise!r}")
+    # an overflowing drift gives inf or nan, which Panel rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = phi[:, None] * grid.times[None, :] + w
     return Panel(grid=grid, y=y, true_effects=phi)
 
 

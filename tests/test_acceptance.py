@@ -200,7 +200,7 @@ def test_criterion_7_sampler_equivalence(h):
     n, draws = 256, 10_000
     grid = SamplingGrid.uniform(n, 5.0)
     gram = build_gram(grid, h)
-    a = exact_paths(gram, RngStream(121, 0), draws)[:, -1]
+    a = exact_paths(gram.factor, RngStream(121, 0), draws)[:, -1]
     b = fast_paths(n, 5.0, h, RngStream(121, 1), draws)[:, -1]
     p = ks_2samp(a, b).pvalue
     ok = p > 0.01

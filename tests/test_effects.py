@@ -16,7 +16,6 @@ from fracmix import (
     SamplingGrid,
     build_gram,
     confidence_intervals,
-    continuous_mu_tilde,
     estimate_effects,
     estimate_mu,
     estimate_sigma2,
@@ -32,6 +31,12 @@ GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
 def make_panel(y, grid=GRID4):
     return Panel(grid=grid, y=np.asarray(y, dtype=float))
+
+
+def continuous_mu_tilde(panel):
+    """Endpoint estimator mean_i Y^i(T) / T: the continuous-observation
+    analogue of mu_hat, coinciding with it exactly at H = 1/2."""
+    return float(np.mean(panel.y[:, -1]) / panel.grid.horizon)
 
 
 # -------------------------------------------------------------------- xi
@@ -353,11 +358,15 @@ def test_likelihood_argmax_in_mu_is_mu_hat():
             assert other < center
 
 
-def test_likelihood_rejects_nonpositive_sigma2():
-    gm = build_gram(GRID4, 0.5)
-    p = simulate_panel(2, GRID4, 0.5, EffectsLaw(0.0, 1.0), RngStream(63), gram=gm)
-    with pytest.raises(ValueError):
-        log_marginal_likelihood(p, gm, EffectsLaw(0.0, 0.0))
+@pytest.mark.parametrize("grid", [GRID4, SamplingGrid((1.0, 1.2, 4.0, 4.5))])
+def test_likelihood_at_zero_sigma2_is_dense_density(grid):
+    # with phi_i = mu for every subject, Y^i - mu u ~ N(0, V) independently
+    mu, gm = -1.0, build_gram(grid, 0.7)
+    p = simulate_panel(3, grid, 0.7, EffectsLaw(mu, 0.5), RngStream(63), gram=gm)
+    got = log_marginal_likelihood(p, gm, EffectsLaw(mu, 0.0))
+    dense = multivariate_normal(np.zeros(len(grid)), fbm_covariance(grid, 0.7))
+    want = float(np.sum(dense.logpdf(p.y - mu * grid.times)))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------ continuous mu_tilde

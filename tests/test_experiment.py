@@ -257,3 +257,10 @@ def test_config_validation():
         small_config(replications=0)
     with pytest.raises(ValueError):
         small_config(h_list=())
+
+
+def test_config_rejects_unknown_sampler():
+    # on construction, not inside the first cell after its Gram build
+    with pytest.raises(ValueError, match="bogus"):
+        small_config(sampler="bogus")
+    assert small_config(sampler="fast").sampler == "fast"

@@ -12,16 +12,19 @@ from fracmix import (
     build_gram,
     simulate_panel,
 )
-from fracmix.fbm import exact_paths, fast_paths, fgn_spectrum, paths_on_grid
-from fracmix.gram import fbm_covariance
+from fracmix.fbm import exact_paths, fast_paths, fgn_spectrum
+from fracmix.gram import cholesky_factor, fbm_covariance
+
+PURE = EffectsLaw(0.0, 0.0)  # phi_i = 0: panel rows are the fBm paths
 
 
 def test_rng_stream_reproducible():
     grid = SamplingGrid.uniform(16, 1.0)
-    a = paths_on_grid(grid, 0.7, RngStream(42, 3), 1)
-    b = paths_on_grid(grid, 0.7, RngStream(42, 3), 1)
+    factor = cholesky_factor(grid, 0.7)
+    a = exact_paths(factor, RngStream(42, 3), 1)
+    b = exact_paths(factor, RngStream(42, 3), 1)
     assert np.array_equal(a, b)
-    c = paths_on_grid(grid, 0.7, RngStream(42, 4), 1)
+    c = exact_paths(factor, RngStream(42, 4), 1)
     assert not np.array_equal(a, c)
     x = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
     y = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
@@ -38,7 +41,7 @@ def test_rng_stream_validation():
 def test_exact_single_point_is_standard_normal():
     grid = SamplingGrid((1.0,))
     gm = build_gram(grid, 0.85)  # t1 = 1 so variance is 1 for any H
-    draws = exact_paths(gm, RngStream(0), 10_000)[:, 0]
+    draws = exact_paths(gm.factor, RngStream(0), 10_000)[:, 0]
     assert abs(draws.mean()) < 0.03
     assert draws.var() == pytest.approx(1.0, rel=0.05)
 
@@ -47,7 +50,7 @@ def test_exact_brownian_increments():
     n, T = 8, 2.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, 0.5)
-    paths = exact_paths(gm, RngStream(1), 10_000)
+    paths = exact_paths(gm.factor, RngStream(1), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     dt = T / n
     assert np.allclose(inc.var(axis=0), dt, rtol=0.05)
@@ -61,7 +64,7 @@ def test_exact_covariance_matches_gram(method):
     grid = SamplingGrid.uniform(8, 1.0)
     gm = build_gram(grid, 0.85)
     # an odd count leaves the fast sampler's last pair half used
-    paths = paths_on_grid(grid, 0.85, RngStream(2), 20_001, method=method, gram=gm)
+    paths = simulate_panel(20_001, grid, 0.85, PURE, RngStream(2), noise=method, gram=gm).y
     assert paths.shape == (20_001, 8)
     emp = np.cov(paths.T, bias=True)
     V = fbm_covariance(grid, 0.85)
@@ -86,7 +89,7 @@ def test_fast_matches_exact_at_endpoint(h):
     n, T = 256, 5.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, h)
-    a = exact_paths(gm, RngStream(10, 0), 10_000)[:, -1]
+    a = exact_paths(gm.factor, RngStream(10, 0), 10_000)[:, -1]
     b = fast_paths(n, T, h, RngStream(10, 1), 10_000)[:, -1]
     assert ks_2samp(a, b).pvalue > 0.01
 
@@ -101,7 +104,7 @@ def test_stationary_increments():
     h = 0.85
     grid = SamplingGrid.uniform(16, 2.0)
     gm = build_gram(grid, h)
-    paths = exact_paths(gm, RngStream(6), 20_000)
+    paths = exact_paths(gm.factor, RngStream(6), 20_000)
     t = grid.times
     for i, j in [(0, 3), (2, 9), (5, 15), (10, 14)]:
         emp = (paths[:, j] - paths[:, i]).var()
@@ -141,26 +144,38 @@ def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
         fast_paths(8, 1.0, 0.5, RngStream(0), 1)
     grid = SamplingGrid.uniform(8, 1.0)
     with pytest.raises(EmbeddingError):
-        paths_on_grid(grid, 0.5, RngStream(0), 3, method="fast")
+        simulate_panel(3, grid, 0.5, PURE, RngStream(0), noise="fast")
 
 
 def test_fast_requires_uniform_grid():
     grid = SamplingGrid((1.0, 1.2, 4.0))
     with pytest.raises(GridError):
-        paths_on_grid(grid, 0.5, RngStream(0), 1, method="fast")
+        simulate_panel(1, grid, 0.5, PURE, RngStream(0), noise="fast")
 
 
 def test_fbm_path_container():
     # one path per row, one column per grid time
     grid = SamplingGrid.uniform(32, 1.0)
     for method in ("exact", "fast"):
-        assert paths_on_grid(grid, 0.6, RngStream(9), 1, method=method).shape == (1, 32)
+        assert simulate_panel(1, grid, 0.6, PURE, RngStream(9), noise=method).y.shape == (1, 32)
+    with pytest.raises(ValueError, match="unknown sampling method"):
+        simulate_panel(1, grid, 0.6, PURE, RngStream(9), noise="bogus")
 
 
 def test_prebuilt_gram_grid_must_match():
     gm = build_gram(SamplingGrid.uniform(4, 1.0), 0.5)
     with pytest.raises(GridError):
-        paths_on_grid(SamplingGrid.uniform(4, 2.0), 0.5, RngStream(0), 1, gram=gm)
+        simulate_panel(1, SamplingGrid.uniform(4, 2.0), 0.5, PURE, RngStream(0), gram=gm)
+
+
+def test_prebuilt_gram_hurst_must_match():
+    # a Gram matrix at another H would silently draw at its own H
+    grid = SamplingGrid.uniform(8, 1.0)
+    gm = build_gram(grid, 0.9)
+    with pytest.raises(HurstRangeError, match=r"H=0\.9.*H=0\.1"):
+        simulate_panel(2, grid, 0.1, PURE, RngStream(0), gram=gm)
+    with pytest.raises(HurstRangeError):
+        simulate_panel(2, grid, 0.1, PURE, RngStream(0), noise="fast", gram=gm)
 
 
 def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):

@@ -16,22 +16,37 @@ from fracmix import (
     asym_variance_a,
     e_k,
     estimate_h,
-    pi_gamma,
     s_n,
     validate_filter,
 )
 from fracmix import hurst
 from fracmix.fbm import fast_paths
+from fracmix.gram import hurst_value
 from fracmix.hurst import (
     _ROOT_XTOL,
+    _SERIES_POWERS,
+    _lag_table,
+    _pi_lags,
+    _pi_series,
+    _scale_curve,
     as_filter,
     filtered_series,
     moment_sums,
-    scale_function,
 )
 
 DIFF2 = as_filter("diff2")
 DIFF3 = as_filter("diff3")
+
+
+def pi_gamma(t, j, f):
+    """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}, as A reads it:
+    summed directly up to lag ``f.head``, by the binomial series past it."""
+    t = hurst_value(t)
+    f = as_filter(f)
+    if abs(j) <= f.head:
+        return float(_pi_lags(t, _lag_table(f, np.array([j])))[0])
+    x = float(abs(j))
+    return float(x ** (2.0 * t - 2 * f.order) * (_pi_series(t, f) @ x**-_SERIES_POWERS))
 
 
 # ----------------------------------------------------------------- filters
@@ -119,7 +134,7 @@ def test_pi_gamma_rejects_bad_t():
     with pytest.raises(HurstRangeError):
         pi_gamma(1.0, 0, DIFF2)
     with pytest.raises(HurstRangeError):
-        scale_function(float("nan"), 0.1, 2.0, DIFF2)
+        _scale_curve(0.1, 2.0, DIFF2)(float("nan"))
     with pytest.raises(HurstRangeError):
         asym_variance_a(1.5, 2.0, DIFF2)
 
@@ -213,15 +228,15 @@ def test_sn_scale_equivariance_general(lam, k):
     assert s_n(lam * y, k, DIFF2) == pytest.approx(abs(lam) ** k * s_n(y, k, DIFF2), rel=1e-11)
 
 
-# ---------------------------------------------------------- scale_function
+# ----------------------------------------------------------- scale curve g
 def test_g_scale_reference_value():
-    assert scale_function(0.5, 1 / 256, 2.0, DIFF2) == pytest.approx(2.0 / 256, rel=1e-14)
+    assert _scale_curve(1 / 256, 2.0, DIFF2)(0.5) == pytest.approx(2.0 / 256, rel=1e-14)
 
 
 def test_g_scale_k2_reduces_to_pi_over_power():
     for t in (0.1, 0.5, 0.9):
         for n in (4, 64):
-            assert scale_function(t, 1 / n, 2.0, DIFF2) == pytest.approx(
+            assert _scale_curve(1 / n, 2.0, DIFF2)(t) == pytest.approx(
                 n ** (-2.0 * t) * pi_gamma(t, 0, DIFF2), rel=1e-12
             )
 
@@ -229,7 +244,8 @@ def test_g_scale_k2_reduces_to_pi_over_power():
 @pytest.mark.parametrize("n", [2, 4, 256])
 def test_g_scale_strictly_decreasing(n):
     ts = np.arange(0.01, 0.99 + 1e-9, 1e-3)
-    vals = np.array([scale_function(t, 1 / n, 2.0, DIFF2) for t in ts])
+    g = _scale_curve(1 / n, 2.0, DIFF2)
+    vals = np.array([g(t) for t in ts])
     assert np.all(np.diff(vals) < 0.0)
 
 
@@ -431,7 +447,7 @@ def test_inversion_round_trip():
     y0 = np.cumsum(gen.standard_normal(n)) / math.sqrt(n)
     s0 = s_n(y0, 2.0, DIFF2)
     for target in np.arange(0.1, 0.95, 0.1):
-        want = scale_function(target, 1.0 / n, 2.0, DIFF2)
+        want = _scale_curve(1.0 / n, 2.0, DIFF2)(target)
         y = y0 * (want / s0) ** 0.5
         est = estimate_h(y, 1.0)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
@@ -445,7 +461,7 @@ def test_estimator_horizon_generalization():
     y0 = np.cumsum(gen.standard_normal(n))
     s0 = s_n(y0, 2.0, DIFF2)
     for target in (0.15, 0.5, 0.85):
-        want = scale_function(target, T / n, 2.0, DIFF2)
+        want = _scale_curve(T / n, 2.0, DIFF2)(target)
         est = estimate_h(y0 * (want / s0) ** 0.5, T)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
     # and statistically: a T-horizon path estimates its H
