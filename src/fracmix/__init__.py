@@ -28,6 +28,7 @@ from .errors import (
     FracmixError,
     GridError,
     HurstRangeError,
+    NonFiniteError,
     PanelFormatError,
     SeriesLengthError,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "GridError",
     "HurstEstimate",
     "HurstRangeError",
+    "NonFiniteError",
     "Panel",
     "PanelFormatError",
     "RngStream",

@@ -26,6 +26,7 @@ from .gram import HURST_MAX, HURST_MIN, SamplingGrid, build_gram
 from .hurst import as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
 from .panel_io import (
+    CONFIG_KEYS,
     dumps_result,
     format_real,
     load_experiment_config,
@@ -61,8 +62,8 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_USAGE, f"--mu must be finite, got {args.mu}")
     if not (math.isfinite(args.sigma2) and args.sigma2 >= 0.0):
         raise _CliError(EXIT_USAGE, f"--sigma2 must be finite and >= 0, got {args.sigma2}")
-    if args.seed < 0:
-        raise _CliError(EXIT_USAGE, f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < 2**64:
+        raise _CliError(EXIT_USAGE, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     grid = SamplingGrid.uniform(args.n_obs, args.horizon)
     try:
         panel = simulate_panel(
@@ -73,7 +74,7 @@ def cmd_simulate(args) -> int:
             RngStream(args.seed),
             noise="fast",
         )
-    except (FracmixError, ValueError) as exc:  # ValueError: a non-finite panel (overflow)
+    except FracmixError as exc:
         raise _CliError(EXIT_SIMULATION, f"simulation failed: {exc}") from None
     try:
         write_panel_csv(args.out, panel)
@@ -197,16 +198,9 @@ def cmd_experiment(args) -> int:
     manifest = {
         "base_seed": cfg.base_seed,
         "config": {
-            "h_list": list(cfg.h_list),
-            "subjects_list": list(cfg.subjects_list),
-            "n_obs_list": list(cfg.n_obs_list),
-            "horizon": cfg.horizon,
-            "mu0": cfg.mu0,
-            "sigma20": cfg.sigma20,
-            "replications": cfg.replications,
-            "k": cfg.k,
-            "filter": list(cfg.filter.coeffs),
-            "estimate_hurst": cfg.estimate_hurst,
+            key: cfg.filter.coeffs if key == "filter" else getattr(cfg, key)
+            for key in CONFIG_KEYS
+            if key != "base_seed"
         },
     }
     if cfg.estimate_hurst:
@@ -221,34 +215,26 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# table column -> CellSummary field, for the columns after H and N
+_TABLE_COLUMNS = {
+    "mean_mu": "mean_mu_hat",
+    "exact_std_mu": "exact_std_mu",
+    "emp_std_mu": "emp_std_mu",
+    "mean_sigma2": "mean_sigma2_hat",
+    "exact_std_sigma2": "exact_std_sigma2",
+    "emp_std_sigma2": "emp_std_sigma2",
+}
+
+
 def _write_tables(out, cfg, summaries: list[CellSummary]) -> None:
-    columns = [
-        "H",
-        "N",
-        "mean_mu",
-        "exact_std_mu",
-        "emp_std_mu",
-        "mean_sigma2",
-        "exact_std_sigma2",
-        "emp_std_sigma2",
-    ]
     for n_obs in cfg.n_obs_list:
-        rows = [s for s in summaries if s.n_obs == n_obs]
         path = os.path.join(out, f"table_n{n_obs}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for s in rows:
-                fields = [
-                    format(s.h, "g"),
-                    str(s.n_subjects),
-                    format_real(s.mean_mu_hat),
-                    format_real(s.exact_std_mu),
-                    format_real(s.emp_std_mu),
-                    format_real(s.mean_sigma2_hat),
-                    format_real(s.exact_std_sigma2),
-                    format_real(s.emp_std_sigma2),
-                ]
-                fh.write(",".join(fields) + "\n")
+            fh.write(",".join(["H", "N", *_TABLE_COLUMNS]) + "\n")
+            for s in summaries:
+                if s.n_obs == n_obs:
+                    reals = [format_real(getattr(s, name)) for name in _TABLE_COLUMNS.values()]
+                    fh.write(",".join([format(s.h, "g"), str(s.n_subjects), *reals]) + "\n")
 
 
 _PARAM_LABELS = {"mu": "mu estimate", "sigma2": "sigma2 estimate", "hurst": "H estimate"}

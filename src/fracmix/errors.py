@@ -46,6 +46,10 @@ class PanelFormatError(FracmixError, ValueError):
     """Panel data file violates the CSV contract."""
 
 
+class NonFiniteError(FracmixError, ValueError):
+    """A simulated panel or a cell's estimates overflow a double."""
+
+
 class ConfigError(FracmixError, ValueError):
     """Experiment configuration file cannot be parsed or is missing a
     required key."""

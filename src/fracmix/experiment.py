@@ -1,8 +1,9 @@
 """Replicated Monte Carlo experiments over an (H, N, n) grid.
 
 Each cell fixes a Hurst exponent, a subject count and an observation
-count; R replications each simulate a fresh panel and estimate
-(mu, sigma2), optionally plus H from subject 1; a refused H estimate
+count; R replications each simulate a fresh panel and return its N
+slope reads, optionally plus H from subject 1; the cell estimates
+(mu, sigma2) from each row of the (R, N) reads.  A refused H estimate
 is counted, and the H statistics cover the other replications.
 Replication r of cell c draws from stream id c*R + r, so cells and
 replications are independent and any execution order reproduces the
@@ -16,13 +17,14 @@ population-form (divide by R) standard deviations across replications.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
-from .errors import EstimationRangeError, FracmixError
+from .errors import EstimationRangeError, FracmixError, NonFiniteError
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
@@ -30,6 +32,7 @@ from .rng import RngStream
 
 HISTOGRAM_BINS = 30
 HISTOGRAM_HALF_WIDTHS = 4.0  # bins span mean +/- 4 empirical stds
+_DOUBLE_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("subjects_list and n_obs_list values must be >= 1")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
         if not math.isfinite(self.mu0):
             raise ValueError(f"mu0 must be finite, got {self.mu0}")
         if not (math.isfinite(self.sigma20) and self.sigma20 >= 0.0):
@@ -74,14 +79,8 @@ class ExperimentConfig:
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         """(cell_index, h, n_subjects, n_obs) in stream-id order."""
-        out = []
-        idx = 0
-        for h in self.h_list:
-            for n_sub in self.subjects_list:
-                for n_obs in self.n_obs_list:
-                    out.append((idx, h, n_sub, n_obs))
-                    idx += 1
-        return out
+        grid = itertools.product(self.h_list, self.subjects_list, self.n_obs_list)
+        return [(idx, *cell) for idx, cell in enumerate(grid)]
 
 
 @dataclass(frozen=True)
@@ -118,15 +117,17 @@ def summarize_empirical(samples: np.ndarray) -> tuple[float, float]:
 def make_histogram(samples: np.ndarray) -> Histogram:
     """30-bin frequency histogram over mean +/- 4 empirical stds.
 
-    Values beyond the range (rare tail draws, or everything when the
-    empirical std is 0) are clipped into the edge bins so counts always
-    sum to the number of samples.
+    Values beyond the range (rare tail draws) are clipped into the edge
+    bins so counts always sum to the number of samples.  A zero std
+    gives mean +/- max(0.5, 60 ulps), kept inside the double range, so
+    the edges stay distinct and finite at every finite mean.
     """
     samples = np.asarray(samples, dtype=float)
     mean, std = summarize_empirical(samples)
     half = HISTOGRAM_HALF_WIDTHS * std
     if half <= 0.0:
-        half = 0.5
+        half = max(0.5, 2 * HISTOGRAM_BINS * math.ulp(mean))
+        mean = min(max(mean, half - _DOUBLE_MAX), _DOUBLE_MAX - half)
     edges = np.linspace(mean - half, mean + half, HISTOGRAM_BINS + 1)
     clipped = np.clip(samples, edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
@@ -135,28 +136,20 @@ def make_histogram(samples: np.ndarray) -> Histogram:
 
 def _replicate_with_gram(
     cfg: ExperimentConfig, cell_index: int, gram: GramMatrix, n_subjects: int, rep: int
-) -> tuple[float, float, float | None]:
-    """One replication of one cell; pure in (cfg, cell index, gram, rep)."""
+) -> tuple[np.ndarray, float]:
+    """One replication of one cell, pure in (cfg, cell index, gram, rep):
+    the (N,) slope reads and subject 1's H estimate, NaN when it is
+    refused or not asked for."""
     stream = RngStream(cfg.base_seed, cell_index * cfg.replications + rep)
-    panel = simulate_panel(
-        n_subjects,
-        gram.grid,
-        gram.h,
-        EffectsLaw(cfg.mu0, cfg.sigma20),
-        stream,
-        noise=cfg.sampler,
-        gram=gram,
-    )
-    xi = xi_values(panel, gram)
-    mu_hat = estimate_mu(xi)
-    sigma2_hat = estimate_sigma2(xi, gram.quad_uu) if n_subjects >= 2 else float("nan")
-    h_hat = None
+    law = EffectsLaw(cfg.mu0, cfg.sigma20)
+    panel = simulate_panel(n_subjects, gram.grid, gram.h, law, stream, noise=cfg.sampler, gram=gram)
+    h_hat = float("nan")
     if cfg.estimate_hurst:
         try:
             h_hat = estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter).h_hat
         except EstimationRangeError:  # a refusal, counted by the cell
-            h_hat = float("nan")
-    return mu_hat, sigma2_hat, h_hat
+            pass
+    return xi_values(panel, gram), h_hat
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
@@ -175,30 +168,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
 def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
     grid = SamplingGrid.uniform(n_obs, cfg.horizon)
     gram = build_gram(grid, h)  # one per cell; the exact sampler factors it once
-    mu_hats = np.empty(cfg.replications)
-    s2_hats = np.empty(cfg.replications)
-    h_hats = np.empty(cfg.replications) if cfg.estimate_hurst else None
-    for rep in range(cfg.replications):
-        mu_hat, s2_hat, h_hat = _replicate_with_gram(cfg, cell_index, gram, n_subjects, rep)
-        mu_hats[rep] = mu_hat
-        s2_hats[rep] = s2_hat
-        if h_hats is not None:
-            h_hats[rep] = h_hat
-    mean_mu, emp_std_mu = summarize_empirical(mu_hats)
-    mean_s2, emp_std_s2 = summarize_empirical(s2_hats)
+    reps = range(cfg.replications)
+    reads = [_replicate_with_gram(cfg, cell_index, gram, n_subjects, rep) for rep in reps]
+    xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates
+    finite_h = h_hats[np.isfinite(h_hats)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        samples = {"mu": np.array([estimate_mu(row) for row in xi])}
+        if n_subjects >= 2:  # sigma2 undefined for single-subject panels
+            samples["sigma2"] = np.array([estimate_sigma2(row, gram.quad_uu) for row in xi])
+        if finite_h.size:
+            samples["hurst"] = finite_h
+        stats = {name: summarize_empirical(v) for name, v in samples.items()}
+        histograms = {name: make_histogram(v) for name, v in samples.items()}
     moments = exact_moments(cfg.sigma20, n_subjects, gram.quad_uu)
-    histograms = {"mu": make_histogram(mu_hats)}
-    if n_subjects >= 2:  # sigma2 undefined for single-subject panels
-        histograms["sigma2"] = make_histogram(s2_hats)
-    mean_h = emp_std_h = None
-    refusals = 0
-    if h_hats is not None:
-        finite = h_hats[np.isfinite(h_hats)]
-        refusals = cfg.replications - finite.size
-        mean_h = emp_std_h = float("nan")
-        if finite.size:
-            mean_h, emp_std_h = summarize_empirical(finite)
-            histograms["hurst"] = make_histogram(finite)
+    numbers = [moments, *stats.values(), *(v.edges for v in histograms.values())]
+    if not all(np.isfinite(x).all() for x in numbers):
+        raise NonFiniteError("the estimates or their exact moments overflow a double")
+    nan = (float("nan"), float("nan"))
+    mean_mu, emp_std_mu = stats["mu"]
+    mean_s2, emp_std_s2 = stats.get("sigma2", nan)
+    mean_h, emp_std_h = stats.get("hurst", nan) if cfg.estimate_hurst else (None, None)
     return CellSummary(
         h=h,
         n_subjects=n_subjects,
@@ -212,5 +201,5 @@ def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
         histograms=histograms,
         mean_h_hat=mean_h,
         emp_std_h=emp_std_h,
-        hurst_refusals=refusals,
+        hurst_refusals=cfg.replications - finite_h.size if cfg.estimate_hurst else 0,
     )

@@ -45,6 +45,7 @@ from .errors import FactorizationError, GridError, HurstRangeError
 # H -> 0 it approaches a boundary of positive definiteness.
 HURST_MIN = 0.01
 HURST_MAX = 0.99
+_Q_MIN = float(np.finfo(float).tiny)  # the estimators divide by q = u'V^{-1}u
 
 
 def hurst_value(h: float) -> float:
@@ -163,26 +164,30 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
         that range and results would be noise.
     FactorizationError
         When the matrix is numerically indefinite (near-duplicate times
-        or extreme ill-conditioning).  No jitter is added: estimator
-        formulas assume the exact V.
+        or extreme ill-conditioning) or its weights, q or log det leave
+        the double range.  No jitter is added: estimators assume the
+        exact V.
     """
     hv = _gram_hurst(h)
     x = L = None
-    if grid.is_uniform:
-        n = len(grid)
-        step = grid.horizon / n
-        s, x, v = _levinson(fgn_autocovariance(n + 1, hv))
-        # V^{-1}u = D'R^{-1}Du / step^{2H}, and Du = step * 1
-        d_s = s - np.append(s[1:], 0.0)
-        weights = d_s / (grid.times @ d_s)
-        q = float(step ** (2.0 - 2.0 * hv) * np.sum(s))
-        log_det = float(2.0 * hv * n * np.log(step) + np.sum(np.log(v)))
-    else:
-        L = cholesky_factor(grid, hv)
-        wu = solve_triangular(L, grid.times, lower=True)
-        q = float(wu @ wu)
-        weights = solve_triangular(L, wu / q, lower=True, trans="T")
-        log_det = float(2.0 * np.sum(np.log(np.diag(L))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        if grid.is_uniform:
+            n = len(grid)
+            step = np.float64(grid.horizon / n)  # a power past the range is inf, not an error
+            s, x, v = _levinson(fgn_autocovariance(n + 1, hv))
+            # V^{-1}u = D'R^{-1}Du / step^{2H}, and Du = step * 1
+            d_s = s - np.append(s[1:], 0.0)
+            weights = d_s / (grid.times @ d_s)
+            q = float(step ** (2.0 - 2.0 * hv) * np.sum(s))
+            log_det = float(2.0 * hv * n * np.log(step) + np.sum(np.log(v)))
+        else:
+            L = cholesky_factor(grid, hv)
+            wu = solve_triangular(L, grid.times, lower=True)
+            q = float(wu @ wu)
+            weights = solve_triangular(L, wu / q, lower=True, trans="T", check_finite=False)
+            log_det = float(2.0 * np.sum(np.log(np.diag(L))))
+    if not (np.isfinite(weights).all() and np.isfinite(log_det) and _Q_MIN <= q < np.inf):
+        raise FactorizationError(f"GLS weights, q or log det out of range (n={len(grid)}, H={hv})")
     weights.flags.writeable = False
     return GramMatrix(grid, hv, weights, q, log_det, _factor=L, _inv_column=x)
 
@@ -207,10 +212,11 @@ def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
     """
     hv = _gram_hurst(h)
     try:
-        L = cholesky(fbm_covariance(grid, hv), lower=True)
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = cholesky(fbm_covariance(grid, hv), lower=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: V overflows a double
         raise FactorizationError(
-            f"covariance matrix is not positive definite (n={len(grid)}, H={hv}): {exc}"
+            f"covariance matrix does not factor (n={len(grid)}, H={hv}): {exc}"
         ) from exc
     L.flags.writeable = False
     return L

@@ -61,6 +61,9 @@ FILTERS = {
     "diff3": (-1.0, 3.0, -3.0, 1.0),
 }
 
+# The largest variation power k at which E_k = E|Z|^k is a finite double
+K_MAX = 301.15557299838764
+
 # Root finding for the inversion, over the bracket [HURST_MIN, HURST_MAX]
 _ROOT_XTOL = 1e-10
 _ROOT_MAX_ITER = 200
@@ -214,9 +217,9 @@ def _pi_series(t: float, f: VariationFilter) -> np.ndarray:
 
 
 def k_value(k: float) -> float:
-    """Validate a variation power: a finite float > 0."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive and finite, got {k}")
+    """Validate a variation power: a float in (0, K_MAX]."""
+    if not 0.0 < k <= K_MAX:  # also rejects NaN
+        raise ValueError(f"k must be positive and finite, at most {K_MAX}, got {k}")
     return float(k)
 
 
@@ -245,7 +248,8 @@ def s_n(y: np.ndarray, k: float, f: VariationFilter) -> float:
     """Empirical k-variation: mean of |filtered windows|^k."""
     k = k_value(k)
     v = filtered_series(y, f)
-    return float(np.mean(np.abs(v) ** k))
+    with np.errstate(over="ignore"):  # an overflowing S is inf, which estimate_h refuses
+        return float(np.mean(np.abs(v) ** k))
 
 
 def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[float], float]:
@@ -261,7 +265,12 @@ def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[floa
         p0 = float(_pi_lags(t, table)[0])
         if p0 <= 0.0:
             raise ValueError(f"pi_t(0) = {p0} <= 0: invalid filter")
-        return spacing ** (t * k) * p0 ** (k / 2.0) * ek
+        try:
+            return spacing ** (t * k) * p0 ** (k / 2.0) * ek
+        except OverflowError:
+            raise EstimationRangeError(
+                f"scale function overflows a double at t={t}, spacing {spacing}, k={k}"
+            ) from None
 
     return g
 
@@ -345,7 +354,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
             f"scale function is not decreasing over [{HURST_MIN}, {HURST_MAX}] "
             f"at spacing {spacing}; cannot invert"
         )
-    if not g_hi <= s_obs <= g_lo:
+    if not (g_hi <= s_obs <= g_lo and math.isfinite(s_obs)):
         raise EstimationRangeError(
             f"k-variation {s_obs:.6g} outside the invertible range "
             f"[{g_hi:.6g}, {g_lo:.6g}]; series is inconsistent with fBm scaling"

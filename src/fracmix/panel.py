@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError, HurstRangeError
+from .errors import GridError, HurstRangeError, NonFiniteError
 from .fbm import exact_paths, fast_paths
 from .gram import GramMatrix, SamplingGrid, check_grid, cholesky_factor, hurst_value
 from .rng import RngStream, as_generator
@@ -57,7 +57,7 @@ class Panel:
         if y.shape[0] < 1:
             raise ValueError("panel needs at least one subject")
         if not np.all(np.isfinite(y)):
-            raise ValueError("panel observations must be finite")
+            raise NonFiniteError("panel observations must be finite")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
         if self.true_effects is not None:

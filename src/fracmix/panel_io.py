@@ -143,8 +143,8 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-# ExperimentConfig field -> parser; a key the file omits takes the field's default
-_KEYS = {
+# ExperimentConfig field -> parser, in manifest order; an omitted key takes its default
+CONFIG_KEYS = {
     "h_list": _floats,
     "subjects_list": _ints,
     "n_obs_list": _ints,
@@ -184,13 +184,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         values = parse_config_text(fh.read())
     for key in values:
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(_KEYS)}")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(CONFIG_KEYS)}")
     for f in dataclasses.fields(ExperimentConfig):  # required: no default of either kind
         if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing required config key {f.name!r}")
     fields = {}
-    for key, parse in _KEYS.items():
+    for key, parse in CONFIG_KEYS.items():
         if key in values:
             try:
                 fields[key] = parse(values[key])

@@ -104,6 +104,18 @@ def test_simulate_overflowing_panel_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_rejects_seed_past_64_bits(tmp_path):
+    out = tmp_path / "x.csv"
+    res = run_cli(
+        "simulate", "--hurst", "0.5", "--subjects", "2", "--n-obs", "4",
+        "--horizon", "5", "--mu", "0", "--sigma2", "1", "--seed", str(2**64),
+        "--out", str(out),
+    )
+    assert res.returncode == 2, res.stderr
+    assert "--seed" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_simulate_is_seed_deterministic(tmp_path):
     a, _ = simulate(tmp_path, name="a.csv")
     b, _ = simulate(tmp_path, name="b.csv")

@@ -8,6 +8,7 @@ from fracmix import (
     EffectsLaw,
     EstimationRangeError,
     ExperimentConfig,
+    NonFiniteError,
     RngStream,
     SamplingGrid,
     SeriesLengthError,
@@ -80,11 +81,15 @@ def test_reproducible_across_runs():
 def test_replication_order_does_not_matter():
     # replications address disjoint streams, so any execution order
     # reproduces the same aggregates
-    cfg = small_config(replications=6)
+    cfg = small_config(replications=6, estimate_hurst=True)
     gm = build_gram(SamplingGrid.uniform(4, cfg.horizon), 0.5)
     forward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in range(6)]
     backward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in reversed(range(6))]
-    assert forward == backward[::-1]
+    xi, h_hats = (np.array(v) for v in zip(*forward))
+    xi_back, h_back = (np.array(v) for v in zip(*backward[::-1]))
+    assert xi.shape == (6, 10)
+    assert xi.tobytes() == xi_back.tobytes()
+    assert np.array_equal(h_hats, h_back, equal_nan=True)
 
 
 def test_cell_enumeration_matches_stream_layout():
@@ -257,6 +262,36 @@ def test_config_validation():
         small_config(replications=0)
     with pytest.raises(ValueError):
         small_config(h_list=())
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_base_seed_outside_64_bits(tmp_path, capsys, seed):
+    # on construction, naming the key, not inside the first replication
+    with pytest.raises(ValueError, match="base_seed"):
+        small_config(base_seed=seed)
+    path = tmp_path / "c.cfg"
+    path.write_text(
+        "h_list = 0.5\nsubjects_list = 10\nn_obs_list = 4\nhorizon = 5.0\nmu0 = -2.0\n"
+        f"sigma20 = 1.0\nreplications = 5\nbase_seed = {seed}\n"
+    )
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "base_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", [dict(mu0=1e308), dict(sigma20=1e308)], ids=["mu0", "sigma20"])
+def test_overflowing_cell_raises_named_error(law):
+    # an overflowing panel or variance names the cell instead of
+    # writing inf into the tables
+    with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\)"):
+        run_experiment(small_config(horizon=1.0, replications=2, **law))
+
+
+@pytest.mark.parametrize("mean", [2.0**64, -(2.0**64), np.finfo(float).max])
+def test_histogram_edges_distinct_at_every_mean(mean):
+    hist = make_histogram(np.array([mean]))  # one replication: zero spread
+    assert np.isfinite(hist.edges).all()
+    assert np.all(np.diff(hist.edges) > 0.0)
+    assert hist.counts.sum() == 1
 
 
 def test_config_rejects_unknown_sampler():

@@ -190,6 +190,18 @@ def test_hurst_conditioning_guard():
         build_gram(GRID4, 0.995)
 
 
+@pytest.mark.parametrize("horizon,h", [(1e-310, 0.5), (1e-200, 0.15), (1e300, 0.01), (1e308, 0.5)])
+def test_grid_past_the_double_range_fails_loudly(horizon, h):
+    # the weights overflow near the subnormal range, q underflows to 0 or
+    # step^(2-2H) overflows, or V itself overflows: a FactorizationError
+    # on both backends, and no numpy warning
+    grid = SamplingGrid.uniform(16, horizon)
+    with pytest.raises(FactorizationError):
+        build_gram(grid, h).factor
+    with pytest.raises(FactorizationError):
+        build_gram(SamplingGrid(grid.times * (1.0 + 1e-3 * np.arange(16) ** 2)), h)
+
+
 def test_near_duplicate_times_fail_loudly():
     # near-duplicate rows at high H make the matrix numerically indefinite;
     # the failure surfaces instead of being patched with jitter

@@ -23,6 +23,7 @@ from fracmix import hurst
 from fracmix.fbm import fast_paths
 from fracmix.gram import hurst_value
 from fracmix.hurst import (
+    K_MAX,
     _ROOT_XTOL,
     _SERIES_POWERS,
     _lag_table,
@@ -31,6 +32,7 @@ from fracmix.hurst import (
     _scale_curve,
     as_filter,
     filtered_series,
+    k_value,
     moment_sums,
 )
 
@@ -157,6 +159,30 @@ def test_variation_power_must_be_positive_and_finite(k):
         s_n(y, k, DIFF2)
     with pytest.raises(ValueError, match="k must be positive and finite"):
         asym_variance_a(0.5, k, DIFF2)
+
+
+def test_variation_power_bound_is_where_e_k_overflows():
+    # every k with a finite E|Z|^k is accepted, bit for bit; past it, no
+    # estimate could exist and k_value names the bound
+    assert math.isfinite(e_k(K_MAX))
+    assert k_value(K_MAX) == K_MAX
+    above = math.nextafter(K_MAX, math.inf)
+    with pytest.raises(ValueError, match=f"at most {K_MAX}"):
+        k_value(above)
+    with np.errstate(over="ignore"):  # e_k's own formula, past the check
+        assert 2.0 ** (above / 2.0) * hurst.gamma_fn((above + 1.0) / 2.0) == math.inf
+
+
+@pytest.mark.parametrize(
+    "spacing,scale,k", [(1e160, 1.0, 2.0), (1e160, 1.0, 150.0), (0.01, 100.0, 300.0)]
+)
+def test_overflow_in_the_estimator_is_a_refusal(spacing, scale, k):
+    # spacing^(t k) past the double range (a coarse grid), or |v|^k and
+    # g(HURST_MIN) both infinite (a wild series): refused, with no
+    # OverflowError, NaN root or numpy warning
+    y = scale * np.random.default_rng(0).standard_normal(64)
+    with pytest.raises(EstimationRangeError):
+        estimate_h(y, 64 * spacing, k)
 
 
 # --------------------------------------------------------------------- s_n
