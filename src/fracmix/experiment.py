@@ -118,15 +118,17 @@ def make_histogram(samples: np.ndarray) -> Histogram:
     """30-bin frequency histogram over mean +/- 4 empirical stds.
 
     Values beyond the range (rare tail draws) are clipped into the edge
-    bins so counts always sum to the number of samples.  A zero std
-    gives mean +/- max(0.5, 60 ulps), kept inside the double range, so
-    the edges stay distinct and finite at every finite mean.
+    bins so counts always sum to the number of samples.  A half-width
+    below 60 ulps of the mean is widened to that, and a zero std gives
+    mean +/- max(0.5, 60 ulps), kept inside the double range, so the
+    edges stay distinct and finite at every finite mean.
     """
     samples = np.asarray(samples, dtype=float)
     mean, std = summarize_empirical(samples)
     half = HISTOGRAM_HALF_WIDTHS * std
-    if half <= 0.0:
-        half = max(0.5, 2 * HISTOGRAM_BINS * math.ulp(mean))
+    floor = 2 * HISTOGRAM_BINS * math.ulp(mean)
+    if half < floor:
+        half = floor if half > 0.0 else max(0.5, floor)
         mean = min(max(mean, half - _DOUBLE_MAX), _DOUBLE_MAX - half)
     edges = np.linspace(mean - half, mean + half, HISTOGRAM_BINS + 1)
     clipped = np.clip(samples, edges[0], edges[-1])
@@ -142,7 +144,7 @@ def _replicate_with_gram(
     refused or not asked for."""
     stream = RngStream(cfg.base_seed, cell_index * cfg.replications + rep)
     law = EffectsLaw(cfg.mu0, cfg.sigma20)
-    panel = simulate_panel(n_subjects, gram.grid, gram.h, law, stream, noise=cfg.sampler, gram=gram)
+    panel = simulate_panel(n_subjects, gram.grid, gram.h, law, stream, noise=cfg.sampler)
     h_hat = float("nan")
     if cfg.estimate_hurst:
         try:
@@ -167,7 +169,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
 
 def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
     grid = SamplingGrid.uniform(n_obs, cfg.horizon)
-    gram = build_gram(grid, h)  # one per cell; the exact sampler factors it once
+    gram = build_gram(grid, h)  # one per cell, as is the exact sampler's factor of V
     reps = range(cfg.replications)
     reads = [_replicate_with_gram(cfg, cell_index, gram, n_subjects, rep) for rep in reps]
     xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates

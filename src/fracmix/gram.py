@@ -22,9 +22,9 @@ the grid; V is never inverted.
 * Other grids: V is formed and factored as V = L L' (Cholesky); c and q
   come from two triangular solves, and y'V^{-1}y from one.
 
-Either way ``GramMatrix.factor`` is the Cholesky factor L that the exact
-sampler draws with; on uniform grids it is made on first use.  A sampler
-without a Gram matrix at hand takes L alone from ``cholesky_factor``.
+The exact sampler reads V only as its Cholesky factor L, which
+``cholesky_factor`` alone makes, keeping the factor of the last (grid, H)
+it was asked for; the Cholesky backend takes its L from there too.
 
 [1] Levinson, N., J. Math. Phys. 25 (1947) 261-278.
 [2] Durbin, J., Rev. Int. Statist. Inst. 28 (1960) 233-244.
@@ -34,6 +34,7 @@ without a Gram matrix at hand takes L alone from ``cholesky_factor``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -104,9 +105,7 @@ class GramMatrix:
 
     ``weights`` holds the read-only GLS weights c = V^{-1}u / q (xi = Y @ c,
     u @ c = 1), ``quad_uu`` q = u'V^{-1}u and ``log_det`` log det V;
-    ``quad_yy`` gives y'V^{-1}y per row.  ``factor`` is the lower Cholesky
-    factor L of V, built with the matrix on non-uniform grids and on first
-    use on uniform ones.
+    ``quad_yy`` gives y'V^{-1}y per row.
     """
 
     grid: SamplingGrid
@@ -117,26 +116,21 @@ class GramMatrix:
     _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
     _inv_column: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def factor(self) -> np.ndarray:
-        """Read-only lower Cholesky factor L of V, L L' = V.
-
-        Raises ``FactorizationError`` when V is numerically indefinite;
-        on uniform grids that shows on first use, not in ``build_gram``.
-        """
-        if self._factor is None:
-            object.__setattr__(self, "_factor", cholesky_factor(self.grid, self.h))
-        return self._factor
-
     def quad_yy(self, y: np.ndarray) -> np.ndarray:
-        """y'V^{-1}y for each row of the (count, n) array y."""
+        """y'V^{-1}y for each row of the (count, n) array y.  Raises
+        ``FactorizationError`` when spacing^{-2H} overflows a double."""
         x = self._inv_column
         if x is None:
-            return np.sum(solve_triangular(self.factor, y.T, lower=True) ** 2, axis=0)
+            return np.sum(solve_triangular(self._factor, y.T, lower=True) ** 2, axis=0)
         # ||L'e|| = ||L J e|| for lower triangular Toeplitz L, J the reversal
         p1, p2 = _gs_factors(x, np.diff(y, axis=1, prepend=0.0)[:, ::-1])
         quad = np.sum(p1 * p1, axis=1) - np.sum(p2 * p2, axis=1)
-        return quad / x[0] * (self.grid.horizon / len(self.grid)) ** (-2.0 * self.h)
+        step = np.float64(self.grid.horizon / len(self.grid))
+        with np.errstate(over="ignore"):  # checked below
+            scale = step ** (-2.0 * self.h)
+        if not np.isfinite(scale):
+            raise FactorizationError(f"spacing {step}**(-2H) overflows a double (H={self.h})")
+        return quad / x[0] * scale
 
 
 def fbm_covariance(grid: SamplingGrid, h: float) -> np.ndarray:
@@ -206,11 +200,16 @@ def _gram_hurst(h: float) -> float:
 def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
     """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V.
 
-    The same factor as ``build_gram(grid, h).factor``, without the GLS
-    weights, q and log det that only the estimators read.  Raises as
-    ``build_gram`` does.
+    The factor of the last (grid times, H) asked for is kept, so every
+    replication on one grid shares one factorization; a failure is not
+    kept and raises again.  Raises as ``build_gram`` does.
     """
-    hv = _gram_hurst(h)
+    return _cholesky(grid.times.tobytes(), _gram_hurst(h))
+
+
+@lru_cache(maxsize=1)
+def _cholesky(times: bytes, hv: float) -> np.ndarray:
+    grid = SamplingGrid(np.frombuffer(times))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             L = cholesky(fbm_covariance(grid, hv), lower=True)

@@ -93,9 +93,10 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_result(document: dict, indent: int = 2) -> str:
-    """Serialize a result document, all reals at 17 significant digits;
-    a non-finite real becomes ``null``, as JSON has no NaN or infinity."""
+def dumps_result(document: dict) -> str:
+    """Serialize a result document, two spaces per nesting level, all
+    reals at 17 significant digits; a non-finite real becomes ``null``,
+    as JSON has no NaN or infinity."""
 
     def render(obj, depth):
         if isinstance(obj, (np.ndarray, np.generic)):
@@ -115,8 +116,8 @@ def dumps_result(document: dict, indent: int = 2) -> str:
             raise TypeError(f"cannot serialize {type(obj)!r}")
         if not items:
             return brackets
-        pad = " " * (indent * depth)
-        body = ",\n".join(pad + " " * indent + item for item in items)
+        pad = "  " * depth
+        body = ",\n".join(f"{pad}  {item}" for item in items)
         return f"{brackets[0]}\n{body}\n{pad}{brackets[1]}"
 
     return render(document, 0) + "\n"

@@ -19,10 +19,6 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 52
 
 
-def _x_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    return list(np.linspace(lo, hi, count))
-
-
 def _y_ticks(top: float) -> list[int]:
     if top <= 5:
         return list(range(0, int(top) + 1))
@@ -30,7 +26,7 @@ def _y_ticks(top: float) -> list[int]:
     return list(range(0, int(top) + step, step))
 
 
-def histogram_svg(edges, counts, title: str, xlabel: str, ylabel: str = "frequency") -> str:
+def histogram_svg(edges, counts, title: str, xlabel: str) -> str:
     edges = np.asarray(edges, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if edges.size != counts.size + 1:
@@ -75,7 +71,7 @@ def histogram_svg(edges, counts, title: str, xlabel: str, ylabel: str = "frequen
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
         f'y2="{x_axis_y}" stroke="black"/>'
     )
-    for tick in _x_ticks(lo, hi):
+    for tick in np.linspace(lo, hi, 5):
         x = px(tick)
         parts.append(f'<line x1="{x:.2f}" y1="{x_axis_y}" x2="{x:.2f}" y2="{x_axis_y + 5}" stroke="black"/>')
         parts.append(
@@ -96,7 +92,7 @@ def histogram_svg(edges, counts, title: str, xlabel: str, ylabel: str = "frequen
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">frequency</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -34,7 +34,7 @@ from fracmix import (
     simulate_panel,
 )
 from fracmix.fbm import exact_paths, fast_paths
-from fracmix.gram import fbm_covariance
+from fracmix.gram import cholesky_factor, fbm_covariance
 
 DIFF2 = as_filter("diff2")
 
@@ -97,7 +97,7 @@ def test_criterion_3_sigma2_bias_law():
     q = gram.quad_uu
     s2 = np.empty(reps)
     for r in range(reps):
-        panel = simulate_panel(n_subjects, grid, h, law, RngStream(77, r), gram=gram)
+        panel = simulate_panel(n_subjects, grid, h, law, RngStream(77, r))
         s2[r] = estimate_effects(panel, gram).sigma2_hat
     m = exact_moments(1.0, n_subjects, q)
     predicted = (n_subjects - 1) / n_subjects - 1.0 / (n_subjects * q)
@@ -200,7 +200,7 @@ def test_criterion_7_sampler_equivalence(h):
     n, draws = 256, 10_000
     grid = SamplingGrid.uniform(n, 5.0)
     gram = build_gram(grid, h)
-    a = exact_paths(gram.factor, RngStream(121, 0), draws)[:, -1]
+    a = exact_paths(cholesky_factor(gram.grid, gram.h), RngStream(121, 0), draws)[:, -1]
     b = fast_paths(n, 5.0, h, RngStream(121, 1), draws)[:, -1]
     p = ks_2samp(a, b).pvalue
     ok = p > 0.01
@@ -227,7 +227,7 @@ def test_criterion_8_likelihood_oracle():
     worst = 0.0
     for h, mu, s2 in [(0.5, 0.0, 1.0), (0.85, -2.0, 1.0), (0.15, 1.5, 0.25)]:
         gram = build_gram(grid, h)
-        panel = simulate_panel(3, grid, h, EffectsLaw(mu, s2), RngStream(131), gram=gram)
+        panel = simulate_panel(3, grid, h, EffectsLaw(mu, s2), RngStream(131))
         closed = log_marginal_likelihood(panel, gram, EffectsLaw(mu, s2))
         oracle = _quadrature_loglik(panel, gram, mu, s2)
         worst = max(worst, abs(closed - oracle))
@@ -242,7 +242,7 @@ def test_criterion_9_interval_coverage():
     law = EffectsLaw(-2.0, 1.0)
     hits = 0
     for r in range(reps):
-        panel = simulate_panel(500, grid, 0.5, law, RngStream(141, r), gram=gram)
+        panel = simulate_panel(500, grid, 0.5, law, RngStream(141, r))
         (lo, hi), _ = confidence_intervals(estimate_effects(panel, gram), level)
         hits += lo <= -2.0 <= hi
     coverage = hits / reps

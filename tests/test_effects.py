@@ -201,7 +201,7 @@ def _replicate(h, n, n_subjects, reps, seed, horizon=5.0):
     mus = np.empty(reps)
     s2s = np.empty(reps)
     for r in range(reps):
-        p = simulate_panel(n_subjects, grid, h, law, RngStream(seed, r), gram=gm)
+        p = simulate_panel(n_subjects, grid, h, law, RngStream(seed, r))
         xi = xi_values(p, gm)
         mus[r] = estimate_mu(xi)
         s2s[r] = estimate_sigma2(xi, gm.quad_uu)
@@ -249,7 +249,7 @@ def test_interval_width_formula():
     est_level = 0.95
     grid = SamplingGrid.uniform(4, 5.0)
     gm = build_gram(grid, 0.5)
-    p = simulate_panel(500, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(51), gram=gm)
+    p = simulate_panel(500, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(51))
     est = estimate_effects(p, gm)
     (lo, hi), (lo2, hi2) = confidence_intervals(est, est_level)
     z = norm.ppf(0.975)
@@ -281,7 +281,7 @@ def test_interval_quantile_is_normal_ppf_bitwise(level):
 def test_interval_level_to_zero_collapses():
     grid = SamplingGrid.uniform(4, 5.0)
     gm = build_gram(grid, 0.5)
-    p = simulate_panel(10, grid, 0.5, EffectsLaw(0.0, 1.0), RngStream(52), gram=gm)
+    p = simulate_panel(10, grid, 0.5, EffectsLaw(0.0, 1.0), RngStream(52))
     est = estimate_effects(p, gm)
     (lo, hi), (lo2, hi2) = confidence_intervals(est, 1e-12)
     assert hi - lo < 1e-10
@@ -297,7 +297,7 @@ def test_interval_coverage():
     law = EffectsLaw(-2.0, 1.0)
     hits = 0
     for r in range(reps):
-        p = simulate_panel(500, grid, 0.5, law, RngStream(53, r), gram=gm)
+        p = simulate_panel(500, grid, 0.5, law, RngStream(53, r))
         est = estimate_effects(p, gm)
         (lo, hi), _ = confidence_intervals(est, level)
         hits += lo <= -2.0 <= hi
@@ -332,7 +332,7 @@ def test_likelihood_single_point_marginal():
 @pytest.mark.parametrize("h,mu,s2", [(0.5, 0.0, 1.0), (0.85, -2.0, 1.0), (0.15, 1.5, 0.25)])
 def test_likelihood_matches_quadrature(h, mu, s2):
     gm = build_gram(GRID4, h)
-    p = simulate_panel(3, GRID4, h, EffectsLaw(mu, s2), RngStream(61), gram=gm)
+    p = simulate_panel(3, GRID4, h, EffectsLaw(mu, s2), RngStream(61))
     got = log_marginal_likelihood(p, gm, EffectsLaw(mu, s2))
     want = quadrature_log_likelihood(p, gm, mu, s2)
     assert got == pytest.approx(want, abs=1e-6)
@@ -342,14 +342,14 @@ def test_likelihood_matches_quadrature_on_non_uniform_grid():
     # non-uniform grids read Y'V^{-1}Y through the Cholesky factor
     grid = SamplingGrid((1.0, 1.2, 4.0, 4.5))
     gm = build_gram(grid, 0.7)
-    p = simulate_panel(3, grid, 0.7, EffectsLaw(-1.0, 0.5), RngStream(64), gram=gm)
+    p = simulate_panel(3, grid, 0.7, EffectsLaw(-1.0, 0.5), RngStream(64))
     got = log_marginal_likelihood(p, gm, EffectsLaw(-1.0, 0.5))
     assert got == pytest.approx(quadrature_log_likelihood(p, gm, -1.0, 0.5), abs=1e-6)
 
 
 def test_likelihood_argmax_in_mu_is_mu_hat():
     gm = build_gram(GRID4, 0.85)
-    p = simulate_panel(40, GRID4, 0.85, EffectsLaw(-2.0, 1.0), RngStream(62), gram=gm)
+    p = simulate_panel(40, GRID4, 0.85, EffectsLaw(-2.0, 1.0), RngStream(62))
     mu_hat = estimate_effects(p, gm).mu_hat
     center = log_marginal_likelihood(p, gm, EffectsLaw(mu_hat, 1.0))
     for step in (1e-4, 1e-2, 0.5):
@@ -362,7 +362,7 @@ def test_likelihood_argmax_in_mu_is_mu_hat():
 def test_likelihood_at_zero_sigma2_is_dense_density(grid):
     # with phi_i = mu for every subject, Y^i - mu u ~ N(0, V) independently
     mu, gm = -1.0, build_gram(grid, 0.7)
-    p = simulate_panel(3, grid, 0.7, EffectsLaw(mu, 0.5), RngStream(63), gram=gm)
+    p = simulate_panel(3, grid, 0.7, EffectsLaw(mu, 0.5), RngStream(63))
     got = log_marginal_likelihood(p, gm, EffectsLaw(mu, 0.0))
     dense = multivariate_normal(np.zeros(len(grid)), fbm_covariance(grid, 0.7))
     want = float(np.sum(dense.logpdf(p.y - mu * grid.times)))
@@ -379,7 +379,7 @@ def test_mu_tilde_noise_free():
 def test_mu_tilde_equals_mu_hat_for_brownian():
     grid = SamplingGrid.uniform(16, 5.0)
     gm = build_gram(grid, 0.5)
-    p = simulate_panel(50, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(72), gram=gm)
+    p = simulate_panel(50, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(72))
     assert continuous_mu_tilde(p) == pytest.approx(estimate_effects(p, gm).mu_hat, abs=1e-10)
 
 
@@ -393,7 +393,7 @@ def test_mu_tilde_single_subject():
 def test_estimate_effects_fields_consistent():
     grid = SamplingGrid.uniform(8, 5.0)
     gm = build_gram(grid, 0.7)
-    p = simulate_panel(100, grid, 0.7, EffectsLaw(-2.0, 1.0), RngStream(73), gram=gm)
+    p = simulate_panel(100, grid, 0.7, EffectsLaw(-2.0, 1.0), RngStream(73))
     est = estimate_effects(p, gm)
     xi = xi_values(p, gm)
     assert est.mu_hat == estimate_mu(xi)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_single_replication_single_subject():
     (cell,) = run_experiment(cfg)
     grid = SamplingGrid.uniform(4, 5.0)
     gm = build_gram(grid, 0.5)
-    p = simulate_panel(1, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(123, 0), gram=gm)
+    p = simulate_panel(1, grid, 0.5, EffectsLaw(-2.0, 1.0), RngStream(123, 0))
     assert cell.mean_mu_hat == estimate_mu(xi_values(p, gm))
     assert cell.emp_std_mu == 0.0
     assert np.isnan(cell.mean_sigma2_hat)  # variance undefined for N = 1
@@ -148,7 +149,7 @@ def test_hurst_refusals_are_counted_not_fatal():
         refused = 0
         for rep in range(cfg.replications):
             stream = RngStream(cfg.base_seed, idx * cfg.replications + rep)
-            panel = simulate_panel(n_sub, gm.grid, h, law, stream, gram=gm)
+            panel = simulate_panel(n_sub, gm.grid, h, law, stream)
             try:
                 estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter)
             except EstimationRangeError:
@@ -292,6 +293,16 @@ def test_histogram_edges_distinct_at_every_mean(mean):
     assert np.isfinite(hist.edges).all()
     assert np.all(np.diff(hist.edges) > 0.0)
     assert hist.counts.sum() == 1
+
+
+@pytest.mark.parametrize("mean", [2.0**64, -(2.0**100)])
+def test_histogram_edges_distinct_below_the_mean_resolution(mean):
+    # a spread of one ulp: 4 stds are below the 60-ulp zero-spread floor
+    x = np.array([mean, mean + math.ulp(mean)])
+    hist = make_histogram(x)
+    assert np.isfinite(hist.edges).all()
+    assert np.unique(hist.edges).size == 31
+    assert hist.counts.sum() == 2
 
 
 def test_config_rejects_unknown_sampler():

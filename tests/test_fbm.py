@@ -41,7 +41,7 @@ def test_rng_stream_validation():
 def test_exact_single_point_is_standard_normal():
     grid = SamplingGrid((1.0,))
     gm = build_gram(grid, 0.85)  # t1 = 1 so variance is 1 for any H
-    draws = exact_paths(gm.factor, RngStream(0), 10_000)[:, 0]
+    draws = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(0), 10_000)[:, 0]
     assert abs(draws.mean()) < 0.03
     assert draws.var() == pytest.approx(1.0, rel=0.05)
 
@@ -50,7 +50,7 @@ def test_exact_brownian_increments():
     n, T = 8, 2.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, 0.5)
-    paths = exact_paths(gm.factor, RngStream(1), 10_000)
+    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(1), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     dt = T / n
     assert np.allclose(inc.var(axis=0), dt, rtol=0.05)
@@ -62,9 +62,8 @@ def test_exact_brownian_increments():
 @pytest.mark.parametrize("method", ["exact", "fast"])
 def test_exact_covariance_matches_gram(method):
     grid = SamplingGrid.uniform(8, 1.0)
-    gm = build_gram(grid, 0.85)
     # an odd count leaves the fast sampler's last pair half used
-    paths = simulate_panel(20_001, grid, 0.85, PURE, RngStream(2), noise=method, gram=gm).y
+    paths = simulate_panel(20_001, grid, 0.85, PURE, RngStream(2), noise=method).y
     assert paths.shape == (20_001, 8)
     emp = np.cov(paths.T, bias=True)
     V = fbm_covariance(grid, 0.85)
@@ -89,7 +88,7 @@ def test_fast_matches_exact_at_endpoint(h):
     n, T = 256, 5.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, h)
-    a = exact_paths(gm.factor, RngStream(10, 0), 10_000)[:, -1]
+    a = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(10, 0), 10_000)[:, -1]
     b = fast_paths(n, T, h, RngStream(10, 1), 10_000)[:, -1]
     assert ks_2samp(a, b).pvalue > 0.01
 
@@ -104,7 +103,7 @@ def test_stationary_increments():
     h = 0.85
     grid = SamplingGrid.uniform(16, 2.0)
     gm = build_gram(grid, h)
-    paths = exact_paths(gm.factor, RngStream(6), 20_000)
+    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(6), 20_000)
     t = grid.times
     for i, j in [(0, 3), (2, 9), (5, 15), (10, 14)]:
         emp = (paths[:, j] - paths[:, i]).var()
@@ -162,34 +161,20 @@ def test_fbm_path_container():
         simulate_panel(1, grid, 0.6, PURE, RngStream(9), noise="bogus")
 
 
-def test_prebuilt_gram_grid_must_match():
-    gm = build_gram(SamplingGrid.uniform(4, 1.0), 0.5)
-    with pytest.raises(GridError):
-        simulate_panel(1, SamplingGrid.uniform(4, 2.0), 0.5, PURE, RngStream(0), gram=gm)
-
-
-def test_prebuilt_gram_hurst_must_match():
-    # a Gram matrix at another H would silently draw at its own H
-    grid = SamplingGrid.uniform(8, 1.0)
-    gm = build_gram(grid, 0.9)
-    with pytest.raises(HurstRangeError, match=r"H=0\.9.*H=0\.1"):
-        simulate_panel(2, grid, 0.1, PURE, RngStream(0), gram=gm)
-    with pytest.raises(HurstRangeError):
-        simulate_panel(2, grid, 0.1, PURE, RngStream(0), noise="fast", gram=gm)
-
-
 def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):
     # the sampler reads only the Cholesky factor, so the Toeplitz pieces
     # that build_gram makes on a uniform grid must not run
     grid, law = SamplingGrid.uniform(64, 5.0), EffectsLaw(-2.0, 1.0)
-    want = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), gram=build_gram(grid, 0.85))
 
     def refuse(*args, **kwargs):
         raise AssertionError("Toeplitz build ran for the exact sampler")
 
     monkeypatch.setattr("fracmix.gram.levinson", refuse)  # the only Toeplitz solve
     got = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), noise="exact")
-    assert np.array_equal(got.y, want.y)
-    assert np.array_equal(got.true_effects, want.true_effects)
+    gen = RngStream(8, 2).generator()
+    phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(6)
+    w = exact_paths(cholesky_factor(grid, 0.85), gen, 6)
+    assert np.array_equal(got.y, phi[:, None] * grid.times[None, :] + w)
+    assert np.array_equal(got.true_effects, phi)
     with pytest.raises(HurstRangeError):
         simulate_panel(6, grid, 0.995, law, RngStream(8, 2), noise="exact")

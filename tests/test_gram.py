@@ -8,6 +8,7 @@ from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from fracmix import (
     EffectsLaw,
+    ExperimentConfig,
     FactorizationError,
     GridError,
     HurstRangeError,
@@ -17,11 +18,12 @@ from fracmix import (
     build_gram,
     estimate_effects,
     log_marginal_likelihood,
+    run_experiment,
     simulate_panel,
     xi_values,
 )
 from fracmix import gram
-from fracmix.gram import fbm_covariance, hurst_value
+from fracmix.gram import cholesky_factor, fbm_covariance, hurst_value
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
@@ -173,14 +175,15 @@ def test_factor_reconstructs_v():
         grid = SamplingGrid.uniform(32, 5.0)
         gm = build_gram(grid, h)
         V = fbm_covariance(grid, h)
-        recon = gm.factor @ gm.factor.T
+        L = cholesky_factor(gm.grid, gm.h)
+        recon = L @ L.T
         assert np.max(np.abs(recon - V)) <= 1e-10 * np.max(np.abs(V))
 
 
 @pytest.mark.parametrize("h", [0.05, 0.15, 0.35, 0.5, 0.65, 0.85, 0.95])
 def test_positive_definite_across_range(h):
     gm = build_gram(SamplingGrid.uniform(256, 5.0), h)
-    assert np.all(np.diag(gm.factor) > 0.0)
+    assert np.all(np.diag(cholesky_factor(gm.grid, gm.h)) > 0.0)
 
 
 def test_hurst_conditioning_guard():
@@ -197,7 +200,8 @@ def test_grid_past_the_double_range_fails_loudly(horizon, h):
     # on both backends, and no numpy warning
     grid = SamplingGrid.uniform(16, horizon)
     with pytest.raises(FactorizationError):
-        build_gram(grid, h).factor
+        build_gram(grid, h)
+        cholesky_factor(grid, h)
     with pytest.raises(FactorizationError):
         build_gram(SamplingGrid(grid.times * (1.0 + 1e-3 * np.arange(16) ** 2)), h)
 
@@ -208,6 +212,55 @@ def test_near_duplicate_times_fail_loudly():
     grid = SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
     with pytest.raises(FactorizationError):
         build_gram(grid, 0.99)
+
+
+def test_quad_yy_past_the_double_range_fails_loudly():
+    # q and log det stay finite at a tiny spacing, but spacing^(-2H) in
+    # y'V^{-1}y does not: a named error, not a bare OverflowError
+    grid = SamplingGrid.uniform(16, 1e-300)
+    y = np.cumsum(np.random.default_rng(5).standard_normal((2, 16)), axis=1) * 1e-297
+    gm = build_gram(grid, 0.99)
+    with pytest.raises(FactorizationError, match=r"spacing 6\.25e-302.*H=0\.99"):
+        log_marginal_likelihood(Panel(grid=grid, y=y), gm, EffectsLaw(0.0, 1.0))
+
+
+def test_cholesky_factor_keeps_the_last_factor_only(monkeypatch):
+    factor, calls = gram.cholesky, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(gram, "cholesky", counting)
+    law = EffectsLaw(-2.0, 1.0)
+    cfg = ExperimentConfig(
+        h_list=(0.7,), subjects_list=(3,), n_obs_list=(24,), horizon=3.5,
+        mu0=-2.0, sigma20=1.0, replications=4,
+    )
+    cholesky_factor(GRID4, 0.7)  # whatever an earlier test left is evicted
+    calls.clear()
+    run_experiment(cfg)
+    assert len(calls) == 1  # V factored once per cell, not once per replication
+    grid = SamplingGrid((1.0, 1.7, 2.2, 4.0, 5.5))
+    gm = build_gram(grid, 0.7)  # the Cholesky backend
+    panel = simulate_panel(5, grid, 0.7, law, RngStream(3))
+    log_marginal_likelihood(panel, gm, law)
+    assert len(calls) == 2
+    # keyed on the times and H, not on the objects; one factor at a time
+    L = cholesky_factor(SamplingGrid(grid.times.copy()), np.float64(0.7))
+    assert len(calls) == 2 and cholesky_factor(grid, 0.7) is L
+    assert not L.flags.writeable
+    with pytest.raises(ValueError):
+        L[0, 0] = 0.0
+    cholesky_factor(GRID4, 0.7)
+    again = cholesky_factor(grid, 0.7)
+    assert len(calls) == 4 and again is not L and np.array_equal(again, L)
+    # a failure is not kept
+    bad = SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
+    for count in (5, 6):
+        with pytest.raises(FactorizationError):
+            cholesky_factor(bad, 0.99)
+        assert len(calls) == count
 
 
 # ------------------------------------------------ Toeplitz backend (uniform grids)
@@ -244,7 +297,7 @@ def assert_backends_agree(grid, h, rtol):
     assert abs(gm.log_det - log_det) <= rtol * max(1.0, abs(log_det))
     assert np.max(np.abs(gm.weights - weights)) <= rtol * np.max(np.abs(weights))
     law = EffectsLaw(-2.0, 1.0)
-    panel = simulate_panel(4, grid, h, law, RngStream(11), gram=gm)
+    panel = simulate_panel(4, grid, h, law, RngStream(11))
     got = log_marginal_likelihood(panel, gm, law)
     assert got == pytest.approx(dense_log_likelihood(panel, h, law), rel=rtol)
     return gm, L
@@ -259,7 +312,7 @@ def test_toeplitz_backend_matches_dense_reference(h, n):
     cond = np.linalg.cond(fbm_covariance(grid, h))
     gm, L = assert_backends_agree(grid, h, 128 * np.finfo(float).eps * cond)
     # the exact sampler draws with the same factor as a dense build
-    assert np.array_equal(gm.factor, L)
+    assert np.array_equal(cholesky_factor(gm.grid, gm.h), L)
 
 
 @pytest.mark.parametrize("h", [0.01, 0.15, 0.5, 0.85, 0.99])
@@ -367,7 +420,7 @@ def test_one_levinson_solve_per_uniform_build(monkeypatch):
         grid = SamplingGrid.uniform(n, 5.0)
         gm = build_gram(grid, 0.7)
         assert len(calls) == 1
-        panel = simulate_panel(5, grid, 0.7, law, RngStream(n), gram=gm)
+        panel = simulate_panel(5, grid, 0.7, law, RngStream(n))
         est = estimate_effects(panel, gm)
         want = log_marginal_likelihood(panel, gm, law)
         # y'V^{-1}y reads only the stored first column of R^{-1}
