@@ -193,8 +193,6 @@ def cmd_experiment(args) -> int:
                 f"refused in {s.hurst_refusals} of {cfg.replications} replications",
                 file=sys.stderr,
             )
-    _write_tables(out, cfg, summaries)
-    _write_histograms(out, summaries)
     manifest = {
         "base_seed": cfg.base_seed,
         "config": {
@@ -209,8 +207,13 @@ def cmd_experiment(args) -> int:
              "mean_h_hat": s.mean_h_hat, "emp_std_h": s.emp_std_h}
             for s in summaries
         ]
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_result(manifest))
+    try:
+        _write_tables(out, cfg, summaries)
+        _write_histograms(out, summaries)
+        with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write(dumps_result(manifest))
+    except OSError as exc:
+        raise _CliError(EXIT_OUTPUT, f"--out: cannot write to {out}: {exc}") from None
     print(f"wrote tables, histograms and manifest to {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -309,8 +312,4 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

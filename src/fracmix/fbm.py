@@ -1,8 +1,9 @@
 """Exact simulation of normalized fractional Brownian motion.
 
-Two samplers with identical output distribution, each returning a
-(count, n) matrix of paths whose row j holds the process at the grid
-times (the deterministic value 0 at t = 0 is not stored):
+Two samplers with identical output distribution, each drawing from a
+running ``np.random.Generator`` and returning a (count, n) matrix of
+paths whose row j holds the process at the grid times (the
+deterministic value 0 at t = 0 is not stored):
 
 * ``exact_paths`` draws the Gaussian vector with covariance V(H) as
   L z (L the Cholesky factor, z standard normal).  Works on any grid;
@@ -32,17 +33,15 @@ import numpy as np
 
 from .errors import EmbeddingError
 from .gram import fgn_autocovariance, hurst_value
-from .rng import RngStream, as_generator
 
 # An eigenvalue this far below zero (relative to the largest) means the
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
 
 
-def exact_paths(factor: np.ndarray, rng: RngStream | np.random.Generator, count: int) -> np.ndarray:
+def exact_paths(factor: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
     """(count, n) matrix of independent exact fBm paths: the rows of
     (L z)' for standard normal z, L = factor the Cholesky factor of V."""
-    gen = as_generator(rng)
     z = gen.standard_normal((factor.shape[0], count))
     return (factor @ z).T
 
@@ -70,7 +69,7 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
 
 
 def fast_paths(
-    n: int, horizon: float, h: float, rng: RngStream | np.random.Generator, count: int
+    n: int, horizon: float, h: float, gen: np.random.Generator, count: int
 ) -> np.ndarray:
     """(count, n) matrix of fBm paths on the uniform grid j*horizon/n.
 
@@ -79,7 +78,6 @@ def fast_paths(
     each transform serves two paths.
     """
     hv = hurst_value(h)
-    gen = as_generator(rng)
     lam = fgn_spectrum(n, hv)
     m, pairs = lam.size, (count + 1) // 2
     z = gen.standard_normal((pairs, m)) + 1j * gen.standard_normal((pairs, m))

@@ -94,9 +94,6 @@ class VariationFilter:
     coeffs: np.ndarray
     order: int
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
     @property
     def length(self) -> int:
         """l, the largest tap index."""
@@ -239,7 +236,7 @@ def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:
         raise ValueError("series must be 1-D")
     n = y.size
     if n <= f.length:
-        raise SeriesLengthError(f"series of length {n} too short for a filter with {len(f)} taps")
+        raise SeriesLengthError(f"series of length {n} too short for a filter with {f.length + 1} taps")
     extended = np.concatenate([[0.0], y])
     return np.convolve(extended, f.coeffs)[f.length : n]
 
@@ -327,7 +324,7 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     return float(total)
 
 
-def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEstimate:
+def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> HurstEstimate:
     """Estimate H from one trajectory observed at t_j = j*horizon/n.
 
     Computes the k-variation S and solves g(t) = S for t (``_scale_curve``)
@@ -341,7 +338,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f=None) -> HurstEs
     range (for example for a drift-only series with S = 0) and
     ``SeriesLengthError`` when the series has no complete filter window.
     """
-    f = as_filter("diff2" if f is None else f)
+    f = as_filter(f)
     y = np.asarray(y, dtype=float)
     n = y.size
     spacing = float(horizon) / n

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GridError, NonFiniteError
 from .fbm import exact_paths, fast_paths
 from .gram import SamplingGrid, cholesky_factor, hurst_value
-from .rng import RngStream, as_generator
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def simulate_panel(
     grid: SamplingGrid,
     h: float,
     law: EffectsLaw,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
     *,
     noise: str = "exact",
 ) -> Panel:
@@ -86,14 +86,16 @@ def simulate_panel(
     noise selects the fBm sampler: "exact" (any grid; draws with the
     Cholesky factor of V from ``cholesky_factor``), "fast" (uniform grids,
     circulant embedding), or "none" (zero noise, a diagnostics hook that
-    makes each row exactly phi_i * t).  Effects are drawn before the
-    noise, so the same stream yields the same phi_i regardless of the
-    noise method.
+    makes each row exactly phi_i * t).  The stream ``rng`` is opened once;
+    effects are drawn from it before the noise, so the same stream yields
+    the same phi_i regardless of the noise method.
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
     hv = hurst_value(h)
-    gen = as_generator(rng)
+    gen = rng.generator()
     phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
     if noise == "exact":
         w = exact_paths(cholesky_factor(grid, hv), gen, n_subjects)

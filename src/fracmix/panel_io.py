@@ -37,41 +37,46 @@ def write_panel_csv(path, panel: Panel) -> None:
 def read_panel_csv(path) -> Panel:
     """Parse and validate a panel file.
 
-    Raises ``PanelFormatError`` on a bad header, unsorted rows, a
-    non-finite value, or subjects whose time columns disagree.
+    Raises ``PanelFormatError`` on non-UTF-8 or malformed CSV text, a bad
+    header, unsorted rows, a non-finite value, or mismatched time columns.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PanelFormatError("empty panel file")
-        if header != PANEL_HEADER:
-            raise PanelFormatError(f"expected header {','.join(PANEL_HEADER)!r}, got {header}")
-        starts: dict[int, int] = {}  # subject -> index of its first row
-        ts, ys = [], []  # every row's t and y
-        last = -math.inf  # the previous row's subject; every int is above -inf
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise PanelFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                subject, t, y = int(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise PanelFormatError(f"line {lineno}: {exc}") from None
-            if not (math.isfinite(t) and math.isfinite(y)):
-                raise PanelFormatError(f"line {lineno}: non-finite value in {','.join(row)!r}")
-            if subject != last:
-                if subject < last:
-                    raise PanelFormatError(f"line {lineno}: rows not sorted by subject")
-                starts[subject] = len(ts)
-                last = subject
-            elif t <= ts[-1]:
-                raise PanelFormatError(
-                    f"line {lineno}: times not strictly increasing within subject {subject}"
-                )
-            ts.append(t)
-            ys.append(y)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise PanelFormatError("empty panel file")
+            if header != PANEL_HEADER:
+                raise PanelFormatError(f"expected header {','.join(PANEL_HEADER)!r}, got {header}")
+            starts: dict[int, int] = {}  # subject -> index of its first row
+            ts, ys = [], []  # every row's t and y
+            last = -math.inf  # the previous row's subject; every int is above -inf
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise PanelFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    subject, t, y = int(row[0]), float(row[1]), float(row[2])
+                except ValueError as exc:
+                    raise PanelFormatError(f"line {lineno}: {exc}") from None
+                if not (math.isfinite(t) and math.isfinite(y)):
+                    raise PanelFormatError(f"line {lineno}: non-finite value in {','.join(row)!r}")
+                if subject != last:
+                    if subject < last:
+                        raise PanelFormatError(f"line {lineno}: rows not sorted by subject")
+                    starts[subject] = len(ts)
+                    last = subject
+                elif t <= ts[-1]:
+                    raise PanelFormatError(
+                        f"line {lineno}: times not strictly increasing within subject {subject}"
+                    )
+                ts.append(t)
+                ys.append(y)
+        except UnicodeDecodeError as exc:
+            raise PanelFormatError(f"not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise PanelFormatError(f"line {reader.line_num}: {exc}") from None
     if not ts:
         raise PanelFormatError("panel file has no data rows")
     # every subject's block of rows must repeat the first: length and times
@@ -183,7 +188,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a config file into an ExperimentConfig."""
     with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: {exc}") from None
+    values = parse_config_text(text)
     for key in values:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(CONFIG_KEYS)}")

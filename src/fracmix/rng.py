@@ -4,6 +4,9 @@ Monte Carlo replications address disjoint streams by (seed, stream_id);
 a fixed pair reproduces the same draws bit-for-bit on one platform, and
 streams with different ids are statistically independent, so replications
 may run in any order (or concurrently) without changing results.
+
+``simulate_panel`` opens its stream once with ``generator()`` and hands
+the running generator to the samplers in ``fbm``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,3 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream_id),))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """Accept either a stream address or an already-running generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()

@@ -130,7 +130,7 @@ def test_criterion_4_hurst_consistency(h):
 
 def _hurst_dispersion_sample():
     n, reps = 2**14, 200
-    paths = fast_paths(n, 1.0, 0.5, RngStream(99), reps)
+    paths = fast_paths(n, 1.0, 0.5, RngStream(99).generator(), reps)
     t = np.arange(1, n + 1) / n
     gen = RngStream(100).generator()
     hs = np.empty(reps)
@@ -200,8 +200,8 @@ def test_criterion_7_sampler_equivalence(h):
     n, draws = 256, 10_000
     grid = SamplingGrid.uniform(n, 5.0)
     gram = build_gram(grid, h)
-    a = exact_paths(cholesky_factor(gram.grid, gram.h), RngStream(121, 0), draws)[:, -1]
-    b = fast_paths(n, 5.0, h, RngStream(121, 1), draws)[:, -1]
+    a = exact_paths(cholesky_factor(gram.grid, gram.h), RngStream(121, 0).generator(), draws)[:, -1]
+    b = fast_paths(n, 5.0, h, RngStream(121, 1).generator(), draws)[:, -1]
     p = ks_2samp(a, b).pvalue
     ok = p > 0.01
     assert report("7", ok, f"H={h}: endpoint KS p-value={p:.4f} (need > 0.01)")

@@ -440,6 +440,52 @@ def test_experiment_unwritable_output_exits_5(tmp_path):
     assert res.returncode == 5
 
 
+@pytest.mark.parametrize("blocked", ["table_n4.csv", "hist_0.5_5_4_mu.svg", "manifest.json"])
+def test_experiment_output_write_failure_exits_5(tmp_path, blocked):
+    # a directory where an output file goes fails that one write after
+    # the run; the --out probe passes
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "h_list = 0.5\nsubjects_list = 5\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = 0.0\nsigma20 = 1.0\nreplications = 1\n"
+    )
+    outdir = tmp_path / "out"
+    (outdir / blocked).mkdir(parents=True)
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(outdir))
+    assert res.returncode == 5
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "--out" in errors[0] and blocked in errors[0]
+    assert "wrote tables" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["hurst", "effects"])
+@pytest.mark.parametrize(
+    "tail,fragment",
+    [
+        (b"1,1.0,\xff\n", "not UTF-8 text"),
+        (b"1,1.0," + b"9" * 200_000 + b"\n", "line 6: field larger than field limit"),
+    ],
+    ids=["0xff", "long-field"],
+)
+def test_unreadable_panel_csv_exits_4(tmp_path, command, tail, fragment):
+    path, _ = simulate(tmp_path)
+    data = path.read_bytes()
+    # the header and subject 1's four rows, then the bad line 6
+    path.write_bytes(data[: data.index(b"\n2,") + 1] + tail)
+    flags = ["--hurst", "0.5"] if command == "effects" else []
+    res = run_cli(command, "--input", str(path), *flags)
+    assert res.returncode == 4
+    assert res.stderr.startswith("error: --input: ") and fragment in res.stderr
+
+
+def test_experiment_config_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_bytes(b"h_list = 0.5\n# caf\xe9\n")
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --config: not UTF-8 text")
+
+
 def test_missing_input_file_exits_2(tmp_path):
     res = run_cli("hurst", "--input", str(tmp_path / "nope.csv"))
     assert res.returncode == 2

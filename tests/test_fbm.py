@@ -21,13 +21,13 @@ PURE = EffectsLaw(0.0, 0.0)  # phi_i = 0: panel rows are the fBm paths
 def test_rng_stream_reproducible():
     grid = SamplingGrid.uniform(16, 1.0)
     factor = cholesky_factor(grid, 0.7)
-    a = exact_paths(factor, RngStream(42, 3), 1)
-    b = exact_paths(factor, RngStream(42, 3), 1)
+    a = exact_paths(factor, RngStream(42, 3).generator(), 1)
+    b = exact_paths(factor, RngStream(42, 3).generator(), 1)
     assert np.array_equal(a, b)
-    c = exact_paths(factor, RngStream(42, 4), 1)
+    c = exact_paths(factor, RngStream(42, 4).generator(), 1)
     assert not np.array_equal(a, c)
-    x = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
-    y = fast_paths(64, 1.0, 0.3, RngStream(7), 1)
+    x = fast_paths(64, 1.0, 0.3, RngStream(7).generator(), 1)
+    y = fast_paths(64, 1.0, 0.3, RngStream(7).generator(), 1)
     assert np.array_equal(x, y)
 
 
@@ -41,7 +41,7 @@ def test_rng_stream_validation():
 def test_exact_single_point_is_standard_normal():
     grid = SamplingGrid((1.0,))
     gm = build_gram(grid, 0.85)  # t1 = 1 so variance is 1 for any H
-    draws = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(0), 10_000)[:, 0]
+    draws = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(0).generator(), 10_000)[:, 0]
     assert abs(draws.mean()) < 0.03
     assert draws.var() == pytest.approx(1.0, rel=0.05)
 
@@ -50,7 +50,7 @@ def test_exact_brownian_increments():
     n, T = 8, 2.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, 0.5)
-    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(1), 10_000)
+    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(1).generator(), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     dt = T / n
     assert np.allclose(inc.var(axis=0), dt, rtol=0.05)
@@ -71,13 +71,13 @@ def test_exact_covariance_matches_gram(method):
 
 
 def test_fast_single_point():
-    draws = fast_paths(1, 3.0, 0.7, RngStream(3), 20_000)[:, 0]
+    draws = fast_paths(1, 3.0, 0.7, RngStream(3).generator(), 20_000)[:, 0]
     assert draws.var() == pytest.approx(3.0 ** (2 * 0.7), rel=0.05)
 
 
 def test_fast_brownian_increment_variance():
     n, T = 256, 1.0
-    paths = fast_paths(n, T, 0.5, RngStream(4), 10_000)
+    paths = fast_paths(n, T, 0.5, RngStream(4).generator(), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     assert np.mean(inc.var(axis=0)) == pytest.approx(T / n, rel=0.03)
 
@@ -88,14 +88,14 @@ def test_fast_matches_exact_at_endpoint(h):
     n, T = 256, 5.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, h)
-    a = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(10, 0), 10_000)[:, -1]
-    b = fast_paths(n, T, h, RngStream(10, 1), 10_000)[:, -1]
+    a = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(10, 0).generator(), 10_000)[:, -1]
+    b = fast_paths(n, T, h, RngStream(10, 1).generator(), 10_000)[:, -1]
     assert ks_2samp(a, b).pvalue > 0.01
 
 
 def test_self_similarity_endpoint_variance():
     h, T = 0.7, 5.0
-    paths = fast_paths(128, T, h, RngStream(5), 10_000)
+    paths = fast_paths(128, T, h, RngStream(5).generator(), 10_000)
     assert paths[:, -1].var() == pytest.approx(T ** (2 * h), rel=0.03)
 
 
@@ -103,7 +103,7 @@ def test_stationary_increments():
     h = 0.85
     grid = SamplingGrid.uniform(16, 2.0)
     gm = build_gram(grid, h)
-    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(6), 20_000)
+    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(6).generator(), 20_000)
     t = grid.times
     for i, j in [(0, 3), (2, 9), (5, 15), (10, 14)]:
         emp = (paths[:, j] - paths[:, i]).var()
@@ -114,7 +114,7 @@ def test_fast_paired_paths_are_uncorrelated():
     # rows i and pairs + i are the real and imaginary parts of one
     # transform; their cross-covariance must vanish
     n, pairs, h = 16, 10_000, 0.85
-    paths = fast_paths(n, 1.0, h, RngStream(12), 2 * pairs)
+    paths = fast_paths(n, 1.0, h, RngStream(12).generator(), 2 * pairs)
     re, im = paths[:pairs], paths[pairs:]
     cross = re.T @ im / pairs
     scale = np.sqrt(np.outer(re.var(axis=0), im.var(axis=0)))
@@ -140,7 +140,7 @@ def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
 
     monkeypatch.setattr(fbm_mod, "fgn_spectrum", bad_spectrum)
     with pytest.raises(EmbeddingError):
-        fast_paths(8, 1.0, 0.5, RngStream(0), 1)
+        fast_paths(8, 1.0, 0.5, RngStream(0).generator(), 1)
     grid = SamplingGrid.uniform(8, 1.0)
     with pytest.raises(EmbeddingError):
         simulate_panel(3, grid, 0.5, PURE, RngStream(0), noise="fast")
@@ -159,6 +159,24 @@ def test_fbm_path_container():
         assert simulate_panel(1, grid, 0.6, PURE, RngStream(9), noise=method).y.shape == (1, 32)
     with pytest.raises(ValueError, match="unknown sampling method"):
         simulate_panel(1, grid, 0.6, PURE, RngStream(9), noise="bogus")
+
+
+def test_simulate_panel_opens_its_stream_once(monkeypatch):
+    # effects and noise come from one generator, opened from the stream
+    # address; a running generator has no address and is refused
+    grid, opened = SamplingGrid.uniform(8, 1.0), []
+    generator = RngStream.generator
+
+    def counted(stream):
+        opened.append(stream)
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    for method in ("exact", "fast", "none"):
+        simulate_panel(2, grid, 0.5, PURE, RngStream(3), noise=method)
+    assert opened == [RngStream(3)] * 3
+    with pytest.raises(TypeError, match="RngStream"):
+        simulate_panel(2, grid, 0.5, PURE, generator(RngStream(3)))
 
 
 def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):

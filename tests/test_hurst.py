@@ -417,7 +417,7 @@ def test_variance_constant_needs_no_lag_window(t, k):
 
 # -------------------------------------------------------------- estimate_h
 def test_default_filter_is_certified_once(monkeypatch):
-    y = fast_paths(256, 5.0, 0.7, RngStream(25), 1)[0]
+    y = fast_paths(256, 5.0, 0.7, RngStream(25).generator(), 1)[0]
     explicit = estimate_h(y, 5.0, f=validate_filter((1.0, -2.0, 1.0)))
     as_filter("diff2")  # the first use certifies it
 
@@ -431,7 +431,7 @@ def test_default_filter_is_certified_once(monkeypatch):
 
 
 def test_estimator_consistent_on_brownian():
-    gen = RngStream(21)
+    gen = RngStream(21).generator()
     n, reps = 2**10, 50
     paths = fast_paths(n, 1.0, 0.5, gen, reps)
     hs = [estimate_h(p, 1.0).h_hat for p in paths]
@@ -441,7 +441,7 @@ def test_estimator_consistent_on_brownian():
 def test_estimator_ignores_added_drift():
     n = 2**10
     t = np.arange(1, n + 1) / n
-    path = fast_paths(n, 1.0, 0.7, RngStream(22), 1)[0]
+    path = fast_paths(n, 1.0, 0.7, RngStream(22).generator(), 1)[0]
     quantum = 2.0**26
     y = np.round(path * quantum) / quantum  # dyadic values: drift sums cancel exactly
     base = estimate_h(y, 1.0)
@@ -462,7 +462,7 @@ def test_estimator_ignores_added_drift_at_full_precision(h, stream, c):
     # finder's tolerance
     n = 2**10
     t = np.arange(1, n + 1) / n
-    y = fast_paths(n, 1.0, h, RngStream(24, stream), 1)[0]
+    y = fast_paths(n, 1.0, h, RngStream(24, stream).generator(), 1)[0]
     base = estimate_h(y, 1.0).h_hat
     assert abs(estimate_h(y + c * t, 1.0).h_hat - base) <= _ROOT_XTOL
 
@@ -491,7 +491,7 @@ def test_estimator_horizon_generalization():
         est = estimate_h(y0 * (want / s0) ** 0.5, T)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
     # and statistically: a T-horizon path estimates its H
-    paths = fast_paths(2**12, T, 0.85, RngStream(23), 20)
+    paths = fast_paths(2**12, T, 0.85, RngStream(23).generator(), 20)
     hs = [estimate_h(p, T).h_hat for p in paths]
     assert np.mean(hs) == pytest.approx(0.85, abs=0.02)
 
@@ -518,7 +518,7 @@ def test_estimator_series_too_short():
 
 def test_asym_std_normalization():
     n = 2**12
-    path = fast_paths(n, 1.0, 0.5, RngStream(24), 1)[0]
+    path = fast_paths(n, 1.0, 0.5, RngStream(24).generator(), 1)[0]
     est = estimate_h(path, 1.0)
     expected = math.sqrt(asym_variance_a(est.h_hat, 2.0, DIFF2)) / (
         2.0 * math.sqrt(n) * math.log(n)
