@@ -64,8 +64,8 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_USAGE, f"--sigma2 must be finite and >= 0, got {args.sigma2}")
     if not 0 <= args.seed < 2**64:
         raise _CliError(EXIT_USAGE, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
-    grid = SamplingGrid.uniform(args.n_obs, args.horizon)
     try:
+        grid = SamplingGrid.uniform(args.n_obs, args.horizon)
         panel = simulate_panel(
             args.subjects,
             grid,
@@ -189,7 +189,7 @@ def cmd_experiment(args) -> int:
     for s in summaries:
         if s.hurst_refusals:
             print(
-                f"cell (H={format(s.h, 'g')}, N={s.n_subjects}, n={s.n_obs}): H estimate "
+                f"cell (H={s.h!r}, N={s.n_subjects}, n={s.n_obs}): H estimate "
                 f"refused in {s.hurst_refusals} of {cfg.replications} replications",
                 file=sys.stderr,
             )
@@ -237,7 +237,7 @@ def _write_tables(out, cfg, summaries: list[CellSummary]) -> None:
             for s in summaries:
                 if s.n_obs == n_obs:
                     reals = [format_real(getattr(s, name)) for name in _TABLE_COLUMNS.values()]
-                    fh.write(",".join([format(s.h, "g"), str(s.n_subjects), *reals]) + "\n")
+                    fh.write(",".join([repr(s.h), str(s.n_subjects), *reals]) + "\n")
 
 
 _PARAM_LABELS = {"mu": "mu estimate", "sigma2": "sigma2 estimate", "hurst": "H estimate"}
@@ -246,8 +246,8 @@ _PARAM_LABELS = {"mu": "mu estimate", "sigma2": "sigma2 estimate", "hurst": "H e
 def _write_histograms(out, summaries: list[CellSummary]) -> None:
     for s in summaries:
         for param, hist in s.histograms.items():
-            name = f"hist_{format(s.h, 'g')}_{s.n_subjects}_{s.n_obs}_{param}.svg"
-            title = f"{_PARAM_LABELS[param]} (H={format(s.h, 'g')}, N={s.n_subjects}, n={s.n_obs})"
+            name = f"hist_{s.h!r}_{s.n_subjects}_{s.n_obs}_{param}.svg"
+            title = f"{_PARAM_LABELS[param]} (H={s.h!r}, N={s.n_subjects}, n={s.n_obs})"
             write_histogram_svg(
                 os.path.join(out, name), hist.edges, hist.counts, title, _PARAM_LABELS[param]
             )

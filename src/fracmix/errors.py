@@ -12,7 +12,7 @@ class FracmixError(Exception):
 
 
 class GridError(FracmixError, ValueError):
-    """Sampling grid violates its invariants (ordering, positivity)."""
+    """Sampling grid or panel shape violates its invariants (order, sign, size)."""
 
 
 class HurstRangeError(FracmixError, ValueError):

@@ -51,11 +51,11 @@ class ExperimentConfig:
     sampler: str = "exact"
 
     def __post_init__(self):
-        object.__setattr__(self, "h_list", tuple(float(h) for h in self.h_list))
-        object.__setattr__(self, "subjects_list", tuple(int(v) for v in self.subjects_list))
-        object.__setattr__(self, "n_obs_list", tuple(int(v) for v in self.n_obs_list))
-        if not (self.h_list and self.subjects_list and self.n_obs_list):
-            raise ValueError("h_list, subjects_list and n_obs_list must be nonempty")
+        for key, kind in (("h_list", float), ("subjects_list", int), ("n_obs_list", int)):
+            values = tuple(kind(v) for v in getattr(self, key))
+            object.__setattr__(self, key, values)
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{key} must be nonempty without repeated values, got {values}")
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         # every cell builds a Gram matrix, so H takes the Gram range
@@ -65,6 +65,8 @@ class ExperimentConfig:
             )
         if min(self.subjects_list) < 1 or min(self.n_obs_list) < 1:
             raise ValueError("subjects_list and n_obs_list values must be >= 1")
+        if self.estimate_hurst and min(self.n_obs_list) <= (last := as_filter(self.filter).length):
+            raise ValueError(f"n_obs_list values must exceed {last} to estimate H with this filter")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0 <= self.base_seed < 2**64:

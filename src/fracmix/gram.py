@@ -87,7 +87,11 @@ class SamplingGrid:
         """Grid t_j = j * horizon / n for j = 1..n."""
         if n < 1:
             raise GridError(f"need n >= 1 observations, got {n}")
-        return cls(np.arange(1, n + 1) * (float(horizon) / n))
+        try:
+            j = np.arange(1, n + 1)
+        except ValueError as exc:  # numpy cannot size n times
+            raise GridError(f"cannot hold {n} observations: {exc}") from None
+        return cls(j * (float(horizon) / n))
 
     def __len__(self) -> int:
         return self.times.size

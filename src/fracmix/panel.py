@@ -96,7 +96,11 @@ def simulate_panel(
         raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
     hv = hurst_value(h)
     gen = rng.generator()
-    phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
+    try:
+        z = gen.standard_normal(n_subjects)
+    except ValueError as exc:  # numpy cannot size n_subjects draws
+        raise GridError(f"cannot hold {n_subjects} subjects: {exc}") from None
+    phi = law.mu + np.sqrt(law.sigma2) * z
     if noise == "exact":
         w = exact_paths(cholesky_factor(grid, hv), gen, n_subjects)
     elif noise == "fast":

@@ -1,10 +1,10 @@
 """File formats: panel CSV, experiment config, 17-digit JSON.
 
 Panel CSV contract: header ``subject,t,y``, rows sorted by
-(subject, t), decimal points, UTF-8, LF line endings.  Every subject
-must carry the identical time column, and every value must be finite.
-Floats are written with ``repr`` (shortest round-trip form), so read ->
-write reproduces a conforming file byte for byte.
+(subject, t), decimal points, UTF-8 (BOM optional), LF line endings.
+Every subject must carry the identical time column, and every value
+must be finite.  Floats are written with ``repr`` (shortest round-trip
+form), so read -> write reproduces a conforming file byte for byte.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def read_panel_csv(path) -> Panel:
     Raises ``PanelFormatError`` on non-UTF-8 or malformed CSV text, a bad
     header, unsorted rows, a non-finite value, or mismatched time columns.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -51,7 +51,8 @@ def read_panel_csv(path) -> Panel:
             starts: dict[int, int] = {}  # subject -> index of its first row
             ts, ys = [], []  # every row's t and y
             last = -math.inf  # the previous row's subject; every int is above -inf
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num  # physical: a quoted field may hold a newline
                 if not row:
                     continue
                 if len(row) != 3:
@@ -187,7 +188,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a config file into an ExperimentConfig."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

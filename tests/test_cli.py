@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracmix.cli import main
+from fracmix.errors import EstimationRangeError
 
 RUN = [sys.executable, "-m", "fracmix"]
 
@@ -489,3 +490,127 @@ def test_experiment_config_not_utf8_exits_2(tmp_path):
 def test_missing_input_file_exits_2(tmp_path):
     res = run_cli("hurst", "--input", str(tmp_path / "nope.csv"))
     assert res.returncode == 2
+
+
+def test_experiment_cells_named_by_shortest_round_trip_h(tmp_path, monkeypatch):
+    # two H values equal to 6 significant digits name two cells in every output
+    def refuse(*args):
+        raise EstimationRangeError("refused")
+
+    monkeypatch.setattr("fracmix.experiment.estimate_h", refuse)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "h_list = 0.1234567, 0.1234568\nsubjects_list = 3\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 2\nestimate_hurst = true\n"
+    )
+    outdir = tmp_path / "res"
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(outdir))
+    assert res.returncode == 0, res.stderr
+    assert sorted(p.name for p in outdir.glob("hist_*.svg")) == [
+        "hist_0.1234567_3_4_mu.svg", "hist_0.1234567_3_4_sigma2.svg",
+        "hist_0.1234568_3_4_mu.svg", "hist_0.1234568_3_4_sigma2.svg",
+    ]
+    assert "(H=0.1234568, N=3, n=4)" in (outdir / "hist_0.1234568_3_4_mu.svg").read_text()
+    rows = list(csv.DictReader((outdir / "table_n4.csv").read_text().splitlines()))
+    assert [row["H"] for row in rows] == ["0.1234567", "0.1234568"]
+    assert rows[0]["mean_mu"] != rows[1]["mean_mu"]
+    assert "cell (H=0.1234568, N=3, n=4): H estimate refused in 2 of 2" in res.stderr
+
+
+def one_cell_config(tmp_path, **keys):
+    """A valid one-cell config file, ``keys`` overriding its values."""
+    base = {"h_list": "0.5", "subjects_list": "3", "n_obs_list": "4", "horizon": "5.0",
+            "mu0": "-2.0", "sigma20": "1.0", "replications": "1"}
+    path = tmp_path / "grid.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**base, **keys}.items()))
+    return path
+
+
+@pytest.mark.parametrize("key,value", [("h_list", "0.5, 0.5"), ("n_obs_list", "4, 2")])
+def test_experiment_config_fails_before_the_first_cell(tmp_path, key, value):
+    # a repeated axis value, or a series too short for the filter, exits 2 up front
+    cfg = one_cell_config(tmp_path, estimate_hurst="true", filter="diff3", **{key: value})
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"error: --config: {key}")
+    assert not (tmp_path / "o").exists()
+
+
+SIMULATE_FLAGS = ["--hurst", "0.5", "--horizon", "5", "--mu", "0", "--sigma2", "1", "--seed", "1"]
+
+
+# counts numpy refuses to size by arithmetic, before it allocates anything
+@pytest.mark.parametrize(
+    "argv,code,fragment",
+    [
+        (["simulate", "--subjects", str(2**64), "--n-obs", "4"], 3, f"{2**64} subjects"),
+        (["simulate", "--subjects", str(2**63 - 1), "--n-obs", "4"], 3, f"{2**63 - 1} subjects"),
+        (["simulate", "--subjects", "2", "--n-obs", str(2**64)], 3, f"{2**64} observations"),
+        (["experiment", "subjects_list", str(2**64)], 4, f"{2**64} subjects"),
+        (["experiment", "n_obs_list", str(2**64)], 4, f"{2**64} observations"),
+    ],
+    ids=["subjects-2**64", "subjects-2**63-1", "n-obs-2**64", "subjects_list", "n_obs_list"],
+)
+def test_unsizable_count_exits_with_one_error_line(tmp_path, argv, code, fragment):
+    if argv[0] == "simulate":
+        args = [*argv, *SIMULATE_FLAGS, "--out", str(tmp_path / "x.csv")]
+    else:
+        cfg = one_cell_config(tmp_path, **{argv[1]: argv[2]})
+        args = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    res = run_cli(*args)
+    assert res.returncode == code
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
+    assert "Traceback" not in res.stderr
+
+
+def test_bom_panel_and_config_read_as_plain_files(tmp_path):
+    path, _ = simulate(tmp_path, **{"--subjects": "4"})
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain = run_cli("effects", "--input", str(path), "--hurst", "0.5")
+    marked = run_cli("effects", "--input", str(bom), "--hurst", "0.5")
+    assert marked.returncode == 0, marked.stderr
+    assert marked.stdout == plain.stdout
+    cfg = one_cell_config(tmp_path)
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 0, res.stderr
+
+
+# documented exits that no other test reaches: case -> (exit code, error fragment)
+UNCOVERED_EXITS = {
+    "hurst-non-uniform": (4, "uniform time grid"),
+    "effects-one-subject": (4, "at least two subjects"),
+    "simulate-missing-dir": (5, "--out: cannot write"),
+    "experiment-missing-config": (2, "--config: cannot read"),
+    "experiment-empty-key": (2, "line 2: empty key"),
+}
+
+
+def _uncovered_exit_argv(case, tmp_path):
+    if case == "hurst-non-uniform":
+        path = tmp_path / "skewed.csv"
+        rows = [f"{i},{t},{0.1 * i * t!r}\n" for i in (1, 2) for t in (1.0, 2.0, 4.0, 8.0)]
+        path.write_text("subject,t,y\n" + "".join(rows))
+        return ["hurst", "--input", str(path)]
+    if case == "effects-one-subject":
+        path, _ = simulate(tmp_path, **{"--subjects": "1"})
+        return ["effects", "--input", str(path), "--hurst", "0.5"]
+    if case == "simulate-missing-dir":
+        out = tmp_path / "missing" / "x.csv"
+        return ["simulate", "--subjects", "2", "--n-obs", "4", *SIMULATE_FLAGS, "--out", str(out)]
+    cfg = tmp_path / "grid.cfg"
+    if case == "experiment-empty-key":
+        cfg.write_text("h_list = 0.5\n = 5\n")
+    return ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("case", UNCOVERED_EXITS)
+def test_documented_exit_codes(tmp_path, case):
+    code, fragment = UNCOVERED_EXITS[case]
+    res = run_cli(*_uncovered_exit_argv(case, tmp_path))
+    assert res.returncode == code
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and fragment in line

@@ -26,8 +26,6 @@ from fracmix.hurst import (
     K_MAX,
     _ROOT_XTOL,
     _SERIES_POWERS,
-    _lag_table,
-    _pi_lags,
     _pi_series,
     _scale_curve,
     as_filter,
@@ -42,11 +40,12 @@ DIFF3 = as_filter("diff3")
 
 def pi_gamma(t, j, f):
     """-0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t}, as A reads it:
-    summed directly up to lag ``f.head``, by the binomial series past it."""
+    by that double sum up to lag ``f.head``, by the binomial series past it."""
     t = hurst_value(t)
     f = as_filter(f)
     if abs(j) <= f.head:
-        return float(_pi_lags(t, _lag_table(f, np.array([j])))[0])
+        c = list(enumerate(f.coeffs.tolist()))
+        return -0.5 * sum(cq * cr * abs(q - r + j) ** (2.0 * t) for q, cq in c for r, cr in c)
     x = float(abs(j))
     return float(x ** (2.0 * t - 2 * f.order) * (_pi_series(t, f) @ x**-_SERIES_POWERS))
 
@@ -419,7 +418,7 @@ def test_variance_constant_needs_no_lag_window(t, k):
 def test_default_filter_is_certified_once(monkeypatch):
     y = fast_paths(256, 5.0, 0.7, RngStream(25).generator(), 1)[0]
     explicit = estimate_h(y, 5.0, f=validate_filter((1.0, -2.0, 1.0)))
-    as_filter("diff2")  # the first use certifies it
+    as_filter("diff2")  # certified at import: no call certifies it again
 
     def refuse(coeffs):
         raise AssertionError("the named filter was certified again")

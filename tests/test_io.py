@@ -93,6 +93,7 @@ def test_panel_csv_round_trip_fuzzed(tmp_path_factory, case):
         ("subject,t,y\n1,1.0,2.0\n2,2.0,2.5\n", "time column"),
         ("subject,t,y\n1,1.0\n", "3 fields"),
         ("subject,t,y\n1,abc,2.0\n", "line 2"),
+        ('subject,t,y\n1,"1.0\n",2.0\n1,abc,2.0\n', "line 4"),  # physical lines
         ("subject,t,y\n1,1.0,2.0\n1,2.0,nan\n", "line 3: non-finite"),
         ("subject,t,y\n1,1.0,inf\n", "line 2: non-finite"),
         ("subject,t,y\n1,1.0,2.0\n1,-inf,2.5\n", "line 3: non-finite"),
@@ -118,10 +119,11 @@ def test_panel_csv_rejects_malformed(tmp_path, content, fragment):
             "subject,t,y\n-5,0.5,1.0\n123456789012345678901234567890,0.5,2.0\n",
             2, [0.5], [[1.0], [2.0]],
         ),
+        ("\ufeffsubject,t,y\n1,1.0,2.0\n", 1, [1.0], [[2.0]]),
     ],
 )
 def test_panel_csv_accepts_edge_cases(tmp_path, content, subjects, times, y):
-    # blank lines, CRLF line endings, negative and 30-digit subject ids
+    # blank lines, CRLF line endings, a byte-order mark, negative and 30-digit subject ids
     path = tmp_path / "edge.csv"
     path.write_bytes(content.encode())
     panel = read_panel_csv(path)
@@ -200,6 +202,10 @@ def test_load_experiment_config_errors(tmp_path):
         ("h_list", "0.5, 0.005"),
         ("horizon", "-5"),
         ("horizon", "inf"),
+        ("h_list", "0.5, 0.15, 0.5"),
+        ("subjects_list", "50, 50"),
+        ("n_obs_list", "4, 8, 4"),
+        ("n_obs_list", "4, 2"),  # no complete window of diff2 at n = 2
     ):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: bad}.items()))
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
