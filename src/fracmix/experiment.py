@@ -1,13 +1,18 @@
 """Replicated Monte Carlo experiments over an (H, N, n) grid.
 
 Each cell fixes a Hurst exponent, a subject count and an observation
-count; R replications each simulate a fresh panel and return its N
-slope reads, optionally plus H from subject 1; the cell estimates
-(mu, sigma2) from each row of the (R, N) reads.  A refused H estimate
-is counted, and the H statistics cover the other replications.
-Replication r of cell c draws from stream id c*R + r, so cells and
-replications are independent and any execution order reproduces the
-same aggregates.
+count; R replications each return N slope reads xi_i, optionally plus
+H from subject 1; the cell estimates (mu, sigma2) from each row of the
+(R, N) reads.  A replication reads its stream as ``simulate_panel``
+does, effects phi first and the sampler's noise draws next, but never
+forms the (N, n) panel: xi = phi + W @ c takes the noise reads W @ c
+straight from the draws (``slope_noise`` of ``fbm.noise_sampler``), and
+only subject 1's path is built, when H is estimated.  So xi is
+``xi_values`` of the panel ``simulate_panel`` would draw from that
+stream, up to rounding.  A refused H estimate is counted, and the H
+statistics cover the other replications.  Replication r of cell c draws
+from stream id c*R + r, so cells and replications are independent and
+any execution order reproduces the same aggregates.
 
 Reported "exact" standard deviations evaluate the closed-form moment
 formulas at the TRUE configured sigma2 (they are properties of the
@@ -23,16 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effects import estimate_mu, estimate_sigma2, exact_moments, xi_values
+from .effects import estimate_mu, estimate_sigma2, exact_moments
 from .errors import EstimationRangeError, FracmixError, NonFiniteError
+from .fbm import noise_sampler
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, as_filter, estimate_h, k_value
-from .panel import EffectsLaw, simulate_panel
+from .panel import EffectsLaw, draw_effects
 from .rng import RngStream
 
 HISTOGRAM_BINS = 30
 HISTOGRAM_HALF_WIDTHS = 4.0  # bins span mean +/- 4 empirical stds
 _DOUBLE_MAX = float(np.finfo(float).max)
+# samples below 2**480 in magnitude have squared deviations below 2**962,
+# so up to 2**61 of them sum without overflow
+_SUMMARY_EXPONENT = 480
 
 
 @dataclass(frozen=True)
@@ -109,10 +118,21 @@ class CellSummary:
 
 
 def summarize_empirical(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and population (divide-by-R) standard deviation."""
+    """Mean and population (divide-by-R) standard deviation.
+
+    A sample holding a magnitude of 2**480 or more is scaled down by a
+    power of two before summing and the results are scaled back, so a
+    finite sample whose sum or squared deviations would overflow gets
+    finite statistics.  The scaling is exact apart from elements too small
+    to move the results; smaller samples are not scaled.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1:
         raise ValueError("need at least one sample")
+    shift = math.frexp(np.max(np.abs(samples)))[1] - _SUMMARY_EXPONENT
+    if shift > 0:
+        scaled = np.ldexp(samples, -shift)
+        return float(np.ldexp(np.mean(scaled), shift)), float(np.ldexp(np.std(scaled), shift))
     return float(np.mean(samples)), float(np.std(samples))
 
 
@@ -144,16 +164,24 @@ def _replicate_with_gram(
     """One replication of one cell, pure in (cfg, cell index, gram, rep):
     the (N,) slope reads and subject 1's H estimate, NaN when it is
     refused or not asked for."""
-    stream = RngStream(cfg.base_seed, cell_index * cfg.replications + rep)
-    law = EffectsLaw(cfg.mu0, cfg.sigma20)
-    panel = simulate_panel(n_subjects, gram.grid, gram.h, law, stream, noise=cfg.sampler)
+    gen = RngStream(cfg.base_seed, cell_index * cfg.replications + rep).generator()
+    phi = draw_effects(EffectsLaw(cfg.mu0, cfg.sigma20), gen, n_subjects)
+    sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
+    noise, w0 = sampler.slope_noise(gram.weights, gen, n_subjects, first_path=cfg.estimate_hurst)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        xi = phi + noise
+        y0 = None if w0 is None else phi[0] * gram.grid.times + w0
+    if not np.isfinite(xi).all():
+        raise NonFiniteError("slope reads must be finite")
     h_hat = float("nan")
-    if cfg.estimate_hurst:
+    if y0 is not None:
+        if not np.isfinite(y0).all():
+            raise NonFiniteError("subject 1's observations must be finite")
         try:
-            h_hat = estimate_h(panel.y[0], cfg.horizon, cfg.k, cfg.filter).h_hat
+            h_hat = estimate_h(y0, cfg.horizon, cfg.k, cfg.filter).h_hat
         except EstimationRangeError:  # a refusal, counted by the cell
             pass
-    return xi_values(panel, gram), h_hat
+    return xi, h_hat
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:

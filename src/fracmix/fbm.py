@@ -14,6 +14,14 @@ deterministic value 0 at t = 0 is not stored):
   pair of paths [3], cumulative sum and a T^H self-similarity rescale.
   Uniform grids only; O(n log n) per path.
 
+``noise_sampler`` is the one place a method name ("exact" or "fast")
+picks a sampler.  The sampler it returns either draws the paths
+(``paths``) or, from the same draws in the same order, reads only their
+GLS slopes W @ c (``slope_noise``): each read is a fixed linear form in
+the normal draws, z'(L'c) on the exact sampler and a product with one
+FFT of the reversed cumulative sum of c on the fast one, so the paths
+are never formed and a read costs O(n) per path.
+
 The embedding is used exactly: eigenvalues below -1e-10 times the
 largest raise ``EmbeddingError`` instead of being clipped.  The minimal
 fGn embedding is nonnegative definite for every H ([4] for H <= 1/2,
@@ -29,20 +37,31 @@ the caller.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import EmbeddingError
-from .gram import fgn_autocovariance, hurst_value
+from .errors import EmbeddingError, GridError
+from .gram import SamplingGrid, cholesky_factor, fgn_autocovariance, hurst_value
 
 # An eigenvalue this far below zero (relative to the largest) means the
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
 
 
+def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """The next standard normals of gen in the given shape.  Raises
+    ``GridError`` when numpy cannot size or allocate them."""
+    try:
+        return gen.standard_normal(shape)
+    except (ValueError, MemoryError) as exc:
+        raise GridError(f"cannot hold {shape[0]} x {shape[1]} normal draws: {exc}") from None
+
+
 def exact_paths(factor: np.ndarray, gen: np.random.Generator, count: int) -> np.ndarray:
     """(count, n) matrix of independent exact fBm paths: the rows of
     (L z)' for standard normal z, L = factor the Cholesky factor of V."""
-    z = gen.standard_normal((factor.shape[0], count))
+    z = _normals(gen, (factor.shape[0], count))
     return (factor @ z).T
 
 
@@ -68,6 +87,21 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
+def _embedding_draws(
+    n: int, horizon: float, h: float, gen: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """sqrt(lam/m) for the m = 2n embedding eigenvalues lam; the real,
+    then the imaginary parts of complex standard normals z, one row of m
+    per pair of paths; and the factor (horizon/n)^H that maps
+    unit-spacing fBm to the grid's spacing."""
+    hv = hurst_value(h)
+    lam = fgn_spectrum(n, hv)
+    shape = ((count + 1) // 2, lam.size)
+    re = _normals(gen, shape)
+    im = _normals(gen, shape)
+    return np.sqrt(lam / lam.size), re, im, (float(horizon) / n) ** hv
+
+
 def fast_paths(
     n: int, horizon: float, h: float, gen: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -77,12 +111,74 @@ def fast_paths(
     fft(sqrt(lam/m) z) are two independent unit-spacing fGn draws, so
     each transform serves two paths.
     """
-    hv = hurst_value(h)
-    lam = fgn_spectrum(n, hv)
-    m, pairs = lam.size, (count + 1) // 2
-    z = gen.standard_normal((pairs, m)) + 1j * gen.standard_normal((pairs, m))
-    w = np.fft.fft(np.sqrt(lam / m) * z, axis=1)[:, :n]
+    scale, re, im, step = _embedding_draws(n, horizon, h, gen, count)
+    w = np.fft.fft(scale * (re + 1j * im), axis=1)[:, :n]
     noise = np.concatenate([w.real, w.imag])[:count]
     # cumulated unit-spacing fGn is fBm on 1..n; self-similarity maps it
     # to spacing T/n
-    return np.cumsum(noise, axis=1) * (float(horizon) / n) ** hv
+    return np.cumsum(noise, axis=1) * step
+
+
+@dataclass(frozen=True)
+class ExactSampler:
+    """Paths L z on any grid, L the Cholesky factor of V(H)."""
+
+    factor: np.ndarray
+
+    def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return exact_paths(self.factor, gen, count)
+
+    def slope_noise(
+        self, weights: np.ndarray, gen: np.random.Generator, count: int, first_path: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (count,) reads W @ weights of the paths ``paths`` would draw,
+        as z'(L'c), and with ``first_path`` path 0 of that draw (else None)."""
+        z = _normals(gen, (self.factor.shape[0], count))
+        first = self.factor @ z[:, 0] if first_path else None
+        return (weights @ self.factor) @ z, first
+
+
+@dataclass(frozen=True)
+class FftSampler:
+    """Paths from the circulant embedding on the uniform grid j*horizon/n."""
+
+    n: int
+    horizon: float
+    h: float
+
+    def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return fast_paths(self.n, self.horizon, self.h, gen, count)
+
+    def slope_noise(
+        self, weights: np.ndarray, gen: np.random.Generator, count: int, first_path: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (count,) reads W @ weights of the paths ``paths`` would draw,
+        and with ``first_path`` path 0 of that draw (else None).
+
+        A path is step * cumsum(g) with g its fGn, so its read is g @ C for
+        C = step * (reversed cumulative sum of c); and g is the real or
+        imaginary part of fft(sqrt(lam/m) z)[:n] for its pair's draws z, so
+        the pair's two reads are the real and imaginary parts of z @ f,
+        f = sqrt(lam/m) fft(C, m), taken here in real arithmetic.
+        """
+        scale, re, im, step = _embedding_draws(self.n, self.horizon, self.h, gen, count)
+        f = scale * np.fft.fft(np.cumsum(weights[::-1])[::-1] * step, scale.size)
+        reads = np.concatenate([re @ f.real - im @ f.imag, re @ f.imag + im @ f.real])
+        first = None
+        if first_path:
+            first = np.cumsum(np.fft.fft(scale * (re[0] + 1j * im[0]))[: self.n].real) * step
+        return reads[:count], first
+
+
+def noise_sampler(method: str, grid: SamplingGrid, h: float) -> ExactSampler | FftSampler:
+    """The fBm sampler a method names on the grid at H: "exact" (any
+    grid; the Cholesky factor of V from ``cholesky_factor``) or "fast"
+    (uniform grids, circulant embedding)."""
+    hv = hurst_value(h)
+    if method == "exact":
+        return ExactSampler(cholesky_factor(grid, hv))
+    if method == "fast":
+        if not grid.is_uniform:
+            raise GridError("fast sampler requires a uniform grid")
+        return FftSampler(len(grid), grid.horizon, hv)
+    raise ValueError(f"unknown sampling method {method!r}")

@@ -87,11 +87,12 @@ class SamplingGrid:
         """Grid t_j = j * horizon / n for j = 1..n."""
         if n < 1:
             raise GridError(f"need n >= 1 observations, got {n}")
+        step = float(horizon) / n
         try:
-            j = np.arange(1, n + 1)
-        except ValueError as exc:  # numpy cannot size n times
+            times = np.arange(1, n + 1) * step
+        except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate n times
             raise GridError(f"cannot hold {n} observations: {exc}") from None
-        return cls(j * (float(horizon) / n))
+        return cls(times)
 
     def __len__(self) -> int:
         return self.times.size

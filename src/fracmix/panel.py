@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridError, NonFiniteError
-from .fbm import exact_paths, fast_paths
-from .gram import SamplingGrid, cholesky_factor, hurst_value
+from .fbm import noise_sampler
+from .gram import SamplingGrid, hurst_value
 from .rng import RngStream
 
 
@@ -72,6 +72,16 @@ class Panel:
         return self.y.shape[0]
 
 
+def draw_effects(law: EffectsLaw, gen: np.random.Generator, n_subjects: int) -> np.ndarray:
+    """The drift rates phi_i of n_subjects subjects from the next
+    n_subjects standard normals of gen.  Raises ``GridError`` when numpy
+    cannot size or allocate them."""
+    try:
+        return law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
+    except (ValueError, MemoryError) as exc:
+        raise GridError(f"cannot hold {n_subjects} subjects: {exc}") from None
+
+
 def simulate_panel(
     n_subjects: int,
     grid: SamplingGrid,
@@ -83,12 +93,13 @@ def simulate_panel(
 ) -> Panel:
     """Simulate a panel of n_subjects trajectories.
 
-    noise selects the fBm sampler: "exact" (any grid; draws with the
-    Cholesky factor of V from ``cholesky_factor``), "fast" (uniform grids,
-    circulant embedding), or "none" (zero noise, a diagnostics hook that
-    makes each row exactly phi_i * t).  The stream ``rng`` is opened once;
-    effects are drawn from it before the noise, so the same stream yields
-    the same phi_i regardless of the noise method.
+    noise names the fBm sampler, as ``fbm.noise_sampler`` reads it: "exact"
+    (any grid; draws with the Cholesky factor of V from ``cholesky_factor``)
+    or "fast" (uniform grids, circulant embedding); "none" (zero noise, a
+    diagnostics hook) makes each row exactly phi_i * t.  The stream ``rng``
+    is opened once; effects are drawn from it (``draw_effects``) before the
+    noise, so the same stream yields the same phi_i regardless of the noise
+    method.
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
@@ -96,21 +107,11 @@ def simulate_panel(
         raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
     hv = hurst_value(h)
     gen = rng.generator()
-    try:
-        z = gen.standard_normal(n_subjects)
-    except ValueError as exc:  # numpy cannot size n_subjects draws
-        raise GridError(f"cannot hold {n_subjects} subjects: {exc}") from None
-    phi = law.mu + np.sqrt(law.sigma2) * z
-    if noise == "exact":
-        w = exact_paths(cholesky_factor(grid, hv), gen, n_subjects)
-    elif noise == "fast":
-        if not grid.is_uniform:
-            raise GridError("fast sampler requires a uniform grid")
-        w = fast_paths(len(grid), grid.horizon, hv, gen, n_subjects)
-    elif noise == "none":
+    phi = draw_effects(law, gen, n_subjects)
+    if noise == "none":
         w = np.zeros((n_subjects, len(grid)))
     else:
-        raise ValueError(f"unknown sampling method {noise!r}")
+        w = noise_sampler(noise, grid, hv).paths(gen, n_subjects)
     # an overflowing drift gives inf or nan, which Panel rejects
     with np.errstate(over="ignore", invalid="ignore"):
         y = phi[:, None] * grid.times[None, :] + w

@@ -163,6 +163,7 @@ CONFIG_KEYS = {
     "filter": as_filter,
     "base_seed": int,
     "estimate_hurst": _bool,
+    "sampler": str,
 }
 
 

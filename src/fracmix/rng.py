@@ -5,8 +5,11 @@ a fixed pair reproduces the same draws bit-for-bit on one platform, and
 streams with different ids are statistically independent, so replications
 may run in any order (or concurrently) without changing results.
 
-``simulate_panel`` opens its stream once with ``generator()`` and hands
-the running generator to the samplers in ``fbm``.
+``simulate_panel`` and each experiment replication open their stream
+once with ``generator()``, draw the effects from it (``draw_effects``)
+and hand the running generator to the sampler ``fbm.noise_sampler``
+picks.  Both read a stream in that order, so a replication's slope reads
+are those of the panel ``simulate_panel`` draws from the same address.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pytest
 
 from fracmix.cli import main
 from fracmix.errors import EstimationRangeError
+from fracmix.rng import RngStream
 
 RUN = [sys.executable, "-m", "fracmix"]
 
@@ -526,6 +527,43 @@ def one_cell_config(tmp_path, **keys):
     return path
 
 
+def _config_value(value):
+    """A manifest config value as config-file text."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def test_manifest_reproduces_a_fast_sampler_run(tmp_path):
+    # the sampler is a config key, echoed in the manifest, so the manifest
+    # alone rebuilds a config file that reruns the same experiment
+    def run(cfg, name):
+        res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / name))
+        assert res.returncode == 0, res.stderr
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        return files, json.loads(files["manifest.json"])
+
+    fast, manifest = run(one_cell_config(tmp_path, sampler="fast", replications="3"), "a")
+    assert manifest["config"]["sampler"] == "fast"
+    keys = {**manifest["config"], "base_seed": manifest["base_seed"]}
+    again = tmp_path / "again.cfg"
+    again.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in keys.items()))
+    assert run(again, "b")[0] == fast
+    exact, manifest = run(one_cell_config(tmp_path, replications="3"), "c")
+    assert manifest["config"]["sampler"] == "exact"  # the default, which draws otherwise
+    assert exact["table_n4.csv"] != fast["table_n4.csv"]
+
+
+def test_experiment_unknown_sampler_exits_2(tmp_path):
+    cfg = one_cell_config(tmp_path, sampler="bogus")
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: --config: ") and "sampler" in line and "bogus" in line
+
+
 @pytest.mark.parametrize("key,value", [("h_list", "0.5, 0.5"), ("n_obs_list", "4, 2")])
 def test_experiment_config_fails_before_the_first_cell(tmp_path, key, value):
     # a repeated axis value, or a series too short for the filter, exits 2 up front
@@ -563,6 +601,67 @@ def test_unsizable_count_exits_with_one_error_line(tmp_path, argv, code, fragmen
     errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and fragment in errors[0]
     assert "Traceback" not in res.stderr
+
+
+class _Exhausted:
+    """A generator whose draw number ``fail_at`` cannot be sized or allocated."""
+
+    def __init__(self, gen, fail_at, exc):
+        self.gen, self.fail_at, self.exc, self.calls = gen, fail_at, exc, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc
+        return self.gen.standard_normal(size)
+
+
+MEMORY = MemoryError("Unable to allocate 8.00 PiB for an array")
+
+
+# counts numpy can size but the machine cannot allocate, faked by a
+# generator that fails at one draw: the effects (1) or the noise (2)
+@pytest.mark.parametrize(
+    "argv,fail_at,exc,code,fragment",
+    [
+        (["simulate"], 1, MEMORY, 3, "cannot hold 3 subjects"),
+        (["simulate"], 2, MEMORY, 3, "normal draws"),
+        (["experiment"], 1, MEMORY, 4, "cannot hold 3 subjects"),
+        (["experiment", "sampler", "exact"], 2, MEMORY, 4, "normal draws"),
+        (["experiment", "sampler", "fast"], 2, MEMORY, 4, "normal draws"),
+        (["experiment", "sampler", "exact"], 2, ValueError("maximum supported dimension"), 4,
+         "normal draws"),
+    ],
+    ids=["simulate-effects", "simulate-noise", "experiment-effects", "experiment-exact-noise",
+         "experiment-fast-noise", "experiment-unsizable-noise"],
+)
+def test_unallocatable_count_exits_with_one_error_line(
+    tmp_path, monkeypatch, argv, fail_at, exc, code, fragment
+):
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda s: _Exhausted(generator(s), fail_at, exc))
+    if argv[0] == "simulate":
+        args = ["simulate", "--subjects", "3", "--n-obs", "4", *SIMULATE_FLAGS,
+                "--out", str(tmp_path / "x.csv")]
+    else:
+        cfg = one_cell_config(tmp_path, **dict(zip(argv[1::2], argv[2::2])))
+        args = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    res = run_cli(*args)
+    assert res.returncode == code
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
+
+
+def test_unallocatable_grid_exits_with_one_error_line(tmp_path, monkeypatch):
+    def exhausted(*args):
+        raise MEMORY
+
+    monkeypatch.setattr(np, "arange", exhausted)
+    res = run_cli("simulate", "--subjects", "2", "--n-obs", "4", *SIMULATE_FLAGS,
+                  "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 3
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and "cannot hold 4 observations" in line
 
 
 def test_bom_panel_and_config_read_as_plain_files(tmp_path):

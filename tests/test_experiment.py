@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,15 @@ from fracmix import (
     simulate_panel,
     summarize_empirical,
 )
+from fracmix import experiment, fbm
 from fracmix.cli import main
 from fracmix.effects import estimate_mu, xi_values
 from fracmix.experiment import _replicate_with_gram, make_histogram
+from fracmix.fbm import fgn_spectrum
+from fracmix.gram import cholesky_factor
+
+EPS = np.finfo(float).eps
+FULL_GRID = Path(__file__).resolve().parents[1] / "scripts" / "full_grid.cfg"
 
 
 def small_config(**overrides):
@@ -48,6 +55,33 @@ def test_summarize_empirical_population_form():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     mean, std = summarize_empirical(x)
     assert std == pytest.approx(np.sqrt(np.mean((x - mean) ** 2)), rel=1e-15)
+
+
+def test_summarize_empirical_of_huge_finite_samples():
+    # the sum of these two overflows a double, their mean and spread do not
+    a = np.finfo(float).max / 2
+    b = np.nextafter(a, np.inf)
+    mean, std = summarize_empirical(np.array([a, b]))
+    assert mean in (a, b)
+    assert 0.0 < std <= b - a
+    assert summarize_empirical(np.array([-2 * a, 2 * a])) == (0.0, 2 * a)
+
+
+def test_summarize_empirical_leaves_the_full_grid_tables_alone(tmp_path, monkeypatch):
+    # ordinary samples are not scaled: the tables are those of plain mean and std
+    text = FULL_GRID.read_text()
+    assert "replications = 400" in text
+    (tmp_path / "grid.cfg").write_text(text.replace("replications = 400", "replications = 8"))
+    tables = {}
+    for name in ("scaled", "plain"):
+        if name == "plain":
+            monkeypatch.setattr(
+                experiment, "summarize_empirical", lambda x: (float(np.mean(x)), float(np.std(x)))
+            )
+        out = tmp_path / name
+        assert main(["experiment", "--config", str(tmp_path / "grid.cfg"), "--out", str(out)]) == 0
+        tables[name] = [(out / f"table_n{n}.csv").read_bytes() for n in (4, 32, 256)]
+    assert tables["scaled"] == tables["plain"]
 
 
 def test_summarize_empirical_monte_carlo():
@@ -77,6 +111,84 @@ def test_reproducible_across_runs():
         assert x.mean_mu_hat == y.mean_mu_hat
         assert x.emp_std_sigma2 == y.emp_std_sigma2
         assert np.array_equal(x.histograms["mu"].counts, y.histograms["mu"].counts)
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+@pytest.mark.parametrize("h", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("n_obs", [5, 32])
+def test_slope_reads_are_those_of_the_simulated_panel(monkeypatch, sampler, h, n_obs):
+    # a replication draws the panel simulate_panel draws from its stream:
+    # the same effects bit for bit, and xi_values of that panel up to the
+    # rounding of the two dot products
+    drawn, draw_effects = [], experiment.draw_effects
+
+    def spy(*args):
+        drawn.append(draw_effects(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(experiment, "draw_effects", spy)
+    cfg = small_config(h_list=(h,), subjects_list=(7,), n_obs_list=(n_obs,), sampler=sampler)
+    gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
+    law = EffectsLaw(cfg.mu0, cfg.sigma20)
+    for rep in range(3):
+        xi, _ = _replicate_with_gram(cfg, 0, gm, 7, rep)
+        panel = simulate_panel(7, gm.grid, h, law, RngStream(cfg.base_seed, rep), noise=sampler)
+        phi = panel.true_effects
+        assert drawn[-1].tobytes() == phi.tobytes()
+        w = panel.y - phi[:, None] * gm.grid.times
+        bound = 4 * n_obs * EPS * (np.abs(phi) + np.abs(w) @ np.abs(gm.weights))
+        assert np.all(np.abs(xi - xi_values(panel, gm)) <= bound)
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+@pytest.mark.parametrize("h", [0.85, 0.99])
+def test_slope_reads_beat_the_panel_read(sampler, h):
+    # against a long-double read of the same draws, reading xi from the
+    # draws is at least as accurate as Y @ c on the simulated panel
+    ld = np.longdouble
+    if np.finfo(ld).eps >= EPS:
+        pytest.skip("long double is no wider than double here")
+    n_sub, n_obs = 500, 256
+    cfg = small_config(h_list=(h,), subjects_list=(n_sub,), n_obs_list=(n_obs,), sampler=sampler)
+    gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
+    xi, _ = _replicate_with_gram(cfg, 0, gm, n_sub, 0)
+    law = EffectsLaw(cfg.mu0, cfg.sigma20)
+    panel = simulate_panel(n_sub, gm.grid, h, law, RngStream(cfg.base_seed, 0), noise=sampler)
+    gen = RngStream(cfg.base_seed, 0).generator()
+    gen.standard_normal(n_sub)  # the effects
+    if sampler == "exact":
+        z = gen.standard_normal((n_obs, n_sub)).astype(ld)
+        w = (cholesky_factor(gm.grid, h).astype(ld) @ z).T
+    else:
+        lam = fgn_spectrum(n_obs, h)
+        pairs = (n_sub + 1) // 2
+        z = gen.standard_normal((pairs, lam.size)) + 1j * gen.standard_normal((pairs, lam.size))
+        g = np.fft.fft(np.sqrt(lam.astype(ld) / lam.size) * z.astype(np.clongdouble), axis=1)
+        g = np.concatenate([g.real, g.imag])[:n_sub, :n_obs]
+        w = np.cumsum(g, axis=1) * ld((cfg.horizon / n_obs) ** h)
+    y = panel.true_effects.astype(ld)[:, None] * gm.grid.times.astype(ld) + w
+    truth = y @ gm.weights.astype(ld)
+
+    def rms(x):
+        return float(np.sqrt(np.mean((x - truth) ** 2)))
+
+    assert rms(xi) <= rms(xi_values(panel, gm))
+
+
+@pytest.mark.parametrize("estimate_hurst", [False, True])
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_replications_never_form_the_paths(monkeypatch, sampler, estimate_hurst):
+    def refuse(*args):
+        raise AssertionError("a replication built every path")
+
+    monkeypatch.setattr(fbm, "exact_paths", refuse)
+    monkeypatch.setattr(fbm, "fast_paths", refuse)
+    cfg = small_config(n_obs_list=(8,), sampler=sampler, estimate_hurst=estimate_hurst)
+    with pytest.raises(AssertionError, match="every path"):  # the guard holds for panels
+        simulate_panel(2, SamplingGrid.uniform(8, 5.0), 0.5, EffectsLaw(0.0, 1.0), RngStream(1),
+                       noise=sampler)
+    (cell,) = run_experiment(cfg)
+    assert np.isfinite(cell.mean_mu_hat)
 
 
 def test_replication_order_does_not_matter():
@@ -285,6 +397,25 @@ def test_overflowing_cell_raises_named_error(law):
     # writing inf into the tables
     with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\)"):
         run_experiment(small_config(horizon=1.0, replications=2, **law))
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_non_finite_slope_reads_raise_named_error(monkeypatch, sampler):
+    def overflowing(self, weights, gen, count, first_path=False):
+        return np.full(count, np.inf), None
+
+    owner = {"exact": fbm.ExactSampler, "fast": fbm.FftSampler}[sampler]
+    monkeypatch.setattr(owner, "slope_noise", overflowing)
+    with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\): slope reads"):
+        run_experiment(small_config(sampler=sampler))
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_overflowing_subject_one_raises_named_error(sampler):
+    # phi * t overflows at t = 5, while each xi = phi + noise stays finite
+    cfg = small_config(mu0=1e308, sigma20=0.0, estimate_hurst=True, sampler=sampler)
+    with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\): subject 1"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("mean", [2.0**64, -(2.0**64), np.finfo(float).max])

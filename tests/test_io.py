@@ -155,6 +155,9 @@ def test_load_experiment_config(tmp_path):
     assert loaded.estimate_hurst is True
     assert loaded.base_seed == 9
     assert loaded.k == 2.0  # default
+    assert loaded.sampler == "exact"  # default
+    cfg.write_text(cfg.read_text() + "sampler = fast\n")
+    assert load_experiment_config(cfg).sampler == "fast"
 
 
 def test_load_experiment_config_errors(tmp_path):
@@ -206,6 +209,7 @@ def test_load_experiment_config_errors(tmp_path):
         ("subjects_list", "50, 50"),
         ("n_obs_list", "4, 8, 4"),
         ("n_obs_list", "4, 2"),  # no complete window of diff2 at n = 2
+        ("sampler", "bogus"),
     ):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: bad}.items()))
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
