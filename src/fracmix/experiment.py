@@ -124,11 +124,14 @@ def summarize_empirical(samples: np.ndarray) -> tuple[float, float]:
     power of two before summing and the results are scaled back, so a
     finite sample whose sum or squared deviations would overflow gets
     finite statistics.  The scaling is exact apart from elements too small
-    to move the results; smaller samples are not scaled.
+    to move the results; smaller samples are not scaled.  A sample holding
+    an infinity or NaN raises ``NonFiniteError`` before any arithmetic.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1:
         raise ValueError("need at least one sample")
+    if not np.isfinite(samples).all():
+        raise NonFiniteError("samples must be finite, got an infinity or NaN")
     shift = math.frexp(np.max(np.abs(samples)))[1] - _SUMMARY_EXPONENT
     if shift > 0:
         scaled = np.ldexp(samples, -shift)
@@ -210,12 +213,12 @@ def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
             samples["sigma2"] = np.array([estimate_sigma2(row, gram.quad_uu) for row in xi])
         if finite_h.size:
             samples["hurst"] = finite_h
-        stats = {name: summarize_empirical(v) for name, v in samples.items()}
-        histograms = {name: make_histogram(v) for name, v in samples.items()}
-    moments = exact_moments(cfg.sigma20, n_subjects, gram.quad_uu)
-    numbers = [moments, *stats.values(), *(v.edges for v in histograms.values())]
-    if not all(np.isfinite(x).all() for x in numbers):
+        moments = exact_moments(cfg.sigma20, n_subjects, gram.quad_uu)
+        finite = all(np.isfinite(x).all() for x in [moments, *samples.values()])
+        histograms = {name: make_histogram(v) for name, v in samples.items()} if finite else {}
+    if not (finite and all(np.isfinite(v.edges).all() for v in histograms.values())):
         raise NonFiniteError("the estimates or their exact moments overflow a double")
+    stats = {name: summarize_empirical(v) for name, v in samples.items()}
     nan = (float("nan"), float("nan"))
     mean_mu, emp_std_mu = stats["mu"]
     mean_s2, emp_std_s2 = stats.get("sigma2", nan)

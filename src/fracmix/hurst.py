@@ -16,7 +16,11 @@ has expectation g(H) with
 
 exactly (the filtered process is stationary Gaussian with variance
 pi_H(0) * spacing^{2H}).  The estimate inverts the strictly decreasing
-g by Brent's method.  Its sampling dispersion shrinks like
+g by Brent's method (R. P. Brent, Algorithms for Minimization Without
+Derivatives, 1973, ch. 4), ported here from scipy's C ``brentq`` so that
+the package never imports ``scipy.optimize``; the root finder starts from
+the bracket values that the monotonicity probe has already computed.
+Its sampling dispersion shrinks like
 sqrt(A(H,k,gamma)) / (k * sqrt(n) * log n), where A sums the squared
 Hermite coefficients of |z|^k against powers of the filtered
 autocorrelation rho_t = pi_t / pi_t(0) over all lags.
@@ -46,7 +50,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import poch
 from scipy.special import zeta
@@ -64,8 +67,10 @@ FILTERS = {
 # The largest variation power k at which E_k = E|Z|^k is a finite double
 K_MAX = 301.15557299838764
 
-# Root finding for the inversion, over the bracket [HURST_MIN, HURST_MAX]
+# Root finding for the inversion, over the bracket [HURST_MIN, HURST_MAX];
+# the relative tolerance is scipy's smallest allowed, 4 eps
 _ROOT_XTOL = 1e-10
+_ROOT_RTOL = 4.0 * math.ulp(1.0)
 _ROOT_MAX_ITER = 200
 
 # pi_t is summed directly over the head lags 0..HEAD_SPAN*l and by its
@@ -314,21 +319,92 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     return float(total)
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b).
+
+    A line-for-line port of scipy's C ``brentq`` (Brent 1973, ch. 4) at
+    xtol = _ROOT_XTOL, rtol = _ROOT_RTOL and maxiter = _ROOT_MAX_ITER, so
+    it returns the same bits as ``scipy.optimize.brentq(f, a, b, xtol,
+    rtol, maxiter)``: an endpoint where f is 0 is returned as is; each
+    step tries inverse quadratic extrapolation or the secant and falls
+    back to bisection unless the step is short; no step is below delta.
+
+    Raises ``ValueError`` when fa and fb have the same sign (where scipy's
+    C code returns 0) or f gives NaN, and ``RuntimeError`` after
+    _ROOT_MAX_ITER steps without convergence.
+    """
+    if fa != fa or fb != fb:
+        raise ValueError(f"f is NaN at an endpoint of [{a}, {b}]")
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # f values are neither 0 nor NaN here, so x < 0 is signbit(x)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a}) = {fa} and f({b}) = {fb} must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets an inf or NaN step, which bisects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(f"f is NaN at {xcur}; cannot find a root")
+    raise RuntimeError(f"no root after {_ROOT_MAX_ITER} iterations, value is {xcur}")
+
+
 def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> HurstEstimate:
     """Estimate H from one trajectory observed at t_j = j*horizon/n.
 
     Computes the k-variation S and solves g(t) = S for t (``_scale_curve``)
-    by Brent's method on [HURST_MIN, HURST_MAX], so every estimate is a
-    valid exponent for ``build_gram``.  A three-point probe checks that
-    the scale function is strictly decreasing over the bracket (it
-    always is for spacing < 1; very coarse grids with spacing well above
-    1 can break this and are rejected).
+    on [HURST_MIN, HURST_MAX] by Brent's method (Brent 1973, ch. 4; the
+    module's ``brentq``), so every estimate is a valid exponent for
+    ``build_gram``.  A three-point probe checks that the scale function is
+    strictly decreasing over the bracket (it always is for spacing < 1;
+    very coarse grids with spacing well above 1 can break this and are
+    rejected), and the root finder reuses the probe's values at the two
+    endpoints instead of evaluating g there again.
 
-    Raises ``EstimationRangeError`` when S falls outside the invertible
-    range (for example for a drift-only series with S = 0) and
+    Raises ``ValueError`` for a horizon that is not positive and finite,
+    ``EstimationRangeError`` when S falls outside the invertible range
+    (for example for a drift-only series with S = 0) and
     ``SeriesLengthError`` when the series has no complete filter window.
     """
     f = as_filter(f)
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     y = np.asarray(y, dtype=float)
     n = y.size
     spacing = float(horizon) / n
@@ -346,9 +422,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
             f"k-variation {s_obs:.6g} outside the invertible range "
             f"[{g_hi:.6g}, {g_lo:.6g}]; series is inconsistent with fBm scaling"
         )
-    h_hat = brentq(
-        lambda t: g(t) - s_obs, HURST_MIN, HURST_MAX, xtol=_ROOT_XTOL, maxiter=_ROOT_MAX_ITER
-    )
+    h_hat = brentq(lambda t: g(t) - s_obs, HURST_MIN, HURST_MAX, g_lo - s_obs, g_hi - s_obs)
     a_val = asym_variance_a(h_hat, k, f)
     asym_std = math.sqrt(a_val) / (k * math.sqrt(n) * math.log(n))
     return HurstEstimate(h_hat=h_hat, k=k, filter=f, n=n, asym_std=asym_std)

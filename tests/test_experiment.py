@@ -67,6 +67,15 @@ def test_summarize_empirical_of_huge_finite_samples():
     assert summarize_empirical(np.array([-2 * a, 2 * a])) == (0.0, 2 * a)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_summarize_empirical_refuses_a_non_finite_sample(bad):
+    # refused before any arithmetic, so no numpy warning (an error in this suite)
+    with pytest.raises(NonFiniteError, match="samples must be finite"):
+        summarize_empirical(np.array([bad, 1.0]))
+    with pytest.raises(NonFiniteError, match="samples must be finite"):
+        make_histogram(np.array([1.0, bad]))
+
+
 def test_summarize_empirical_leaves_the_full_grid_tables_alone(tmp_path, monkeypatch):
     # ordinary samples are not scaled: the tables are those of plain mean and std
     text = FULL_GRID.read_text()
@@ -395,7 +404,7 @@ def test_config_rejects_base_seed_outside_64_bits(tmp_path, capsys, seed):
 def test_overflowing_cell_raises_named_error(law):
     # an overflowing panel or variance names the cell instead of
     # writing inf into the tables
-    with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\)"):
+    with pytest.raises(NonFiniteError, match=r"cell \(H=0.5, N=10, n=4\): the estimates"):
         run_experiment(small_config(horizon=1.0, replications=2, **law))
 
 

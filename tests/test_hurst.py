@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -21,14 +22,17 @@ from fracmix import (
 )
 from fracmix import hurst
 from fracmix.fbm import fast_paths
-from fracmix.gram import hurst_value
+from fracmix.gram import HURST_MAX, HURST_MIN, hurst_value
 from fracmix.hurst import (
     K_MAX,
+    _ROOT_MAX_ITER,
+    _ROOT_RTOL,
     _ROOT_XTOL,
     _SERIES_POWERS,
     _pi_series,
     _scale_curve,
     as_filter,
+    brentq,
     filtered_series,
     k_value,
     moment_sums,
@@ -515,6 +519,14 @@ def test_estimator_series_too_short():
         estimate_h(np.ones(2), 1.0)
 
 
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_estimator_rejects_a_bad_horizon_by_name(horizon):
+    # not a complex power (TypeError) or an undecreasing scale function
+    y = np.random.default_rng(6).standard_normal(64).cumsum()
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        estimate_h(y, horizon)
+
+
 def test_asym_std_normalization():
     n = 2**12
     path = fast_paths(n, 1.0, 0.5, RngStream(24).generator(), 1)[0]
@@ -529,3 +541,168 @@ def test_filtered_series_length():
     y = np.arange(1.0, 11.0)
     assert filtered_series(y, DIFF2).shape == (8,)
     assert filtered_series(y, DIFF3).shape == (7,)
+
+
+# ------------------------------------------------------------ root finding
+# (n, H, (k, filter), horizon) over the estimator's regimes; case i draws
+# two fast-sampler paths from RngStream(17, i)
+BRENT_GRID = list(
+    itertools.product(
+        (8, 32, 256, 4096),
+        (0.05, 0.15, 0.5, 0.85, 0.97),
+        ((2.0, "diff2"), (1.5, "diff3"), (1.0, "diff2"), (4.0, "diff3")),
+        (1.0, 5.0, 50.0),
+    )
+)
+
+
+def _brent_case(case):
+    n, h, (k, f), horizon = BRENT_GRID[case]
+    return fast_paths(n, horizon, h, RngStream(17, case).generator(), 2), horizon, k, f
+
+
+def _grid_results(cases):
+    # (h_hat, asym_std) bits or the refusal message, per path
+    results = []
+    for case in cases:
+        paths, horizon, k, f = _brent_case(case)
+        for y in paths:
+            try:
+                est = estimate_h(y, horizon, k, f)
+            except EstimationRangeError as exc:
+                results.append(str(exc))
+            else:
+                results.append((est.h_hat.hex(), est.asym_std.hex()))
+    return results
+
+
+@pytest.mark.parametrize("n", [8, 32, 256, 4096])
+def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, n):
+    from scipy.optimize import brentq as scipy_brentq  # the oracle; fracmix never imports it
+
+    def oracle(f, a, b, fa, fb):
+        return scipy_brentq(f, a, b, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=_ROOT_MAX_ITER)
+
+    cases = [c for c, params in enumerate(BRENT_GRID) if params[0] == n]
+    ours = _grid_results(cases)
+    monkeypatch.setattr(hurst, "brentq", oracle)
+    want = _grid_results(cases)
+    assert ours == want
+    assert any(isinstance(r, tuple) for r in want)  # estimates, not only refusals
+
+
+PINNED_H_HAT = {  # scipy.optimize.brentq's h_hat on the first path of each case
+    1: "0x1.6dbfea642277cp-4",  # n=8, H=0.05, k=2.0, diff2, horizon 5
+    19: "0x1.51b69b36d6f02p-2",  # n=8, H=0.15, k=1.0, diff2, horizon 5
+    36: "0x1.b9afc18429fcdp-1",  # n=8, H=0.85, k=2.0, diff2, horizon 1
+    54: "0x1.f9586103c08f7p-1",  # n=8, H=0.97, k=1.0, diff2, horizon 1
+    72: "0x1.3ccfbda5186b2p-3",  # n=32, H=0.15, k=2.0, diff2, horizon 1
+    84: "0x1.d803cf4e49246p-2",  # n=32, H=0.5, k=2.0, diff2, horizon 1
+    97: "0x1.bcd37851a0c5ap-1",  # n=32, H=0.85, k=2.0, diff2, horizon 5
+    109: "0x1.eecc68dc87184p-1",  # n=32, H=0.97, k=2.0, diff2, horizon 5
+    121: "0x1.bfd9ee06cd3ccp-5",  # n=256, H=0.05, k=2.0, diff2, horizon 5
+    131: "0x1.d6a33c646e8b7p-4",  # n=256, H=0.05, k=4.0, diff3, horizon 50
+    141: "0x1.3fce3e7f5c46cp-3",  # n=256, H=0.15, k=4.0, diff3, horizon 1
+    150: "0x1.ef98f12c1f357p-2",  # n=256, H=0.5, k=1.0, diff2, horizon 1
+    160: "0x1.ade8c62300a7dp-1",  # n=256, H=0.85, k=1.5, diff3, horizon 5
+    170: "0x1.f0fd25c6fb002p-1",  # n=256, H=0.97, k=2.0, diff2, horizon 50
+    180: "0x1.95c363649e70fp-5",  # n=4096, H=0.05, k=2.0, diff2, horizon 1
+    190: "0x1.9a3b267a519c4p-5",  # n=4096, H=0.05, k=4.0, diff3, horizon 5
+    200: "0x1.3f35377a73982p-3",  # n=4096, H=0.15, k=1.0, diff2, horizon 50
+    210: "0x1.0050da7539432p-1",  # n=4096, H=0.5, k=1.0, diff2, horizon 1
+    220: "0x1.b3d7ba4f172dep-1",  # n=4096, H=0.85, k=1.5, diff3, horizon 5
+    230: "0x1.f05f6491c0a02p-1",  # n=4096, H=0.97, k=2.0, diff2, horizon 50
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_H_HAT))
+def test_h_hat_bits_pinned(case):
+    # holds whatever a later scipy's brentq does
+    (y, _), horizon, k, f = _brent_case(case)
+    assert estimate_h(y, horizon, k, f).h_hat.hex() == PINNED_H_HAT[case]
+
+
+def _never_called(x):
+    raise AssertionError(f"f evaluated at {x}")
+
+
+def test_brentq_rejects_a_same_sign_bracket():
+    # scipy's C code returns 0 here; a root of 0 would be a valid-looking H
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(_never_called, 0.0, 1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(_never_called, 0.0, 1.0, -2.0, -3.0)
+
+
+def test_brentq_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(_never_called, 0.0, 1.0, math.nan, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 3])
+def test_brentq_raises_after_maxiter(monkeypatch, maxiter):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x**3 - 0.3
+
+    monkeypatch.setattr(hurst, "_ROOT_MAX_ITER", maxiter)
+    with pytest.raises(RuntimeError, match=f"no root after {maxiter} iterations"):
+        brentq(f, 0.0, 1.0, -0.3, 0.7)
+    assert len(calls) == maxiter
+
+
+def test_brentq_converges_within_tolerance():
+    root = brentq(lambda x: x**3 - 0.3, 0.0, 1.0, -0.3, 0.7)
+    assert abs(root - 0.3 ** (1 / 3)) <= _ROOT_XTOL + _ROOT_RTOL * root
+
+
+BRENT_FUNCTIONS = {  # slow, flat, steep and pole-like sign changes on [0.01, 0.99]
+    "cubic": lambda x: x**3 - 0.3,
+    "cos": lambda x: math.cos(3 * x) - x,
+    "exp": lambda x: math.exp(x) - 2,
+    "flat": lambda x: (x - 0.4) ** 9,
+    "step": lambda x: math.tanh(200 * (x - 0.37)),
+    "pole": lambda x: 1 / (x - 0.3 - 1e-9),
+    "hump": lambda x: x * math.exp(-30 * x) - 0.005,
+    # the extrapolation's denominator underflows to 0 (an inf or NaN step
+    # in C, which bisects), or its products overflow
+    "tiny": lambda x: 1e-200 * (x**3 - 0.3),
+    "huge": lambda x: 1e300 * (math.cos(3 * x) - x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
+def test_brentq_port_matches_scipy_on_hard_functions(name):
+    from scipy.optimize import brentq as scipy_brentq
+
+    f = BRENT_FUNCTIONS[name]
+    a, b = HURST_MIN, HURST_MAX
+    want = scipy_brentq(f, a, b, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=_ROOT_MAX_ITER)
+    assert brentq(f, a, b, f(a), f(b)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("fa,fb,root", [(0.0, 1.0, 0.25), (-0.0, 1.0, 0.25), (-1.0, 0.0, 0.75)])
+def test_brentq_returns_an_endpoint_root(fa, fb, root):
+    assert brentq(_never_called, 0.25, 0.75, fa, fb) == root
+
+
+def test_estimator_reuses_the_bracket_values(monkeypatch):
+    # the probe's g at the bracket ends is brentq's fa and fb: the root
+    # finder evaluates g only inside the bracket
+    seen = []
+
+    def spy(f, a, b, fa, fb):
+        def traced(x):
+            seen.append(x)
+            return f(x)
+
+        assert (fa, fb) == (f(a), f(b))
+        return brentq(traced, a, b, fa, fb)
+
+    monkeypatch.setattr(hurst, "brentq", spy)
+    estimate_h(fast_paths(256, 1.0, 0.5, RngStream(25).generator(), 1)[0], 1.0)
+    assert seen and all(HURST_MIN < x < HURST_MAX for x in seen)
