@@ -18,10 +18,13 @@ import math
 import os
 import sys
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .effects import confidence_intervals, estimate_effects
 from .errors import ConfigError, FracmixError, PanelFormatError
-from .experiment import CellSummary, run_experiment
+from .experiment import CellSummary, run_experiment, worker_threads
 from .gram import HURST_MAX, HURST_MIN, SamplingGrid, build_gram
 from .hurst import as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
@@ -200,6 +203,8 @@ def cmd_experiment(args) -> int:
             for key in CONFIG_KEYS
             if key != "base_seed"
         },
+        "versions": {"fracmix": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "threads": worker_threads(cfg),
     }
     if cfg.estimate_hurst:
         manifest["hurst_refusals"] = [

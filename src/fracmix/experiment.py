@@ -6,13 +6,20 @@ H from subject 1; the cell estimates (mu, sigma2) from each row of the
 (R, N) reads.  A replication reads its stream as ``simulate_panel``
 does, effects phi first and the sampler's noise draws next, but never
 forms the (N, n) panel: xi = phi + W @ c takes the noise reads W @ c
-straight from the draws (``slope_noise`` of ``fbm.noise_sampler``), and
-only subject 1's path is built, when H is estimated.  So xi is
-``xi_values`` of the panel ``simulate_panel`` would draw from that
-stream, up to rounding.  A refused H estimate is counted, and the H
-statistics cover the other replications.  Replication r of cell c draws
-from stream id c*R + r, so cells and replications are independent and
-any execution order reproduces the same aggregates.
+straight from the draws (``slope_noise`` of the sampler
+``fbm.noise_sampler`` picks), and only subject 1's path is built, when
+H is estimated.  So xi is ``xi_values`` of the panel
+``simulate_panel`` would draw from that stream, up to rounding.  A
+refused H estimate is counted, and the H statistics cover the other
+replications.  Replication r of cell c draws from stream id c*R + r, so
+cells and replications are independent and any execution order
+reproduces the same aggregates.
+
+A cell builds its Gram matrix, sampler and slope form once, then runs
+its replications on a thread pool (numpy's normal draws, FFTs and BLAS
+calls release the GIL), one contiguous range of replications per
+thread, and puts the reads back in replication order.  So every output
+is bit-for-bit that of a serial loop, whatever the pool's size.
 
 Reported "exact" standard deviations evaluate the closed-form moment
 formulas at the TRUE configured sigma2 (they are properties of the
@@ -22,9 +29,15 @@ population-form (divide by R) standard deviations across replications.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -161,16 +174,35 @@ def make_histogram(samples: np.ndarray) -> Histogram:
     return Histogram(edges=edges, counts=counts)
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_threads(cfg: ExperimentConfig) -> int:
+    """The threads ``run_experiment`` runs cfg's replications on: one per
+    CPU this process may use, and no more than there are replications."""
+    return min(_worker_count(), cfg.replications)
+
+
 def _replicate_with_gram(
-    cfg: ExperimentConfig, cell_index: int, gram: GramMatrix, n_subjects: int, rep: int
+    cfg: ExperimentConfig,
+    cell_index: int,
+    gram: GramMatrix,
+    read: Callable[..., tuple[np.ndarray, np.ndarray | None]],
+    n_subjects: int,
+    rep: int,
 ) -> tuple[np.ndarray, float]:
     """One replication of one cell, pure in (cfg, cell index, gram, rep):
     the (N,) slope reads and subject 1's H estimate, NaN when it is
-    refused or not asked for."""
+    refused or not asked for.  read is the cell's ``slope_noise``, bound
+    to its ``slope_form`` of the Gram matrix's weights."""
     gen = RngStream(cfg.base_seed, cell_index * cfg.replications + rep).generator()
     phi = draw_effects(EffectsLaw(cfg.mu0, cfg.sigma20), gen, n_subjects)
-    sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
-    noise, w0 = sampler.slope_noise(gram.weights, gen, n_subjects, first_path=cfg.estimate_hurst)
+    noise, w0 = read(gen, n_subjects, cfg.estimate_hurst)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         xi = phi + noise
         y0 = None if w0 is None else phi[0] * gram.grid.times + w0
@@ -188,23 +220,52 @@ def _replicate_with_gram(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
-    """Run every cell of the configured grid and aggregate."""
+    """Run every cell of the configured grid and aggregate.
+
+    A cell's replications run on a pool of ``worker_threads(cfg)``
+    threads, one contiguous range of replications per thread, each in a
+    copy of the caller's context (so numpy's error state carries over).
+    The first replication to fail ends the run with its error, named
+    with its cell; the work still queued is cancelled.
+    """
     summaries = []
-    for cell_index, h, n_subjects, n_obs in cfg.cells():
+    threads = worker_threads(cfg)
+    cuts = [cfg.replications * i // threads for i in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            summaries.append(_run_cell(cfg, cell_index, h, n_subjects, n_obs))
-        except FracmixError as exc:
-            raise type(exc)(
-                f"cell (H={h}, N={n_subjects}, n={n_obs}): {exc}"
-            ) from exc
+            for cell_index, h, n_subjects, n_obs in cfg.cells():
+                try:
+                    summaries.append(_run_cell(cfg, pool, cuts, cell_index, h, n_subjects, n_obs))
+                except FracmixError as exc:
+                    raise type(exc)(
+                        f"cell (H={h}, N={n_subjects}, n={n_obs}): {exc}"
+                    ) from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return summaries
 
 
-def _run_cell(cfg, cell_index, h, n_subjects, n_obs) -> CellSummary:
+def _run_cell(cfg, pool, cuts, cell_index, h, n_subjects, n_obs) -> CellSummary:
+    """One cell, replications cuts[i] to cuts[i+1] on one thread of pool."""
     grid = SamplingGrid.uniform(n_obs, cfg.horizon)
-    gram = build_gram(grid, h)  # one per cell, as is the exact sampler's factor of V
-    reps = range(cfg.replications)
-    reads = [_replicate_with_gram(cfg, cell_index, gram, n_subjects, rep) for rep in reps]
+    gram = build_gram(grid, h)  # one per cell, as are the sampler and its slope form
+    sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
+    read = functools.partial(sampler.slope_noise, sampler.slope_form(gram.weights))
+    failed = threading.Event()
+
+    def replicate(reps: range) -> list[tuple[np.ndarray, float]]:
+        live = itertools.takewhile(lambda _: not failed.is_set(), reps)
+        return [_replicate_with_gram(cfg, cell_index, gram, read, n_subjects, r) for r in live]
+
+    futures = [
+        pool.submit(contextvars.copy_context().run, replicate, range(lo, hi))
+        for lo, hi in itertools.pairwise(cuts)
+    ]
+    try:  # in replication order, so the first failure is the one serial runs raise
+        reads = [out for future in futures for out in future.result()]
+    finally:  # after a failure, the later ranges stop at their next replication
+        failed.set()
     xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates
     finite_h = h_hats[np.isfinite(h_hats)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below

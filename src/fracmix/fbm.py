@@ -20,7 +20,10 @@ picks a sampler.  The sampler it returns either draws the paths
 GLS slopes W @ c (``slope_noise``): each read is a fixed linear form in
 the normal draws, z'(L'c) on the exact sampler and a product with one
 FFT of the reversed cumulative sum of c on the fast one, so the paths
-are never formed and a read costs O(n) per path.
+are never formed and a read costs O(n) per path.  ``slope_form(c)``
+computes that form, and on the fast sampler the spectrum, once per
+(grid, H, c); ``slope_noise`` then reads only the generator it is
+handed, so one form serves any number of generators and threads.
 
 The embedding is used exactly: eigenvalues below -1e-10 times the
 largest raise ``EmbeddingError`` instead of being clipped.  The minimal
@@ -87,19 +90,19 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def _embedding_draws(
-    n: int, horizon: float, h: float, gen: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """sqrt(lam/m) for the m = 2n embedding eigenvalues lam; the real,
-    then the imaginary parts of complex standard normals z, one row of m
-    per pair of paths; and the factor (horizon/n)^H that maps
-    unit-spacing fBm to the grid's spacing."""
+def _embedding(n: int, horizon: float, h: float) -> tuple[np.ndarray, float]:
+    """sqrt(lam/m) for the m = 2n embedding eigenvalues lam, and the factor
+    (horizon/n)^H that maps unit-spacing fBm to the grid's spacing."""
     hv = hurst_value(h)
     lam = fgn_spectrum(n, hv)
-    shape = ((count + 1) // 2, lam.size)
-    re = _normals(gen, shape)
-    im = _normals(gen, shape)
-    return np.sqrt(lam / lam.size), re, im, (float(horizon) / n) ** hv
+    return np.sqrt(lam / lam.size), (float(horizon) / n) ** hv
+
+
+def _pair_draws(gen: np.random.Generator, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real, then the imaginary parts of complex standard normals z,
+    one row of m per pair of paths."""
+    shape = ((count + 1) // 2, m)
+    return _normals(gen, shape), _normals(gen, shape)
 
 
 def fast_paths(
@@ -111,7 +114,8 @@ def fast_paths(
     fft(sqrt(lam/m) z) are two independent unit-spacing fGn draws, so
     each transform serves two paths.
     """
-    scale, re, im, step = _embedding_draws(n, horizon, h, gen, count)
+    scale, step = _embedding(n, horizon, h)
+    re, im = _pair_draws(gen, scale.size, count)
     w = np.fft.fft(scale * (re + 1j * im), axis=1)[:, :n]
     noise = np.concatenate([w.real, w.imag])[:count]
     # cumulated unit-spacing fGn is fBm on 1..n; self-similarity maps it
@@ -128,14 +132,19 @@ class ExactSampler:
     def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return exact_paths(self.factor, gen, count)
 
+    def slope_form(self, weights: np.ndarray) -> np.ndarray:
+        """L'c for c = weights: a path's read W @ c is z'(L'c) in its normals z."""
+        return weights @ self.factor
+
     def slope_noise(
-        self, weights: np.ndarray, gen: np.random.Generator, count: int, first_path: bool = False
+        self, form: np.ndarray, gen: np.random.Generator, count: int, first_path: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The (count,) reads W @ weights of the paths ``paths`` would draw,
-        as z'(L'c), and with ``first_path`` path 0 of that draw (else None)."""
+        """The (count,) reads W @ c of the paths ``paths`` would draw, for
+        form = ``slope_form(c)``, and with ``first_path`` path 0 of that
+        draw (else None)."""
         z = _normals(gen, (self.factor.shape[0], count))
         first = self.factor @ z[:, 0] if first_path else None
-        return (weights @ self.factor) @ z, first
+        return form @ z, first
 
 
 @dataclass(frozen=True)
@@ -149,20 +158,29 @@ class FftSampler:
     def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return fast_paths(self.n, self.horizon, self.h, gen, count)
 
-    def slope_noise(
-        self, weights: np.ndarray, gen: np.random.Generator, count: int, first_path: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """The (count,) reads W @ weights of the paths ``paths`` would draw,
-        and with ``first_path`` path 0 of that draw (else None).
+    def slope_form(self, weights: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """sqrt(lam/m), step and f = sqrt(lam/m) fft(C, m) for c = weights.
 
         A path is step * cumsum(g) with g its fGn, so its read is g @ C for
         C = step * (reversed cumulative sum of c); and g is the real or
         imaginary part of fft(sqrt(lam/m) z)[:n] for its pair's draws z, so
-        the pair's two reads are the real and imaginary parts of z @ f,
-        f = sqrt(lam/m) fft(C, m), taken here in real arithmetic.
+        the pair's two reads are the real and imaginary parts of z @ f.
         """
-        scale, re, im, step = _embedding_draws(self.n, self.horizon, self.h, gen, count)
-        f = scale * np.fft.fft(np.cumsum(weights[::-1])[::-1] * step, scale.size)
+        scale, step = _embedding(self.n, self.horizon, self.h)
+        return scale, step, scale * np.fft.fft(np.cumsum(weights[::-1])[::-1] * step, scale.size)
+
+    def slope_noise(
+        self,
+        form: tuple[np.ndarray, float, np.ndarray],
+        gen: np.random.Generator,
+        count: int,
+        first_path: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (count,) reads W @ c of the paths ``paths`` would draw, for
+        form = ``slope_form(c)``, taken in real arithmetic, and with
+        ``first_path`` path 0 of that draw (else None)."""
+        scale, step, f = form
+        re, im = _pair_draws(gen, scale.size, count)
         reads = np.concatenate([re @ f.real - im @ f.imag, re @ f.imag + im @ f.real])
         first = None
         if first_path:

@@ -3,7 +3,12 @@
 Monte Carlo replications address disjoint streams by (seed, stream_id);
 a fixed pair reproduces the same draws bit-for-bit on one platform, and
 streams with different ids are statistically independent, so replications
-may run in any order (or concurrently) without changing results.
+may run in any order (or concurrently) without changing results.  What
+is computed from the draws is bit-for-bit on one platform at one BLAS
+thread count: LAPACK's Cholesky factor of V, which the exact sampler
+reads, rounds differently at different BLAS thread counts, so
+exact-sampler outputs under ``OPENBLAS_NUM_THREADS=1`` differ in the last
+bits from those under the default.  The fast sampler's do not.
 
 ``simulate_panel`` and each experiment replication open their stream
 once with ``generator()``, draw the effects from it (``draw_effects``)

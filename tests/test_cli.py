@@ -713,3 +713,27 @@ def test_documented_exit_codes(tmp_path, case):
     assert res.returncode == code
     (line,) = res.stderr.splitlines()
     assert line.startswith("error: ") and fragment in line
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_manifest_records_versions_and_threads(tmp_path, monkeypatch, capsys, sampler):
+    # the pool's size shows in the manifest only: every table and SVG
+    # is byte for byte the same at 1 and 3 threads
+    import scipy
+
+    from fracmix import __version__, experiment
+
+    cfg = one_cell_config(tmp_path, h_list="0.15, 0.85", replications="5", sampler=sampler,
+                          estimate_hurst="true")
+    runs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
+        out = tmp_path / str(workers)
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(runs[workers].pop("manifest.json"))
+        assert manifest["versions"] == {"fracmix": __version__, "numpy": np.__version__,
+                                        "scipy": scipy.__version__}
+        assert manifest["threads"] == workers
+    capsys.readouterr()
+    assert runs[1] == runs[3] and "table_n4.csv" in runs[1]

@@ -1,6 +1,10 @@
 import dataclasses
+import functools
 import json
 import math
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from fracmix.effects import estimate_mu, xi_values
 from fracmix.experiment import _replicate_with_gram, make_histogram
 from fracmix.fbm import fgn_spectrum
 from fracmix.gram import cholesky_factor
+from fracmix.hurst import as_filter
 
 EPS = np.finfo(float).eps
 FULL_GRID = Path(__file__).resolve().parents[1] / "scripts" / "full_grid.cfg"
@@ -44,6 +49,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def replicate(cfg, gm, n_subjects, rep, cell_index=0):
+    # one replication, its sampler and slope form built for it alone
+    sampler = fbm.noise_sampler(cfg.sampler, gm.grid, gm.h)
+    read = functools.partial(sampler.slope_noise, sampler.slope_form(gm.weights))
+    return _replicate_with_gram(cfg, cell_index, gm, read, n_subjects, rep)
 
 
 def test_summarize_empirical_trivia():
@@ -140,7 +152,7 @@ def test_slope_reads_are_those_of_the_simulated_panel(monkeypatch, sampler, h, n
     gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
     law = EffectsLaw(cfg.mu0, cfg.sigma20)
     for rep in range(3):
-        xi, _ = _replicate_with_gram(cfg, 0, gm, 7, rep)
+        xi, _ = replicate(cfg, gm, 7, rep)
         panel = simulate_panel(7, gm.grid, h, law, RngStream(cfg.base_seed, rep), noise=sampler)
         phi = panel.true_effects
         assert drawn[-1].tobytes() == phi.tobytes()
@@ -160,7 +172,7 @@ def test_slope_reads_beat_the_panel_read(sampler, h):
     n_sub, n_obs = 500, 256
     cfg = small_config(h_list=(h,), subjects_list=(n_sub,), n_obs_list=(n_obs,), sampler=sampler)
     gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
-    xi, _ = _replicate_with_gram(cfg, 0, gm, n_sub, 0)
+    xi, _ = replicate(cfg, gm, n_sub, 0)
     law = EffectsLaw(cfg.mu0, cfg.sigma20)
     panel = simulate_panel(n_sub, gm.grid, h, law, RngStream(cfg.base_seed, 0), noise=sampler)
     gen = RngStream(cfg.base_seed, 0).generator()
@@ -205,8 +217,8 @@ def test_replication_order_does_not_matter():
     # reproduces the same aggregates
     cfg = small_config(replications=6, estimate_hurst=True)
     gm = build_gram(SamplingGrid.uniform(4, cfg.horizon), 0.5)
-    forward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in range(6)]
-    backward = [_replicate_with_gram(cfg, 0, gm, 10, r) for r in reversed(range(6))]
+    forward = [replicate(cfg, gm, 10, r) for r in range(6)]
+    backward = [replicate(cfg, gm, 10, r) for r in reversed(range(6))]
     xi, h_hats = (np.array(v) for v in zip(*forward))
     xi_back, h_back = (np.array(v) for v in zip(*backward[::-1]))
     assert xi.shape == (6, 10)
@@ -450,3 +462,163 @@ def test_config_rejects_unknown_sampler():
     with pytest.raises(ValueError, match="bogus"):
         small_config(sampler="bogus")
     assert small_config(sampler="fast").sampler == "fast"
+
+
+def serial_cell(cfg, cell_index, h, n_subjects, n_obs):
+    # the (R, N) reads and (R,) H estimates of a plain loop over the cell
+    gm = build_gram(SamplingGrid.uniform(n_obs, cfg.horizon), h)
+    reads = [replicate(cfg, gm, n_subjects, r, cell_index) for r in range(cfg.replications)]
+    return map(np.array, zip(*reads))
+
+
+@pytest.mark.parametrize("replications", [1, 5])
+@pytest.mark.parametrize("estimate_hurst", [False, True])
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_threaded_cells_equal_a_serial_loop(monkeypatch, workers, sampler, estimate_hurst,
+                                            replications):
+    # every row the cell estimates from is the serial loop's, bit for bit,
+    # in replication order; N = 7 splits the fast sampler's last pair
+    rows, estimate = [], experiment.estimate_mu
+
+    def spy(xi):
+        rows.append(xi.copy())
+        return estimate(xi)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
+    monkeypatch.setattr(experiment, "estimate_mu", spy)
+    cfg = small_config(h_list=(0.15, 0.85), subjects_list=(7,), n_obs_list=(9,), sampler=sampler,
+                       estimate_hurst=estimate_hurst, replications=replications)
+    assert experiment.worker_threads(cfg) == min(workers, replications)
+    before = threading.enumerate()
+    cells = run_experiment(cfg)
+    assert threading.enumerate() == before  # the pool's threads end with the run
+    for (idx, h, n_sub, n_obs), cell in zip(cfg.cells(), cells):
+        xi, h_hats = serial_cell(cfg, idx, h, n_sub, n_obs)
+        got = np.array(rows[idx * replications : (idx + 1) * replications])
+        assert got.shape == (replications, 7) and got.tobytes() == xi.tobytes()
+        finite = h_hats[np.isfinite(h_hats)]
+        if estimate_hurst:
+            assert cell.hurst_refusals == replications - finite.size
+        if estimate_hurst and finite.size:
+            assert (cell.mean_h_hat, cell.emp_std_h) == summarize_empirical(finite)
+
+
+def test_spectrum_is_computed_once_per_fast_cell(monkeypatch):
+    calls, spectrum = [], fbm.fgn_spectrum
+
+    def counting(n, h):
+        calls.append((n, h))
+        return spectrum(n, h)
+
+    monkeypatch.setattr(fbm, "fgn_spectrum", counting)
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    cfg = small_config(h_list=(0.15, 0.85), n_obs_list=(4, 9), replications=5, sampler="fast",
+                       estimate_hurst=True)
+    run_experiment(cfg)
+    assert calls == [(n, h) for _, h, _, n in cfg.cells()]
+    calls.clear()
+    run_experiment(dataclasses.replace(cfg, sampler="exact"))
+    assert calls == []
+
+
+def test_one_task_per_thread_and_cell(monkeypatch):
+    # bookkeeping does not grow with R: one future per range of replications
+    submitted = []
+
+    class CountingPool(experiment.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[-1])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 3)
+    cfg = small_config(h_list=(0.15, 0.85), replications=50)
+    run_experiment(cfg)
+    assert submitted == 2 * [range(0, 16), range(16, 33), range(33, 50)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_replication_names_the_error(monkeypatch, workers):
+    # replications 1 and 3 both fail, 3 sooner in time; the run raises
+    # 1's error, named with its cell, as a serial loop does
+    replicate_one = experiment._replicate_with_gram
+
+    def failing(cfg, cell_index, gram, read, n_subjects, rep):
+        if rep == 1:
+            time.sleep(0.05)
+        if rep in (1, 3):
+            raise NonFiniteError(f"replication {rep} failed")
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
+    monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
+    before = threading.enumerate()
+    with pytest.raises(NonFiniteError, match=r"^cell \(H=0.5, N=10, n=4\): replication 1 failed$"):
+        run_experiment(small_config(replications=5))
+    assert threading.enumerate() == before
+
+
+def test_later_ranges_stop_after_a_failure(monkeypatch):
+    # replication 0 fails once the range from 20 runs; that range stops at
+    # its next replication instead of running all 20, and no later cell starts
+    ran, replicate_one, started = [], experiment._replicate_with_gram, threading.Event()
+
+    def failing(cfg, cell_index, gram, read, n_subjects, rep):
+        ran.append((cell_index, rep))
+        if rep == 0:
+            started.wait(timeout=10)
+            raise NonFiniteError("replication 0 failed")
+        started.set()
+        time.sleep(0.01)
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
+    with pytest.raises(NonFiniteError, match="replication 0 failed"):
+        run_experiment(small_config(h_list=(0.5, 0.85), replications=40))
+    cells, reps = zip(*ran)
+    assert set(cells) == {0} and 1 not in reps
+    assert 1 <= sum(rep >= 20 for rep in reps) < 10
+
+
+def test_replications_run_in_the_callers_numpy_error_state(monkeypatch):
+    states, draw_effects = [], experiment.draw_effects
+
+    def spy(*args):
+        states.append(np.geterr())
+        return draw_effects(*args)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    monkeypatch.setattr(experiment, "draw_effects", spy)
+    with np.errstate(all="raise"):
+        run_experiment(small_config(replications=4))
+    assert len(states) == 4 and all(s["divide"] == s["under"] == "raise" for s in states)
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_more_threads_than_cores_under_fast_switching(monkeypatch, sampler):
+    # threads share the cell's slope form and the filter, whose lag table a
+    # replication builds on first use; switching every microsecond, 8
+    # threads still give the one-thread rows bit for bit
+    rows, estimate = [], experiment.estimate_mu
+
+    def spy(xi):
+        rows.append(xi.copy())
+        return estimate(xi)
+
+    monkeypatch.setattr(experiment, "estimate_mu", spy)
+    runs = []
+    for workers in (1, 8):
+        monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
+        cfg = small_config(h_list=(0.15, 0.85), n_obs_list=(16,), replications=24, sampler=sampler,
+                           estimate_hurst=True, filter=as_filter([1.0, -3.0, 3.0, -1.0]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cells = run_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        runs.append((np.array(rows).tobytes(), [(c.mean_h_hat, c.emp_std_h) for c in cells]))
+        rows.clear()
+    assert runs[0] == runs[1]
