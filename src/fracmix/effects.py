@@ -63,26 +63,33 @@ def xi_values(panel: Panel, g: GramMatrix) -> np.ndarray:
     return panel.y @ g.weights
 
 
-def estimate_mu(xi: np.ndarray) -> float:
-    """Population-mean estimator: the average slope read."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.size < 1:
+def estimate_mu(xi: np.ndarray) -> float | np.ndarray:
+    """Population-mean estimator: the average slope read.
+
+    Reduces over the last axis, so an (R, N) array of R panels' reads
+    gives R estimates, each bitwise the estimate of its row.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape[-1] < 1:
         raise ValueError("need at least one subject")
-    return float(np.mean(xi))
+    mu = np.mean(xi, axis=-1)
+    return float(mu) if xi.ndim == 1 else mu
 
 
-def estimate_sigma2(xi: np.ndarray, q: float) -> float:
+def estimate_sigma2(xi: np.ndarray, q: float) -> float | np.ndarray:
     """Population-variance estimator: pop. variance of xi minus 1/q.
 
-    May be negative in finite samples; callers wanting a point estimate
-    for reporting can clamp at zero.
+    Reduces over the last axis, as ``estimate_mu`` does.  May be negative
+    in finite samples; callers wanting a point estimate for reporting can
+    clamp at zero.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.size < 2:
-        raise ValueError(f"need at least two subjects, got {xi.size}")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape[-1] < 2:
+        raise ValueError(f"need at least two subjects, got {xi.shape[-1]}")
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    return float(np.var(xi) - 1.0 / q)
+    sigma2 = np.var(xi, axis=-1) - 1.0 / q
+    return float(sigma2) if xi.ndim == 1 else sigma2
 
 
 def exact_moments(sigma2: float, n_subjects: int, q: float) -> ExactMoments:

@@ -15,11 +15,14 @@ replications.  Replication r of cell c draws from stream id c*R + r, so
 cells and replications are independent and any execution order
 reproduces the same aggregates.
 
-A cell builds its Gram matrix, sampler and slope form once, then runs
-its replications on a thread pool (numpy's normal draws, FFTs and BLAS
-calls release the GIL), one contiguous range of replications per
-thread, and puts the reads back in replication order.  So every output
-is bit-for-bit that of a serial loop, whatever the pool's size.
+A cell builds its Gram matrix, sampler and slope form once, then queues
+its replications on a thread pool that serves the whole grid (numpy's
+normal draws, FFTs and BLAS calls release the GIL), one contiguous
+range of replications per thread.  The calling thread keeps one cell
+ahead: while the pool draws cell c it sets up and queues cell c+1, then
+puts cell c's reads back in replication order and aggregates them.  So
+every output is bit-for-bit that of a serial loop, whatever the pool's
+size, and errors are raised in the order a serial loop meets them.
 
 Reported "exact" standard deviations evaluate the closed-form moment
 formulas at the TRUE configured sigma2 (they are properties of the
@@ -29,6 +32,7 @@ population-form (divide by R) standard deviations across replications.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import itertools
@@ -222,80 +226,135 @@ def _replicate_with_gram(
 def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
     """Run every cell of the configured grid and aggregate.
 
-    A cell's replications run on a pool of ``worker_threads(cfg)``
-    threads, one contiguous range of replications per thread, each in a
-    copy of the caller's context (so numpy's error state carries over).
-    The first replication to fail ends the run with its error, named
-    with its cell; the work still queued is cancelled.
+    All cells share one pool of ``worker_threads(cfg)`` threads and its
+    first-in, first-out queue.  A cell is set up on the calling thread
+    (Gram matrix, sampler, slope form) and queued as one contiguous range
+    of replications per thread, each run in a copy of the caller's
+    context (so numpy's error state carries over).  The calling thread
+    keeps one cell ahead: it sets up and queues cell c+1, then collects
+    and aggregates cell c, so a thread done with its range of cell c goes
+    straight on to cell c+1, and at most two cells are in flight.
+
+    Errors come in the order a serial loop meets them, each named with
+    its cell: the first failing replication in (cell, replication) order,
+    and a set-up error in cell c+1 only once cell c has been collected
+    cleanly.  A failing replication marks its position before its thread
+    takes more work, and no replication past that position starts; when
+    the run ends with an error, every range stops at its next
+    replication, queued ranges are cancelled, and no thread outlives the
+    call.
     """
     summaries = []
     threads = worker_threads(cfg)
     cuts = [cfg.replications * i // threads for i in range(threads + 1)]
+    stop = _StopLine()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            for cell_index, h, n_subjects, n_obs in cfg.cells():
+            ahead = None  # the cell set up and queued, not yet collected
+            for cell in cfg.cells():
                 try:
-                    summaries.append(_run_cell(cfg, pool, cuts, cell_index, h, n_subjects, n_obs))
-                except FracmixError as exc:
-                    raise type(exc)(
-                        f"cell (H={h}, N={n_subjects}, n={n_obs}): {exc}"
-                    ) from exc
+                    queued = _start_cell(cfg, pool, cuts, stop, cell)
+                finally:  # a set-up error is raised once the cell ahead is collected cleanly
+                    if ahead is not None:
+                        summaries.append(_finish_cell(cfg, *ahead))
+                ahead = queued
+            summaries.append(_finish_cell(cfg, *ahead))
         except BaseException:
+            stop.lower(-1)
             pool.shutdown(cancel_futures=True)
             raise
     return summaries
 
 
-def _run_cell(cfg, pool, cuts, cell_index, h, n_subjects, n_obs) -> CellSummary:
-    """One cell, replications cuts[i] to cuts[i+1] on one thread of pool."""
-    grid = SamplingGrid.uniform(n_obs, cfg.horizon)
-    gram = build_gram(grid, h)  # one per cell, as are the sampler and its slope form
-    sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
-    read = functools.partial(sampler.slope_noise, sampler.slope_form(gram.weights))
-    failed = threading.Event()
+class _StopLine:
+    """The first stream id, in (cell, replication) order, known to fail:
+    no replication at or past it starts."""
+
+    def __init__(self):
+        self.position = math.inf
+        self._lock = threading.Lock()
+
+    def lower(self, position: int) -> None:
+        with self._lock:
+            self.position = min(self.position, position)
+
+
+@contextlib.contextmanager
+def _named(cell):
+    """Prefix a ``FracmixError`` raised inside with the cell's name."""
+    _, h, n_subjects, n_obs = cell
+    try:
+        yield
+    except FracmixError as exc:
+        raise type(exc)(f"cell (H={h}, N={n_subjects}, n={n_obs}): {exc}") from exc
+
+
+def _start_cell(cfg, pool, cuts, stop, cell):
+    """Set one cell up and queue replications cuts[i] to cuts[i+1] as one
+    task of pool each; the cell, its Gram matrix and the tasks."""
+    cell_index, h, n_subjects, n_obs = cell
+    with _named(cell):
+        grid = SamplingGrid.uniform(n_obs, cfg.horizon)
+        gram = build_gram(grid, h)  # one per cell, as are the sampler and its slope form
+        sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
+        read = functools.partial(sampler.slope_noise, sampler.slope_form(gram.weights))
+    first = cell_index * cfg.replications  # the stream id of replication 0
 
     def replicate(reps: range) -> list[tuple[np.ndarray, float]]:
-        live = itertools.takewhile(lambda _: not failed.is_set(), reps)
-        return [_replicate_with_gram(cfg, cell_index, gram, read, n_subjects, r) for r in live]
+        out = []
+        for rep in reps:
+            if first + rep >= stop.position:
+                break
+            try:
+                out.append(_replicate_with_gram(cfg, cell_index, gram, read, n_subjects, rep))
+            except BaseException:
+                stop.lower(first + rep)
+                raise
+        return out
 
     futures = [
         pool.submit(contextvars.copy_context().run, replicate, range(lo, hi))
         for lo, hi in itertools.pairwise(cuts)
     ]
-    try:  # in replication order, so the first failure is the one serial runs raise
+    return cell, gram, futures
+
+
+def _finish_cell(cfg, cell, gram, futures) -> CellSummary:
+    """Collect a started cell's replications in order and aggregate them."""
+    _, h, n_subjects, n_obs = cell
+    with _named(cell):
+        # in replication order, so the first failure is the one serial runs raise
         reads = [out for future in futures for out in future.result()]
-    finally:  # after a failure, the later ranges stop at their next replication
-        failed.set()
-    xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates
-    finite_h = h_hats[np.isfinite(h_hats)]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        samples = {"mu": np.array([estimate_mu(row) for row in xi])}
-        if n_subjects >= 2:  # sigma2 undefined for single-subject panels
-            samples["sigma2"] = np.array([estimate_sigma2(row, gram.quad_uu) for row in xi])
-        if finite_h.size:
-            samples["hurst"] = finite_h
-        moments = exact_moments(cfg.sigma20, n_subjects, gram.quad_uu)
-        finite = all(np.isfinite(x).all() for x in [moments, *samples.values()])
-        histograms = {name: make_histogram(v) for name, v in samples.items()} if finite else {}
-    if not (finite and all(np.isfinite(v.edges).all() for v in histograms.values())):
-        raise NonFiniteError("the estimates or their exact moments overflow a double")
-    stats = {name: summarize_empirical(v) for name, v in samples.items()}
-    nan = (float("nan"), float("nan"))
-    mean_mu, emp_std_mu = stats["mu"]
-    mean_s2, emp_std_s2 = stats.get("sigma2", nan)
-    mean_h, emp_std_h = stats.get("hurst", nan) if cfg.estimate_hurst else (None, None)
-    return CellSummary(
-        h=h,
-        n_subjects=n_subjects,
-        n_obs=n_obs,
-        mean_mu_hat=mean_mu,
-        emp_std_mu=emp_std_mu,
-        exact_std_mu=moments.std_mu,
-        mean_sigma2_hat=mean_s2,
-        emp_std_sigma2=emp_std_s2,
-        exact_std_sigma2=moments.std_sigma2,
-        histograms=histograms,
-        mean_h_hat=mean_h,
-        emp_std_h=emp_std_h,
-        hurst_refusals=cfg.replications - finite_h.size if cfg.estimate_hurst else 0,
-    )
+        xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates
+        finite_h = h_hats[np.isfinite(h_hats)]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            samples = {"mu": estimate_mu(xi)}
+            if n_subjects >= 2:  # sigma2 undefined for single-subject panels
+                samples["sigma2"] = estimate_sigma2(xi, gram.quad_uu)
+            if finite_h.size:
+                samples["hurst"] = finite_h
+            moments = exact_moments(cfg.sigma20, n_subjects, gram.quad_uu)
+            finite = all(np.isfinite(x).all() for x in [moments, *samples.values()])
+            histograms = {name: make_histogram(v) for name, v in samples.items()} if finite else {}
+        if not (finite and all(np.isfinite(v.edges).all() for v in histograms.values())):
+            raise NonFiniteError("the estimates or their exact moments overflow a double")
+        stats = {name: summarize_empirical(v) for name, v in samples.items()}
+        nan = (float("nan"), float("nan"))
+        mean_mu, emp_std_mu = stats["mu"]
+        mean_s2, emp_std_s2 = stats.get("sigma2", nan)
+        mean_h, emp_std_h = stats.get("hurst", nan) if cfg.estimate_hurst else (None, None)
+        return CellSummary(
+            h=h,
+            n_subjects=n_subjects,
+            n_obs=n_obs,
+            mean_mu_hat=mean_mu,
+            emp_std_mu=emp_std_mu,
+            exact_std_mu=moments.std_mu,
+            mean_sigma2_hat=mean_s2,
+            emp_std_sigma2=emp_std_s2,
+            exact_std_sigma2=moments.std_sigma2,
+            histograms=histograms,
+            mean_h_hat=mean_h,
+            emp_std_h=emp_std_h,
+            hurst_refusals=cfg.replications - finite_h.size if cfg.estimate_hurst else 0,
+        )

@@ -14,9 +14,9 @@ the grid; V is never inverted.
 * Uniform grids (``SamplingGrid.is_uniform``), t_j = j*delta: the
   increments Dy of a path (D the differencing matrix) are fractional
   Gaussian noise with Toeplitz covariance delta^{2H} R, so
-  V^{-1} = delta^{-2H} D'R^{-1}D.  One compiled Levinson solve [1, 2],
-  O(n^2) time and O(n) memory, gives s = R^{-1}1 (for c and q), det R
-  and x = R^{-1}e_1.  x fixes R^{-1} = (L1 L1' - L2 L2') / x_0 [3], L1
+  V^{-1} = delta^{-2H} D'R^{-1}D.  Two compiled real Levinson solves
+  [1, 2], O(n^2) time and O(n) memory, give s = R^{-1}1 (for c and q),
+  det R and x = R^{-1}e_1.  x fixes R^{-1} = (L1 L1' - L2 L2') / x_0 [3], L1
   and L2 lower triangular Toeplitz with first columns x and
   (0, x_{n-1}, ..., x_1), so each y'V^{-1}y is two FFT convolutions.
 * Other grids: V is formed and factored as V = L L' (Cholesky); c and q
@@ -229,20 +229,22 @@ def _cholesky(times: bytes, hv: float) -> np.ndarray:
 def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s = R^{-1}1, x = R^{-1}e_1 and the prediction error variances v
     (det R = prod v) of the symmetric Toeplitz R with first row r_{0:n}.
-    R is real, so one compiled Levinson solve of R (phi + i s) = r_{1:n+1} + i
-    gives s and the order-n predictor phi, whose reflection coefficients
+    Two compiled Levinson solves give s from R s = 1 and the order-n
+    predictor phi from R phi = r_{1:n+1}, whose reflection coefficients
     give v_k = r_0 prod_{j<=k} (1 - kappa_j^2); one step down from phi gives
     x.  Raises ``FactorizationError`` unless v_0..v_n are positive."""
     n = r.size - 1
+    a = np.append(r[n - 1 : 0 : -1], r[:n])
     try:
-        y, kappa = levinson(np.append(r[n - 1 : 0 : -1], r[:n]).astype(complex), r[1:] + 1j)
+        s, _ = levinson(a, np.ones(n))
+        phi, kappa = levinson(a, r[1:])
     except np.linalg.LinAlgError as exc:  # a singular leading minor
         raise FactorizationError(f"Toeplitz covariance is singular (n={n})") from exc
-    phi, k = y.real, kappa.real[1:]
+    k = kappa[1:]
     v = r[0] * np.cumprod(np.append(1.0, (1.0 - k) * (1.0 + k)))
     if not np.all(v > 0.0):  # also catches NaN
         raise FactorizationError(f"Toeplitz covariance is not positive definite (n={n})")
-    return y.imag, np.append(1.0 / v[n - 1], -(phi[:-1] + k[-1] * phi[-2::-1]) / v[n]), v[:n]
+    return s, np.append(1.0 / v[n - 1], -(phi[:-1] + k[-1] * phi[-2::-1]) / v[n]), v[:n]
 
 
 def _gs_factors(x: np.ndarray, z: np.ndarray) -> np.ndarray:

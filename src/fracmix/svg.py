@@ -35,12 +35,13 @@ def histogram_svg(edges, counts, title: str, xlabel: str) -> str:
     top = float(counts.max()) if counts.size and counts.max() > 0 else 1.0
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    x_axis_y = MARGIN_TOP + plot_h
 
-    def px(x: float) -> float:
+    def px(x: np.ndarray) -> np.ndarray:
         return MARGIN_LEFT + (x - lo) / (hi - lo) * plot_w
 
-    def py(c: float) -> float:
-        return MARGIN_TOP + plot_h - c / top * plot_h
+    def py(c: np.ndarray) -> np.ndarray:
+        return x_axis_y - c / top * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -50,19 +51,18 @@ def histogram_svg(edges, counts, title: str, xlabel: str) -> str:
         f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
-    for i, c in enumerate(counts):
-        x0, x1 = px(edges[i]), px(edges[i + 1])
-        y = py(c)
+    xs, ys = px(edges), py(counts)
+    bars = zip(xs[:-1].tolist(), np.diff(xs).tolist(), ys.tolist(), (x_axis_y - ys).tolist())
+    for x0, width, y, height in bars:
         parts.append(
-            f'<rect x="{x0:.2f}" y="{y:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{MARGIN_TOP + plot_h - y:.2f}" fill="#9ecae1" stroke="#4292c6" '
+            f'<rect x="{x0:.2f}" y="{y:.2f}" width="{width:.2f}" '
+            f'height="{height:.2f}" fill="#9ecae1" stroke="#4292c6" '
             'stroke-width="0.5"/>'
         )
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    poly = " ".join(f"{px(x):.2f},{py(c):.2f}" for x, c in zip(centers, counts))
+    centers = px(0.5 * (edges[:-1] + edges[1:]))
+    poly = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(centers.tolist(), ys.tolist()))
     parts.append(f'<polyline points="{poly}" fill="none" stroke="#08306b" stroke-width="1.5"/>')
     # axes
-    x_axis_y = MARGIN_TOP + plot_h
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{x_axis_y}" x2="{MARGIN_LEFT + plot_w}" '
         f'y2="{x_axis_y}" stroke="black"/>'
@@ -71,15 +71,15 @@ def histogram_svg(edges, counts, title: str, xlabel: str) -> str:
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
         f'y2="{x_axis_y}" stroke="black"/>'
     )
-    for tick in np.linspace(lo, hi, 5):
-        x = px(tick)
+    ticks = np.linspace(lo, hi, 5)
+    for tick, x in zip(ticks.tolist(), px(ticks).tolist()):
         parts.append(f'<line x1="{x:.2f}" y1="{x_axis_y}" x2="{x:.2f}" y2="{x_axis_y + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{x:.2f}" y="{x_axis_y + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{tick:.4g}</text>'
         )
-    for tick in _y_ticks(top):
-        y = py(tick)
+    y_ticks = _y_ticks(top)
+    for tick, y in zip(y_ticks, py(np.array(y_ticks, dtype=float)).tolist()):
         parts.append(f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>')
         parts.append(
             f'<text x="{MARGIN_LEFT - 9}" y="{y + 4:.2f}" text-anchor="end" '

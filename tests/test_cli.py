@@ -564,6 +564,21 @@ def test_experiment_unknown_sampler_exits_2(tmp_path):
     assert line.startswith("error: --config: ") and "sampler" in line and "bogus" in line
 
 
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_experiment_overflowing_cell_exits_4_naming_the_first_failing_cell(tmp_path, sampler):
+    # every cell overflows at mu0 = 1e308; the first one in grid order is
+    # named, the run exits 4 as any other cell failure does, and no table
+    # is written
+    cfg = one_cell_config(tmp_path, h_list="0.5, 0.85", n_obs_list="4, 8", mu0="1e308",
+                          replications="3", sampler=sampler)
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 4
+    running, line = res.stderr.splitlines()
+    assert running.startswith("running 4 cells x 3 replications")
+    assert line.startswith("error: cell (H=0.5, N=3, n=4): ")
+    assert not list((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("key,value", [("h_list", "0.5, 0.5"), ("n_obs_list", "4, 2")])
 def test_experiment_config_fails_before_the_first_cell(tmp_path, key, value):
     # a repeated axis value, or a series too short for the filter, exits 2 up front

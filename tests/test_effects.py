@@ -150,6 +150,33 @@ def test_estimate_sigma2_needs_two_subjects():
         estimate_sigma2(np.array([1.0]), 5.0)
 
 
+@pytest.mark.parametrize("n_subjects", [2, 7, 500])
+@pytest.mark.parametrize("panels", [1, 5, 400])
+def test_estimators_reduce_each_row_of_a_matrix(panels, n_subjects):
+    # an (R, N) matrix of reads gives R estimates, each bitwise its row's
+    gen = RngStream(panels * 1000 + n_subjects).generator()
+    xi = 3.0 + 1e4 * gen.standard_normal() + gen.standard_normal((panels, n_subjects))
+    mu, sigma2 = estimate_mu(xi), estimate_sigma2(xi, 2.5)
+    assert mu.shape == sigma2.shape == (panels,)
+    assert mu.tobytes() == np.array([estimate_mu(row) for row in xi]).tobytes()
+    assert sigma2.tobytes() == np.array([estimate_sigma2(row, 2.5) for row in xi]).tobytes()
+
+
+def test_estimators_keep_their_float_and_errors_on_one_panel():
+    assert type(estimate_mu(np.array([1.0, 2.0]))) is float
+    assert type(estimate_mu([3.7])) is float
+    assert type(estimate_sigma2(np.array([1.0, 2.0]), 5.0)) is float
+    with pytest.raises(ValueError, match="^need at least one subject$"):
+        estimate_mu(np.array([]))
+    with pytest.raises(ValueError, match="^need at least two subjects, got 1$"):
+        estimate_sigma2(np.array([1.0]), 5.0)
+    with pytest.raises(ValueError, match="^q must be positive, got 0.0$"):
+        estimate_sigma2(np.array([1.0, 2.0]), 0.0)
+    # a matrix is checked per panel: N subjects, whatever R
+    with pytest.raises(ValueError, match="^need at least two subjects, got 1$"):
+        estimate_sigma2(np.ones((4, 1)), 5.0)
+
+
 # ---------------------------------------------------------- exact moments
 def test_exact_moments_reference_values():
     # q = 5 on the 4-point horizon-5 Brownian grid

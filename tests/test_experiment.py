@@ -14,6 +14,7 @@ from fracmix import (
     EffectsLaw,
     EstimationRangeError,
     ExperimentConfig,
+    FactorizationError,
     NonFiniteError,
     RngStream,
     SamplingGrid,
@@ -482,7 +483,7 @@ def test_threaded_cells_equal_a_serial_loop(monkeypatch, workers, sampler, estim
     rows, estimate = [], experiment.estimate_mu
 
     def spy(xi):
-        rows.append(xi.copy())
+        rows.extend(xi.copy())  # one (R, N) matrix per cell
         return estimate(xi)
 
     monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
@@ -582,6 +583,181 @@ def test_later_ranges_stop_after_a_failure(monkeypatch):
     assert 1 <= sum(rep >= 20 for rep in reps) < 10
 
 
+def failing_set_up(h_failing, built):
+    # build_gram that records each H it is asked for and refuses one
+    build = experiment.build_gram
+
+    def building(grid, h):
+        built.append(h)
+        if h == h_failing:
+            raise FactorizationError("set-up failed")
+        return build(grid, h)
+
+    return building
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_replication_comes_before_the_next_cells_set_up_error(monkeypatch, workers):
+    # cell 1 is set up, and fails, while cell 0's replication 2 is still
+    # running; the run raises replication 2's error, as a serial loop does
+    built, replicate_one = [], experiment._replicate_with_gram
+
+    def failing(cfg, cell_index, gram, read, n_subjects, rep):
+        if (cell_index, rep) == (0, 2):
+            time.sleep(0.05)
+            raise NonFiniteError("replication 2 failed")
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: workers)
+    monkeypatch.setattr(experiment, "build_gram", failing_set_up(0.85, built))
+    monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
+    before = threading.enumerate()
+    with pytest.raises(NonFiniteError, match=r"^cell \(H=0.5, N=10, n=4\): replication 2 failed$"):
+        run_experiment(small_config(h_list=(0.5, 0.85), replications=5))
+    assert built == [0.5, 0.85]
+    assert threading.enumerate() == before
+
+
+def test_a_clean_cell_is_collected_before_the_next_cells_set_up_error(monkeypatch):
+    built, rows, estimate = [], [], experiment.estimate_mu
+
+    def spy(xi):
+        rows.extend(xi.copy())
+        return estimate(xi)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    monkeypatch.setattr(experiment, "build_gram", failing_set_up(0.85, built))
+    monkeypatch.setattr(experiment, "estimate_mu", spy)
+    before = threading.enumerate()
+    with pytest.raises(FactorizationError, match=r"^cell \(H=0.85, N=10, n=4\): set-up failed$"):
+        run_experiment(small_config(h_list=(0.5, 0.85, 0.15), replications=5))
+    assert built == [0.5, 0.85]  # cell 2 is never set up
+    assert len(rows) == 5  # cell 0 was aggregated first
+    assert threading.enumerate() == before
+
+
+def test_the_failing_thread_marks_its_position_before_its_next_range(monkeypatch):
+    # one thread: replication 2 of cell 0 fails once cell 1's range is
+    # queued behind it; the thread then takes that range and runs none of it
+    ran, replicate_one, queued = [], experiment._replicate_with_gram, threading.Event()
+    submitted = []
+
+    class WatchedPool(experiment.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            submitted.append(args[-1])
+            if len(submitted) == 2:  # cell 1's one range
+                queued.set()
+            return future
+
+    def failing(cfg, cell_index, gram, read, n_subjects, rep):
+        ran.append((cell_index, rep))
+        if (cell_index, rep) == (0, 2):
+            assert queued.wait(timeout=10)
+            raise NonFiniteError("replication 2 failed")
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", WatchedPool)
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 1)
+    monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
+    with pytest.raises(NonFiniteError, match="replication 2 failed"):
+        run_experiment(small_config(h_list=(0.5, 0.85), replications=5))
+    assert ran == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_an_aggregation_error_stops_the_next_cells_ranges(monkeypatch):
+    # cell 0's estimates fail once cell 1's ranges run; they stop at their
+    # next replication instead of running all 40
+    ran, replicate_one, started = [], experiment._replicate_with_gram, threading.Event()
+
+    def replicating(cfg, cell_index, gram, read, n_subjects, rep):
+        if cell_index == 1:
+            ran.append(rep)
+            started.set()
+            time.sleep(0.01)
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    def estimating(xi):
+        started.wait(timeout=10)
+        raise NonFiniteError("aggregation failed")
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    monkeypatch.setattr(experiment, "_replicate_with_gram", replicating)
+    monkeypatch.setattr(experiment, "estimate_mu", estimating)
+    before = threading.enumerate()
+    with pytest.raises(NonFiniteError, match=r"^cell \(H=0.5, N=10, n=4\): aggregation failed$"):
+        run_experiment(small_config(h_list=(0.5, 0.85), replications=40))
+    assert 1 <= len(ran) < 10
+    assert threading.enumerate() == before
+
+
+def test_at_most_two_cells_are_set_up_ahead_of_the_last_collected(monkeypatch):
+    events, build, estimate = [], experiment.build_gram, experiment.estimate_mu
+
+    def building(grid, h):
+        events.append(1)
+        return build(grid, h)
+
+    def estimating(xi):
+        events.append(-1)
+        return estimate(xi)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 2)
+    monkeypatch.setattr(experiment, "build_gram", building)
+    monkeypatch.setattr(experiment, "estimate_mu", estimating)
+    cfg = small_config(h_list=(0.15, 0.5, 0.85), n_obs_list=(4, 9), replications=5)
+    run_experiment(cfg)
+    ahead = np.cumsum(events)  # cells set up and not yet collected
+    assert events.count(1) == events.count(-1) == len(cfg.cells())
+    assert ahead.max() == 2 and ahead[-1] == 0
+
+
+def test_stop_line_keeps_the_lowest_position_under_fast_switching():
+    # 8 threads lower one stop line at once, switching every microsecond;
+    # a lost update would leave a position above the lowest one marked
+    stop, interval = experiment._StopLine(), sys.getswitchinterval()
+    positions = np.random.default_rng(3).permutation(8 * 400).reshape(8, 400) + 7
+
+    def lowering(values):
+        for value in values.tolist():
+            stop.lower(value)
+
+    threads = [threading.Thread(target=lowering, args=(row,)) for row in positions]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert stop.position == 7
+
+
+@pytest.mark.parametrize("sampler", ["exact", "fast"])
+def test_first_failure_across_cells_under_fast_switching(monkeypatch, sampler):
+    # 8 threads on 3 cells of 24 replications, several failing in each of
+    # the last two cells; the run raises the first in (cell, replication) order
+    replicate_one, failing_at = experiment._replicate_with_gram, {(1, 9), (1, 20), (2, 0), (2, 3)}
+
+    def failing(cfg, cell_index, gram, read, n_subjects, rep):
+        if (cell_index, rep) in failing_at:
+            raise NonFiniteError(f"replication {rep} failed")
+        return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
+
+    monkeypatch.setattr(experiment, "_worker_count", lambda: 8)
+    monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
+    before, interval = threading.enumerate(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(NonFiniteError, match=r"^cell \(H=0.5, N=10, n=4\): replication 9 failed$"):
+            run_experiment(small_config(h_list=(0.15, 0.5, 0.85), replications=24, sampler=sampler))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == before
+
+
 def test_replications_run_in_the_callers_numpy_error_state(monkeypatch):
     states, draw_effects = [], experiment.draw_effects
 
@@ -604,7 +780,7 @@ def test_more_threads_than_cores_under_fast_switching(monkeypatch, sampler):
     rows, estimate = [], experiment.estimate_mu
 
     def spy(xi):
-        rows.append(xi.copy())
+        rows.extend(xi.copy())  # one (R, N) matrix per cell
         return estimate(xi)
 
     monkeypatch.setattr(experiment, "estimate_mu", spy)

@@ -404,7 +404,43 @@ def test_levinson_rejects_what_durbin_rejects(r):
         gram._levinson(r)
 
 
-def test_one_levinson_solve_per_uniform_build(monkeypatch):
+def complex_levinson(r):
+    """``gram._levinson`` as one complex solve of R (phi + i s) = r_{1:n+1} + i:
+    R is real, so its real and imaginary parts are the two real solves."""
+    n = r.size - 1
+    try:
+        y, kappa = gram.levinson(np.append(r[n - 1 : 0 : -1], r[:n]).astype(complex), r[1:] + 1j)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"Toeplitz covariance is singular (n={n})") from exc
+    phi, k = y.real, kappa.real[1:]
+    v = r[0] * np.cumprod(np.append(1.0, (1.0 - k) * (1.0 + k)))
+    if not np.all(v > 0.0):
+        raise FactorizationError(f"Toeplitz covariance is not positive definite (n={n})")
+    return y.imag, np.append(1.0 / v[n - 1], -(phi[:-1] + k[-1] * phi[-2::-1]) / v[n]), v[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 257, 1000, 2048])
+def test_real_levinson_solves_equal_the_complex_solve(n):
+    # s, x and v bit for bit, over H in [0.01, 0.99]
+    for h in np.linspace(0.01, 0.99, 25):
+        r = gram.fgn_autocovariance(n + 1, h)
+        got, want = gram._levinson(r), complex_levinson(r)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], h
+
+
+@pytest.mark.parametrize(
+    "r", [np.ones(8), np.array([1.0, 2.0, 0, 0, 0, 0, 0, 0])], ids=["singular", "indefinite"]
+)
+def test_real_levinson_solves_reject_what_the_complex_solve_rejects(r):
+    with pytest.raises(FactorizationError) as want:
+        complex_levinson(r)
+    with pytest.raises(FactorizationError) as got:
+        gram._levinson(r)
+    assert str(got.value) == str(want.value)
+    assert type(got.value.__cause__) is type(want.value.__cause__)
+
+
+def test_two_real_levinson_solves_per_uniform_build(monkeypatch):
     solve, calls = gram.levinson, []
 
     def counting(*args):
@@ -419,7 +455,7 @@ def test_one_levinson_solve_per_uniform_build(monkeypatch):
     for n in (2, 64, 300):
         grid = SamplingGrid.uniform(n, 5.0)
         gm = build_gram(grid, 0.7)
-        assert len(calls) == 1
+        assert len(calls) == 2 and not any(np.iscomplexobj(a) for args in calls for a in args)
         panel = simulate_panel(5, grid, 0.7, law, RngStream(n))
         est = estimate_effects(panel, gm)
         want = log_marginal_likelihood(panel, gm, law)
