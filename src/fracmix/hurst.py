@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -268,6 +268,18 @@ def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[floa
     return g
 
 
+@lru_cache(maxsize=64)
+def _probed_curve(
+    spacing: float, k: float, coeffs: bytes
+) -> tuple[Callable[[float], float], float, float, float]:
+    """``_scale_curve`` for the filter with these coefficient bytes, and its
+    values at HURST_MIN, the bracket midpoint and HURST_MAX.  They depend
+    on (spacing, k, filter) only, so they are built once per key; an error
+    raised while building them is not cached."""
+    g = _scale_curve(spacing, k, np.frombuffer(coeffs))
+    return g, g(HURST_MIN), g(0.5 * (HURST_MIN + HURST_MAX)), g(HURST_MAX)
+
+
 def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     """Variance constant A(t, k, gamma) of the k-variation CLT.
 
@@ -395,7 +407,8 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
     strictly decreasing over the bracket (it always is for spacing < 1;
     very coarse grids with spacing well above 1 can break this and are
     rejected), and the root finder reuses the probe's values at the two
-    endpoints instead of evaluating g there again.
+    endpoints instead of evaluating g there again.  The curve and the
+    probe are built once per (spacing, k, filter) (``_probed_curve``).
 
     Raises ``ValueError`` for a horizon that is not positive and finite,
     ``EstimationRangeError`` when S falls outside the invertible range
@@ -409,9 +422,7 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
     n = y.size
     spacing = float(horizon) / n
     s_obs = s_n(y, k, f)
-    g = _scale_curve(spacing, k, f)
-
-    g_lo, g_mid, g_hi = g(HURST_MIN), g(0.5 * (HURST_MIN + HURST_MAX)), g(HURST_MAX)
+    g, g_lo, g_mid, g_hi = _probed_curve(spacing, k_value(k), f.coeffs.tobytes())
     if not g_lo > g_mid > g_hi:
         raise EstimationRangeError(
             f"scale function is not decreasing over [{HURST_MIN}, {HURST_MAX}] "

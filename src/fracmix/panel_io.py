@@ -5,6 +5,18 @@ Panel CSV contract: header ``subject,t,y``, rows sorted by
 Every subject must carry the identical time column, and every value
 must be finite.  Floats are written with ``repr`` (shortest round-trip
 form), so read -> write reproduces a conforming file byte for byte.
+
+A panel file is read in one of two ways.  A seekable file whose first
+line is exactly the header (LF or CRLF), whose other lines are blank or
+three unquoted fields (an id that fits an int64, two finite floats) no
+longer than the csv field limit, and whose rows pass the order and
+time-column checks, is read in one ``np.loadtxt`` pass; every file
+``write_panel_csv`` writes is such a file.  Every other file is read by
+the csv row loop, which alone defines a valid file: it takes quoted
+fields, ids of any size and lone-CR line endings, and words every
+message.  The numpy pass never raises a format error of its own; it
+returns the values the loop returns for the same file, parsed by the
+same CPython float parser.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -39,8 +52,15 @@ def read_panel_csv(path) -> Panel:
 
     Raises ``PanelFormatError`` on non-UTF-8 or malformed CSV text, a bad
     header, unsorted rows, a non-finite value, or mismatched time columns.
+    A seekable file is first read in one numpy pass (``_numpy_rows``); a
+    file that pass does not take is read again from its start by the row
+    loop below, which alone defines a valid file and words every message.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = _numpy_rows(fh) if fh.seekable() else None
+        if rows is not None:
+            times, y, n = rows
+            return Panel(grid=SamplingGrid(times[:n]), y=y.reshape(-1, n))
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -80,18 +100,81 @@ def read_panel_csv(path) -> Panel:
             raise PanelFormatError(f"line {reader.line_num}: {exc}") from None
     if not ts:
         raise PanelFormatError("panel file has no data rows")
-    # every subject's block of rows must repeat the first: length and times
     times = np.array(ts)
     bounds = np.array([*starts.values(), times.size])
+    bad = _first_mismatch(times, bounds)
+    if bad is not None:
+        subjects = list(starts)
+        raise PanelFormatError(
+            f"subject {subjects[bad]} has a different time column than subject {subjects[0]}"
+        )
+    n = bounds[1]
+    return Panel(grid=SamplingGrid(times[:n]), y=np.array(ys).reshape(-1, n))
+
+
+# a row of the numpy pass: ids that do not fit an int64 make it fail
+_ROW = np.dtype([("subject", np.int64), ("t", float), ("y", float)])
+_HEADER_LINES = (",".join(PANEL_HEADER) + "\n", ",".join(PANEL_HEADER) + "\r\n")
+
+
+def _numpy_rows(fh) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Every row's t and y, and the length n of a subject's time column,
+    of a plain file in one ``np.loadtxt`` pass over the rest of fh; or
+    None, with fh back at its start, for the row loop to read.
+
+    Plain: the first line is exactly the header; every later line is
+    blank or three unquoted fields, an int64 id and two finite floats,
+    and no line is longer than the csv field limit; the rows pass the
+    row loop's order and time-column checks.  Anything else (a decode
+    error, a field numpy cannot parse, any warning, no rows, a failed
+    check) gives None, so that file goes to the row loop, errors and all.
+    Both parse a float with CPython's ``PyOS_string_to_double``, so every
+    value taken here is the one the loop would return.
+    """
+    limit = csv.field_size_limit()
+
+    def lines():
+        for line in fh:
+            if len(line) > limit:  # it may hold a field the loop refuses
+                raise ValueError("line longer than the csv field limit")
+            yield line
+
+    rows = None
+    try:
+        if fh.readline() in _HEADER_LINES:
+            # warnings as errors: numpy warns on no rows, and before 2.0 on
+            # an integer written as a float (the filters are process-wide)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    lines(), delimiter=",", dtype=_ROW, comments=None, quotechar=None, ndmin=1
+                )
+    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+        pass
+    if rows is not None and rows.size:
+        subject, times, y = rows["subject"], rows["t"], rows["y"]
+        new = subject[1:] != subject[:-1]
+        if (
+            np.isfinite(times).all()
+            and np.isfinite(y).all()
+            and (subject[1:] >= subject[:-1]).all()
+            and (new | (times[1:] > times[:-1])).all()
+        ):
+            bounds = np.flatnonzero(np.concatenate([[True], new, [True]]))
+            if _first_mismatch(times, bounds) is None:
+                return times, y, int(bounds[1])
+    fh.seek(0)
+    return None
+
+
+def _first_mismatch(times: np.ndarray, bounds: np.ndarray) -> int | None:
+    """The index of the first subject whose block of rows does not repeat
+    the first subject's times, length included, or None.  ``bounds``
+    holds each block's first row, then the row count."""
     n = bounds[1]
     window = np.minimum(bounds[:-1, None] + np.arange(n), times.size - 1)
     bad = np.flatnonzero((np.diff(bounds) != n) | (times[window] != times[:n]).any(axis=1))
-    if bad.size:
-        subjects = list(starts)
-        raise PanelFormatError(
-            f"subject {subjects[bad[0]]} has a different time column than subject {subjects[0]}"
-        )
-    return Panel(grid=SamplingGrid(times[:n]), y=np.array(ys).reshape(-1, n))
+    return int(bad[0]) if bad.size else None
 
 
 def format_real(x: float) -> str:

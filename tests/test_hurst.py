@@ -30,6 +30,7 @@ from fracmix.hurst import (
     _ROOT_XTOL,
     _SERIES_POWERS,
     _pi_series,
+    _probed_curve,
     _scale_curve,
     as_filter,
     brentq,
@@ -276,6 +277,31 @@ def test_g_scale_strictly_decreasing(n):
     g = _scale_curve(1 / n, 2.0, DIFF2)
     vals = np.array([g(t) for t in ts])
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_curve_and_probe_built_once_per_key():
+    # one build per (spacing, k, filter), and the same bits as a fresh build
+    gen = np.random.default_rng(17)
+    paths = [gen.standard_normal(n).cumsum() * math.sqrt(5.0 / n) for n in (32, 64)]  # H = 1/2
+    cases = [(y, f) for y in paths for f in ("diff2", "diff3")]
+    _probed_curve.cache_clear()
+    warm = [estimate_h(y, 5.0, 2.0, f) for y, f in cases * 3]
+    info = _probed_curve.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+    for (y, f), est in zip(cases * 3, warm):
+        _probed_curve.cache_clear()
+        cold = estimate_h(y, 5.0, 2.0, f)
+        assert (cold.h_hat.hex(), cold.asym_std.hex()) == (est.h_hat.hex(), est.asym_std.hex())
+
+
+def test_probe_error_is_not_cached():
+    # g overflows at H = HURST_MAX on this grid; each call raises afresh
+    y = np.random.default_rng(3).standard_normal(32)
+    _probed_curve.cache_clear()
+    for _ in range(2):
+        with pytest.raises(EstimationRangeError, match="overflows"):
+            estimate_h(y, 1e300 * y.size)
+    assert _probed_curve.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------- asym_variance_a
