@@ -12,7 +12,9 @@ deterministic value 0 at t = 0 is not stored):
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, synthesis from one complex FFT per
   pair of paths [3], cumulative sum and a T^H self-similarity rescale.
-  Uniform grids only; O(n log n) per path.
+  Uniform grids only; O(n log n) per path.  The pairs are synthesised a
+  fixed block at a time into the preallocated output, so beyond its
+  2n normals per path the sampler holds only that output.
 
 ``noise_sampler`` is the one place a method name ("exact" or "fast")
 picks a sampler.  The sampler it returns either draws the paths
@@ -50,6 +52,10 @@ from .gram import SamplingGrid, cholesky_factor, fgn_autocovariance, hurst_value
 # An eigenvalue this far below zero (relative to the largest) means the
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
+
+# ``fast_paths`` synthesises this many pairs of paths per FFT, so its
+# complex temporaries stay a few MB whatever the path count
+_BLOCK_PAIRS = 32
 
 
 def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -112,15 +118,26 @@ def fast_paths(
 
     With z complex standard normal, the real and imaginary parts of
     fft(sqrt(lam/m) z) are two independent unit-spacing fGn draws, so
-    each transform serves two paths.
+    each transform serves two paths: pair j gives paths j and
+    (count + 1) // 2 + j.  All draws are taken first, real parts then
+    imaginary parts; the transforms and cumulative sums then run
+    ``_BLOCK_PAIRS`` pairs at a time, straight into the output, with the
+    same values as one transform over all pairs.
     """
     scale, step = _embedding(n, horizon, h)
     re, im = _pair_draws(gen, scale.size, count)
-    w = np.fft.fft(scale * (re + 1j * im), axis=1)[:, :n]
-    noise = np.concatenate([w.real, w.imag])[:count]
-    # cumulated unit-spacing fGn is fBm on 1..n; self-similarity maps it
-    # to spacing T/n
-    return np.cumsum(noise, axis=1) * step
+    pairs = re.shape[0]
+    out = np.empty((count, n))
+    for a in range(0, pairs, _BLOCK_PAIRS):
+        b = min(a + _BLOCK_PAIRS, pairs)
+        w = np.fft.fft(scale * (re[a:b] + 1j * im[a:b]), axis=1)[:, :n]
+        # cumulated unit-spacing fGn is fBm on 1..n: pair j's real part is
+        # path j, its imaginary part path pairs + j (if count reaches it)
+        np.cumsum(w.real, axis=1, out=out[a:b])
+        tail = out[pairs + a : pairs + b]
+        np.cumsum(w.imag[: tail.shape[0]], axis=1, out=tail)
+    out *= step  # self-similarity maps spacing 1 to spacing T/n
+    return out
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,20 @@ class VariationFilter:
     sum_j j^r gamma_j = 0 for all 0 <= r < p and != 0 at r = p (with
     the 0^0 = 1 convention).  Construction goes through
     ``validate_filter``; p >= 2 is required so linear drifts vanish.
+    Two filters are equal, and hash alike, when their coefficient bytes
+    and orders are.
     """
 
     coeffs: np.ndarray
     order: int
+
+    def __eq__(self, other):
+        if not isinstance(other, VariationFilter):
+            return NotImplemented
+        return self.order == other.order and self.coeffs.tobytes() == other.coeffs.tobytes()
+
+    def __hash__(self):
+        return hash((self.coeffs.tobytes(), self.order))
 
     @property
     def length(self) -> int:
@@ -270,13 +280,12 @@ def _scale_curve(spacing: float, k: float, f: VariationFilter) -> Callable[[floa
 
 @lru_cache(maxsize=64)
 def _probed_curve(
-    spacing: float, k: float, coeffs: bytes
+    spacing: float, k: float, f: VariationFilter
 ) -> tuple[Callable[[float], float], float, float, float]:
-    """``_scale_curve`` for the filter with these coefficient bytes, and its
-    values at HURST_MIN, the bracket midpoint and HURST_MAX.  They depend
-    on (spacing, k, filter) only, so they are built once per key; an error
-    raised while building them is not cached."""
-    g = _scale_curve(spacing, k, np.frombuffer(coeffs))
+    """``_scale_curve`` and its values at HURST_MIN, the bracket midpoint
+    and HURST_MAX.  They depend on (spacing, k, filter) only, so they are
+    built once per key; an error raised while building them is not cached."""
+    g = _scale_curve(spacing, k, f)
     return g, g(HURST_MIN), g(0.5 * (HURST_MIN + HURST_MAX)), g(HURST_MAX)
 
 
@@ -420,9 +429,9 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     y = np.asarray(y, dtype=float)
     n = y.size
+    s_obs = s_n(y, k, f)  # raises on an empty series before n divides
     spacing = float(horizon) / n
-    s_obs = s_n(y, k, f)
-    g, g_lo, g_mid, g_hi = _probed_curve(spacing, k_value(k), f.coeffs.tobytes())
+    g, g_lo, g_mid, g_hi = _probed_curve(spacing, k_value(k), f)
     if not g_lo > g_mid > g_hi:
         raise EstimationRangeError(
             f"scale function is not decreasing over [{HURST_MIN}, {HURST_MAX}] "

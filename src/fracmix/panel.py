@@ -44,6 +44,13 @@ class Panel:
     ``y`` is (N, n); row i holds subject i's transformed observations.
     ``true_effects`` is set only for simulated panels and is never read
     by any estimator.
+
+    The panel keeps a read-only ``y``.  A 2-D, C-contiguous, read-only
+    float64 ndarray that owns its buffer is adopted as it is, without a
+    copy; setting its ``writeable`` flag back is then the caller's act.
+    Any other input (a writeable array, a view, a strided or non-float64
+    array, an ndarray subclass, a list) is copied first, so later changes
+    to it do not reach the panel.
     """
 
     grid: SamplingGrid
@@ -51,7 +58,16 @@ class Panel:
     true_effects: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.atleast_2d(np.array(self.y, dtype=float))  # own copy: frozen below
+        y = self.y
+        if not (
+            type(y) is np.ndarray
+            and y.ndim == 2
+            and y.dtype == np.float64
+            and y.flags.c_contiguous
+            and y.flags.owndata
+            and not y.flags.writeable
+        ):
+            y = np.atleast_2d(np.array(y, dtype=float))  # own copy: frozen below
         if y.shape[1] != len(self.grid):
             raise GridError(f"panel has {y.shape[1]} columns, grid has {len(self.grid)} times")
         if y.shape[0] < 1:
@@ -100,6 +116,12 @@ def simulate_panel(
     is opened once; effects are drawn from it (``draw_effects``) before the
     noise, so the same stream yields the same phi_i regardless of the noise
     method.
+
+    The panel's ``y`` is the one (N, n) buffer that the drift terms are
+    written to and the paths added into, and ``Panel`` adopts it without a
+    copy.  At its peak the call holds about 3x the panel's bytes for
+    "fast" (its normal draws are 2x), 2x for "exact" (with the factor of V
+    already cached) and 1x for "none".
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")
@@ -108,13 +130,15 @@ def simulate_panel(
     hv = hurst_value(h)
     gen = rng.generator()
     phi = draw_effects(law, gen, n_subjects)
-    if noise == "none":
-        w = np.zeros((n_subjects, len(grid)))
-    else:
-        w = noise_sampler(noise, grid, hv).paths(gen, n_subjects)
-    # an overflowing drift gives inf or nan, which Panel rejects
+    w = 0.0 if noise == "none" else noise_sampler(noise, grid, hv).paths(gen, n_subjects)
+    # y = phi t + w in one buffer, which the panel adopts; adding 0.0 keeps
+    # the sign of a -0.0 drift term as the sum with zero paths did.  An
+    # overflowing drift gives inf or nan, which Panel rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = phi[:, None] * grid.times[None, :] + w
+        y = phi[:, None] * grid.times
+        y += w
+    del w  # Panel's checks run without the paths held
+    y.flags.writeable = False
     return Panel(grid=grid, y=y, true_effects=phi)
 
 

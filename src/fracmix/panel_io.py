@@ -4,7 +4,9 @@ Panel CSV contract: header ``subject,t,y``, rows sorted by
 (subject, t), decimal points, UTF-8 (BOM optional), LF line endings.
 Every subject must carry the identical time column, and every value
 must be finite.  Floats are written with ``repr`` (shortest round-trip
-form), so read -> write reproduces a conforming file byte for byte.
+form), one row of the panel at a time, so read -> write reproduces a
+conforming file byte for byte and writing holds one row as Python
+floats, not the whole panel.
 
 A panel file is read in one of two ways.  A seekable file whose first
 line is exactly the header (LF or CRLF), whose other lines are blank or
@@ -16,16 +18,17 @@ the csv row loop, which alone defines a valid file: it takes quoted
 fields, ids of any size and lone-CR line endings, and words every
 message.  The numpy pass never raises a format error of its own; it
 returns the values the loop returns for the same file, parsed by the
-same CPython float parser.
+same CPython float parser.  The row loop fills a read-only (N, n) array
+of its own, which ``Panel`` adopts without a copy.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
-import warnings
 
 import numpy as np
 
@@ -43,8 +46,8 @@ def write_panel_csv(path, panel: Panel) -> None:
     times = [repr(float(t)) for t in panel.grid.times]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(PANEL_HEADER) + "\n")
-        for i, row in enumerate(panel.y.tolist(), start=1):
-            fh.write("".join([f"{i},{t},{y!r}\n" for t, y in zip(times, row)]))
+        for i, row in enumerate(panel.y, start=1):  # one row of Python floats at a time
+            fh.write("".join([f"{i},{t},{y!r}\n" for t, y in zip(times, row.tolist())]))
 
 
 def read_panel_csv(path) -> Panel:
@@ -109,7 +112,10 @@ def read_panel_csv(path) -> Panel:
             f"subject {subjects[bad]} has a different time column than subject {subjects[0]}"
         )
     n = bounds[1]
-    return Panel(grid=SamplingGrid(times[:n]), y=np.array(ys).reshape(-1, n))
+    y = np.empty((len(ys) // n, n))
+    y.reshape(-1)[:] = ys  # filled in place: Panel adopts y without a copy
+    y.flags.writeable = False
+    return Panel(grid=SamplingGrid(times[:n]), y=y)
 
 
 # a row of the numpy pass: ids that do not fit an int64 make it fail
@@ -126,10 +132,13 @@ def _numpy_rows(fh) -> tuple[np.ndarray, np.ndarray, int] | None:
     blank or three unquoted fields, an int64 id and two finite floats,
     and no line is longer than the csv field limit; the rows pass the
     row loop's order and time-column checks.  Anything else (a decode
-    error, a field numpy cannot parse, any warning, no rows, a failed
-    check) gives None, so that file goes to the row loop, errors and all.
-    Both parse a float with CPython's ``PyOS_string_to_double``, so every
-    value taken here is the one the loop would return.
+    error, a field numpy cannot parse, no rows, a failed check) gives
+    None, so that file goes to the row loop, errors and all.  A body of
+    blank lines only is refused before ``np.loadtxt`` sees it, as numpy
+    warns on input with no rows; at numpy >= 2.0 every other refusal is
+    an exception, so the pass sets no warning filter.  Both parse a float
+    with CPython's ``PyOS_string_to_double``, so every value taken here is
+    the one the loop would return.
     """
     limit = csv.field_size_limit()
 
@@ -142,14 +151,20 @@ def _numpy_rows(fh) -> tuple[np.ndarray, np.ndarray, int] | None:
     rows = None
     try:
         if fh.readline() in _HEADER_LINES:
-            # warnings as errors: numpy warns on no rows, and before 2.0 on
-            # an integer written as a float (the filters are process-wide)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(
-                    lines(), delimiter=",", dtype=_ROW, comments=None, quotechar=None, ndmin=1
-                )
-    except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+            body, peeked = lines(), []
+            for line in body:
+                peeked.append(line)
+                if not line.isspace():  # a row or a fault, so numpy cannot warn of no data
+                    rows = np.loadtxt(
+                        itertools.chain(peeked, body),
+                        delimiter=",",
+                        dtype=_ROW,
+                        comments=None,
+                        quotechar=None,
+                        ndmin=1,
+                    )
+                    break
+    except ValueError:  # a UnicodeDecodeError is a ValueError
         pass
     if rows is not None and rows.size:
         subject, times, y = rows["subject"], rows["t"], rows["y"]

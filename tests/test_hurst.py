@@ -24,6 +24,7 @@ from fracmix import hurst
 from fracmix.fbm import fast_paths
 from fracmix.gram import HURST_MAX, HURST_MIN, hurst_value
 from fracmix.hurst import (
+    FILTERS,
     K_MAX,
     _ROOT_MAX_ITER,
     _ROOT_RTOL,
@@ -294,6 +295,28 @@ def test_curve_and_probe_built_once_per_key():
         assert (cold.h_hat.hex(), cold.asym_std.hex()) == (est.h_hat.hex(), est.asym_std.hex())
 
 
+def test_equal_filters_share_a_curve():
+    # a filter certified again from the same coefficients is equal, hashes
+    # alike, and finds the named filter's cache entry
+    again = validate_filter(FILTERS["diff2"])
+    assert again is not DIFF2 and again == DIFF2 and hash(again) == hash(DIFF2)
+    assert DIFF2 != DIFF3 and DIFF2 != "diff2"
+    _probed_curve.cache_clear()
+    y = np.random.default_rng(19).standard_normal(64).cumsum() * math.sqrt(5.0 / 64)
+    first, second = estimate_h(y, 5.0, f=DIFF2), estimate_h(y, 5.0, f=again)
+    assert _probed_curve.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert first == second and hash(first) == hash(second)
+    assert {first, second} == {first}
+
+
+def test_filters_compare_on_coefficient_bytes_and_order():
+    diff2 = np.array(FILTERS["diff2"])
+    assert validate_filter(2.0 * diff2) != DIFF2
+    assert validate_filter(-diff2) != DIFF2
+    assert validate_filter(np.append(diff2, 0.0)) != DIFF2  # same order, longer
+    assert validate_filter(list(FILTERS["diff3"])) == DIFF3
+
+
 def test_probe_error_is_not_cached():
     # g overflows at H = HURST_MAX on this grid; each call raises afresh
     y = np.random.default_rng(3).standard_normal(32)
@@ -543,6 +566,11 @@ def test_estimator_rejects_out_of_scale_series():
 def test_estimator_series_too_short():
     with pytest.raises(SeriesLengthError):
         estimate_h(np.ones(2), 1.0)
+
+
+def test_estimator_empty_series_is_too_short():
+    with pytest.raises(SeriesLengthError, match="length 0"):
+        estimate_h(np.array([]), 5.0)
 
 
 @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf, -math.inf])

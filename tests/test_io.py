@@ -385,20 +385,43 @@ def test_no_data_rows_leaks_no_numpy_warning(tmp_path, content):
         read_without_warnings(path)
 
 
-def test_a_numpy_warning_sends_the_file_to_the_row_loop(tmp_path, monkeypatch):
-    # numpy 1.24-1.26 warn, instead of raising, when an integer field reads as a float
-    real = np.loadtxt
-
-    def warning_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+def test_an_id_written_as_a_float_reaches_the_row_loop(tmp_path, monkeypatch):
+    # numpy >= 2.0 raises on an integer field that reads as a float (1.24-1.26
+    # only warned), so the pass sets no warning filter; the row loop words it
     path = tmp_path / "p.csv"
-    path.write_bytes(GOOD.encode())
+    path.write_bytes(GOOD.replace("\n1,", "\n1.0,", 1).encode())
     calls = spy_on_row_loop(monkeypatch)
-    assert read_without_warnings(path).y.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(PanelFormatError, match="line 2: invalid literal for int"):
+        read_without_warnings(path)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\r\n \t\n", "\r"])
+def test_a_blank_body_never_reaches_numpy(tmp_path, monkeypatch, body):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was given a body without rows")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    path = tmp_path / "p.csv"
+    path.write_bytes(("subject,t,y\n" + body).encode())
+    with pytest.raises(PanelFormatError):
+        read_without_warnings(path)
+
+
+def test_blank_lines_ahead_of_the_rows_reach_numpy(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"subject,t,y\n\n\r\n1,0.5,1.0\n\n1,1.0,2.0\n")
+    calls = spy_on_row_loop(monkeypatch)
+    assert read_without_warnings(path).y.tolist() == [[1.0, 2.0]]
+    assert calls == []
+
+
+def test_row_loop_hands_its_array_to_the_panel(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(DIFFERENTIAL["quoted"].encode())  # read by the row loop
+    y = read_panel_csv(path).y
+    assert y.flags.owndata and y.flags.c_contiguous and not y.flags.writeable
+    assert y.tolist() == [[1.0, 2.0]]
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")

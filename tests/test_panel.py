@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -11,6 +13,8 @@ from fracmix import (
     simulate_panel,
     transform_to_y,
 )
+from fracmix.fbm import fgn_spectrum
+from fracmix.gram import cholesky_factor
 
 
 def test_effects_law_validation():
@@ -78,6 +82,112 @@ def test_panel_rejects_non_finite_y(bad):
     y[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         Panel(grid=SamplingGrid.uniform(4, 1.0), y=y)
+
+
+# ------------------------------------------------- one buffer per panel
+def whole_array_fast_paths(n, horizon, h, gen, count):
+    """The FFT sampler synthesising all pairs in one transform."""
+    lam = fgn_spectrum(n, h)
+    scale, step = np.sqrt(lam / lam.size), (float(horizon) / n) ** h
+    shape = ((count + 1) // 2, lam.size)
+    re, im = gen.standard_normal(shape), gen.standard_normal(shape)
+    w = np.fft.fft(scale * (re + 1j * im), axis=1)[:, :n]
+    return np.cumsum(np.concatenate([w.real, w.imag])[:count], axis=1) * step
+
+
+def separate_buffers_panel(n_subjects, grid, h, law, stream, noise):
+    """y = phi t + w with the paths w drawn as a separate array."""
+    gen = stream.generator()
+    phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
+    if noise == "none":
+        w = np.zeros((n_subjects, len(grid)))
+    elif noise == "exact":
+        w = (cholesky_factor(grid, h) @ gen.standard_normal((len(grid), n_subjects))).T
+    else:
+        w = whole_array_fast_paths(len(grid), grid.horizon, h, gen, n_subjects)
+    return phi[:, None] * grid.times[None, :] + w
+
+
+@pytest.mark.parametrize("count", [1, 2, 31, 32, 33, 64, 65, 500])
+@pytest.mark.parametrize("noise", ["exact", "fast", "none"])
+def test_simulated_panel_is_bitwise_the_separate_buffers_sum(noise, count):
+    law = EffectsLaw(-2.0, 1.0)
+    for n, h in [(1, 0.5), (7, 0.15), (64, 0.85), (256, 0.5)]:
+        grid = SamplingGrid.uniform(n, 5.0)
+        got = simulate_panel(count, grid, h, law, RngStream(61, count), noise=noise)
+        want = separate_buffers_panel(count, grid, h, law, RngStream(61, count), noise)
+        assert got.y.shape == want.shape
+        assert got.y.tobytes() == want.tobytes()
+
+
+def test_noise_free_panel_keeps_the_sign_of_zero():
+    # phi = -0.0 + 0.0 z is -0.0 for z < 0; -0.0 t + 0.0 is +0.0
+    grid, law = SamplingGrid.uniform(8, 5.0), EffectsLaw(-0.0, 0.0)
+    got = simulate_panel(40, grid, 0.5, law, RngStream(62), noise="none")
+    assert np.signbit(got.true_effects).any()
+    assert not np.signbit(got.y).any()
+    want = separate_buffers_panel(40, grid, 0.5, law, RngStream(62), "none")
+    assert got.y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise,bound", [("fast", 4.0), ("none", 1.3), ("exact", 2.3)])
+def test_simulation_peak_memory(noise, bound):
+    n_subjects, grid, h = 4096, SamplingGrid.uniform(256, 5.0), 0.85
+    cholesky_factor(grid, h)  # the exact sampler's factor is cached, as in a run
+    tracemalloc.start()
+    try:
+        panel = simulate_panel(n_subjects, grid, h, EffectsLaw(-2.0, 1.0), RngStream(63), noise=noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * panel.y.nbytes
+
+
+def test_panel_adopts_its_simulated_buffer():
+    panel = simulate_panel(3, SamplingGrid.uniform(4, 1.0), 0.5, EffectsLaw(0.0, 1.0), RngStream(64))
+    assert panel.y.flags.owndata and not panel.y.flags.writeable
+    y = np.ones((3, 4))
+    y.flags.writeable = False
+    assert Panel(grid=SamplingGrid.uniform(4, 1.0), y=y).y is y
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class Tagged(np.ndarray):
+    """An ndarray subclass; ``Tagged(shape)`` owns its buffer."""
+
+
+def owned_subclass():
+    a = Tagged((3, 4))
+    a[...] = 1.0
+    return read_only(a)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.ones((3, 4)),  # writeable
+        lambda: read_only(np.ones((3, 4))[:]),  # read-only view of a writeable base
+        lambda: read_only(np.asfortranarray(np.ones((3, 4)))),  # owns, not C-contiguous
+        lambda: read_only(np.ones((3, 4), dtype=np.int64)),
+        lambda: read_only(np.ones((3, 4), dtype=">f8")),
+        owned_subclass,
+    ],
+    ids=["writeable", "read-only-view", "fortran", "int", "big-endian", "subclass"],
+)
+def test_panel_copies_what_it_does_not_adopt(make):
+    given = make()
+    panel = Panel(grid=SamplingGrid.uniform(4, 1.0), y=given)
+    assert panel.y is not given
+    assert type(panel.y) is np.ndarray and panel.y.dtype == np.float64
+    assert not panel.y.flags.writeable
+    base = given if given.flags.owndata else given.base
+    base.flags.writeable = True
+    base[...] = 5  # the caller's array changes; the panel does not
+    assert np.array_equal(panel.y, np.ones((3, 4)))
 
 
 def test_transform_zero_drift():
