@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .gram import GramMatrix, check_grid
+from .errors import GridError
+from .gram import GramMatrix
 from .panel import EffectsLaw, Panel
 
 
@@ -59,7 +60,8 @@ class EffectsEstimate:
 
 def xi_values(panel: Panel, g: GramMatrix) -> np.ndarray:
     """Per-subject slope reads xi_i = u'V^{-1}Y^i / u'V^{-1}u = Y^i @ g.weights."""
-    check_grid(g, panel.grid)
+    if panel.grid != g.grid:
+        raise GridError("grid does not match the Gram matrix grid")
     return panel.y @ g.weights
 
 

@@ -111,13 +111,13 @@ class ExperimentConfig:
         return [(idx, *cell) for idx, cell in enumerate(grid)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     edges: np.ndarray  # HISTOGRAM_BINS + 1 values
     counts: np.ndarray  # HISTOGRAM_BINS values, summing to R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellSummary:
     h: float
     n_subjects: int

@@ -140,7 +140,7 @@ def fast_paths(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactSampler:
     """Paths L z on any grid, L the Cholesky factor of V(H)."""
 

@@ -62,11 +62,13 @@ class SamplingGrid:
     """Strictly increasing observation times t_1 < ... < t_n = T.
 
     The process starts at t = 0 but the origin is not an observation
-    point and is not stored.
+    point and is not stored.  Grids are values: two grids with the same
+    times are equal and hash alike.
     """
 
-    times: np.ndarray
-    horizon: float = field(init=False)
+    times: np.ndarray = field(compare=False)
+    horizon: float = field(init=False, compare=False)
+    _key: bytes = field(init=False, repr=False)  # the times' bytes: == and hash
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)  # own copy: frozen below
@@ -81,6 +83,7 @@ class SamplingGrid:
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "horizon", float(t[-1]))
+        object.__setattr__(self, "_key", t.tobytes())
 
     @classmethod
     def uniform(cls, n: int, horizon: float) -> "SamplingGrid":
@@ -104,7 +107,7 @@ class SamplingGrid:
         return bool(np.max(np.abs(self.times - ref)) <= 1e-9 * self.horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """fBm covariance V on a grid, read through what the estimators need.
 
@@ -118,8 +121,8 @@ class GramMatrix:
     weights: np.ndarray
     quad_uu: float
     log_det: float
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _inv_column: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _factor: np.ndarray | None = field(default=None, repr=False)
+    _inv_column: np.ndarray | None = field(default=None, repr=False)
 
     def quad_yy(self, y: np.ndarray) -> np.ndarray:
         """y'V^{-1}y for each row of the (count, n) array y.  Raises
@@ -205,16 +208,15 @@ def _gram_hurst(h: float) -> float:
 def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
     """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V.
 
-    The factor of the last (grid times, H) asked for is kept, so every
+    The factor of the last (grid, H) asked for is kept, so every
     replication on one grid shares one factorization; a failure is not
     kept and raises again.  Raises as ``build_gram`` does.
     """
-    return _cholesky(grid.times.tobytes(), _gram_hurst(h))
+    return _cholesky(grid, _gram_hurst(h))
 
 
-@lru_cache(maxsize=1)
-def _cholesky(times: bytes, hv: float) -> np.ndarray:
-    grid = SamplingGrid(np.frombuffer(times))
+@lru_cache(maxsize=1)  # keyed on the grid's value: equal times share the factor
+def _cholesky(grid: SamplingGrid, hv: float) -> np.ndarray:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             L = cholesky(fbm_covariance(grid, hv), lower=True)
@@ -252,9 +254,3 @@ def _gs_factors(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     m = 2 * x.size
     cols = np.fft.rfft(np.stack((x, np.append(0.0, x[:0:-1]))), m)
     return np.fft.irfft(cols[:, None] * np.fft.rfft(z, m), m)[..., : x.size]
-
-
-def check_grid(g: GramMatrix, grid: SamplingGrid) -> None:
-    """Raise ``GridError`` unless grid has the Gram matrix's times."""
-    if grid is not g.grid and not np.array_equal(grid.times, g.grid.times):
-        raise GridError("grid does not match the Gram matrix grid")

@@ -45,7 +45,7 @@ reference it is within 1e-14 relative for the named filters, every t, k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -98,16 +98,12 @@ class VariationFilter:
     and orders are.
     """
 
-    coeffs: np.ndarray
+    coeffs: np.ndarray = field(compare=False)
     order: int
+    _key: bytes = field(init=False, repr=False)  # the coefficients' bytes: == and hash
 
-    def __eq__(self, other):
-        if not isinstance(other, VariationFilter):
-            return NotImplemented
-        return self.order == other.order and self.coeffs.tobytes() == other.coeffs.tobytes()
-
-    def __hash__(self):
-        return hash((self.coeffs.tobytes(), self.order))
+    def __post_init__(self):
+        object.__setattr__(self, "_key", self.coeffs.tobytes())
 
     @property
     def length(self) -> int:

@@ -37,7 +37,7 @@ class EffectsLaw:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """N subjects observed on one shared grid.
 

@@ -185,11 +185,13 @@ def _numpy_rows(fh) -> tuple[np.ndarray, np.ndarray, int] | None:
 def _first_mismatch(times: np.ndarray, bounds: np.ndarray) -> int | None:
     """The index of the first subject whose block of rows does not repeat
     the first subject's times, length included, or None.  ``bounds``
-    holds each block's first row, then the row count."""
-    n = bounds[1]
-    window = np.minimum(bounds[:-1, None] + np.arange(n), times.size - 1)
-    bad = np.flatnonzero((np.diff(bounds) != n) | (times[window] != times[:n]).any(axis=1))
-    return int(bad[0]) if bad.size else None
+    holds each block's first row, then the row count.  The blocks ahead of
+    the first one of another length are compared as rows of a view."""
+    n, count = bounds[1], bounds.size - 1
+    uneven = np.flatnonzero(np.diff(bounds) != n)
+    m = int(uneven[0]) if uneven.size else count  # blocks 0..m-1 start at i*n
+    bad = np.flatnonzero((times[: m * n].reshape(m, n) != times[:n]).any(axis=1))
+    return int(bad[0]) if bad.size else (m if m < count else None)
 
 
 def format_real(x: float) -> str:

@@ -82,6 +82,20 @@ def test_xi_grid_mismatch():
         xi_values(make_panel(np.zeros((1, 4))), gm)
 
 
+@pytest.mark.parametrize("h", [0.3, 0.7])
+def test_xi_takes_any_grid_equal_to_the_gram_grid(h):
+    # GRID4 is uniform (Toeplitz backend); the other grid is not (Cholesky)
+    for grid in (GRID4, SamplingGrid((1.0, 1.7, 2.2, 4.0))):
+        gm = build_gram(grid, h)
+        y = np.random.default_rng(4).standard_normal((3, 4))
+        same = xi_values(make_panel(y, grid), gm)
+        copy = xi_values(make_panel(y, SamplingGrid(grid.times.copy())), gm)
+        assert copy.tobytes() == same.tobytes()
+        moved = SamplingGrid(np.append(grid.times[:-1], np.nextafter(grid.horizon, 9.0)))
+        with pytest.raises(GridError, match="does not match the Gram matrix grid"):
+            xi_values(make_panel(y, moved), gm)
+
+
 # property tests of the slope read: random panels on the 4-point grid
 panels = st.tuples(
     st.sampled_from([0.15, 0.5, 0.85]),

@@ -23,6 +23,7 @@ from fracmix import (
     xi_values,
 )
 from fracmix import gram
+from fracmix.fbm import noise_sampler
 from fracmix.gram import cholesky_factor, fbm_covariance, hurst_value
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
@@ -66,6 +67,42 @@ def test_grid_validation():
     assert g.horizon == 5.0
     assert g.is_uniform
     assert not SamplingGrid((1.0, 1.1, 3.0)).is_uniform
+
+
+def test_grids_are_values():
+    a, b = SamplingGrid.uniform(8, 1.0), SamplingGrid.uniform(8, 1.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert SamplingGrid(a.times.copy()) == a and SamplingGrid(list(a.times)) == a
+    others = (
+        SamplingGrid.uniform(8, 2.0),
+        SamplingGrid.uniform(7, 1.0),
+        SamplingGrid(np.append(a.times[:-1], np.nextafter(1.0, 2.0))),  # one ulp off
+    )
+    for other in others:
+        assert other != a and not other == a
+    assert a != "grid"
+    assert repr(a).startswith("SamplingGrid(times=array(") and "_key" not in repr(a)
+
+
+def test_array_containers_compare_by_identity():
+    grid = SamplingGrid((1.0, 1.7, 2.2, 4.0, 5.5))
+    cfg = ExperimentConfig(
+        h_list=(0.7,), subjects_list=(3,), n_obs_list=(8,), horizon=2.0,
+        mu0=1.0, sigma20=0.5, replications=3,
+    )
+    pairs = [
+        (build_gram(grid, 0.7), build_gram(grid, 0.7)),
+        (build_gram(GRID4, 0.3), build_gram(GRID4, 0.3)),  # the Toeplitz backend
+        (Panel(grid=GRID4, y=np.ones((2, 4))), Panel(grid=GRID4, y=np.ones((2, 4)))),
+        (noise_sampler("exact", grid, 0.7), noise_sampler("exact", grid, 0.7)),
+        (run_experiment(cfg)[0], run_experiment(cfg)[0]),
+    ]
+    cells = pairs[-1]
+    pairs.append((cells[0].histograms["mu"], cells[1].histograms["mu"]))
+    for a, b in pairs:
+        assert a == a and not a == b and a != b, type(a).__name__
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_brownian_two_point_grid():

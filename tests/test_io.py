@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -422,6 +423,53 @@ def test_row_loop_hands_its_array_to_the_panel(tmp_path):
     y = read_panel_csv(path).y
     assert y.flags.owndata and y.flags.c_contiguous and not y.flags.writeable
     assert y.tolist() == [[1.0, 2.0]]
+
+
+def gathered_first_mismatch(times, bounds):
+    """The oracle: each subject's first n times gathered through an (N, n)
+    index window, compared with the first subject's."""
+    n = bounds[1]
+    window = np.minimum(bounds[:-1, None] + np.arange(n), times.size - 1)
+    bad = np.flatnonzero((np.diff(bounds) != n) | (times[window] != times[:n]).any(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    edits=st.lists(st.sampled_from(["same", "same", "shorter", "longer", "changed"]), max_size=8),
+    at=st.integers(min_value=0, max_value=5),
+)
+def test_first_mismatch_matches_the_gathered_oracle(n, edits, at):
+    first = np.arange(1.0, n + 1.0)
+    blocks = [first]
+    for edit in edits:
+        block = first.copy()
+        if edit == "shorter" and n > 1:
+            block = block[:-1]
+        elif edit == "longer" or edit == "shorter":
+            block = np.append(block, n + 1.0)
+        elif edit == "changed":
+            block[at % n] += 0.25
+        blocks.append(block)
+    times = np.concatenate(blocks)
+    bounds = np.cumsum([0] + [b.size for b in blocks])
+    assert panel_io._first_mismatch(times, bounds) == gathered_first_mismatch(times, bounds)
+
+
+def test_first_mismatch_compares_the_blocks_in_place():
+    # the gathered oracle holds an int64 window and a float copy of every
+    # block, about 2.1x the time column; the view needs a bool per time
+    count, n = 256, 1024
+    times = np.tile(np.arange(1.0, n + 1.0), count)
+    bounds = np.arange(count + 1) * n
+    tracemalloc.start()
+    try:
+        assert panel_io._first_mismatch(times, bounds) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * times.nbytes
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")

@@ -202,7 +202,8 @@ def test_transform_constant_drift_exact():
     x = np.array([1.0, 1.2, 0.4, 2.2, 1.8])
     c = 0.75
     y = transform_to_y(times, x, lambda s: c)
-    assert np.allclose(y, x[1:] - x[0] - c * times[1:], rtol=1e-12, atol=1e-12)
+    # dyadic steps and drift: every product and partial sum is exact
+    assert np.array_equal(y, x[1:] - x[0] - c * times[1:])
 
 
 def test_transform_quadrature_error_is_second_order():
@@ -247,9 +248,15 @@ def test_transform_matches_scipy_trapezoid_bitwise(seed):
 
 
 def test_transform_input_validation():
-    with pytest.raises(GridError):
-        transform_to_y([0.5, 1.0], [0.0, 1.0], lambda s: 0.0)
-    with pytest.raises(GridError):
-        transform_to_y([0.0, 1.0, 0.5], [0.0, 1.0, 2.0], lambda s: 0.0)
-    with pytest.raises(ValueError):
-        transform_to_y([0.0, 1.0], [0.0, 1.0, 2.0], lambda s: 0.0)
+    cases = [
+        ([0.5, 1.0], [0.0, 1.0], GridError, r"start at t=0, got t\[0\]=0\.5"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], GridError, "strictly increasing"),
+        ([0.0, 1.0, 0.5], [0.0, 1.0, 2.0], GridError, "strictly increasing"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0], ValueError, "equal length"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], ValueError, "1-D arrays"),
+        ([0.0], [1.0], ValueError, "at least one observation"),
+        ([], [], ValueError, "at least one observation"),
+    ]
+    for times, x, error, fragment in cases:
+        with pytest.raises(error, match=fragment):
+            transform_to_y(times, x, lambda s: 0.0)
