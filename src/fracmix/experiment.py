@@ -91,7 +91,8 @@ class ExperimentConfig:
             )
         if min(self.subjects_list) < 1 or min(self.n_obs_list) < 1:
             raise ValueError("subjects_list and n_obs_list values must be >= 1")
-        if self.estimate_hurst and min(self.n_obs_list) <= (last := as_filter(self.filter).length):
+        object.__setattr__(self, "filter", as_filter(self.filter))  # ValueError if invalid
+        if self.estimate_hurst and min(self.n_obs_list) <= (last := self.filter.length):
             raise ValueError(f"n_obs_list values must exceed {last} to estimate H with this filter")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")

@@ -208,9 +208,10 @@ def _gram_hurst(h: float) -> float:
 def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
     """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V.
 
-    The factor of the last (grid, H) asked for is kept, so every
-    replication on one grid shares one factorization; a failure is not
-    kept and raises again.  Raises as ``build_gram`` does.
+    The factor of the last (grid, H) asked for is kept, so repeated
+    ``simulate_panel(noise="exact")`` calls on one grid, and an exact
+    panel after a non-uniform ``build_gram``, factor once; a failure is
+    not kept and raises again.  Raises as ``build_gram`` does.
     """
     return _cholesky(grid, _gram_hurst(h))
 

@@ -31,7 +31,7 @@ from fracmix.effects import estimate_mu, xi_values
 from fracmix.experiment import _replicate_with_gram, make_histogram
 from fracmix.fbm import fgn_spectrum
 from fracmix.gram import cholesky_factor
-from fracmix.hurst import as_filter
+from fracmix.hurst import VariationFilter, as_filter
 
 EPS = np.finfo(float).eps
 FULL_GRID = Path(__file__).resolve().parents[1] / "scripts" / "full_grid.cfg"
@@ -203,8 +203,8 @@ def test_replications_never_form_the_paths(monkeypatch, sampler, estimate_hurst)
     def refuse(*args):
         raise AssertionError("a replication built every path")
 
-    monkeypatch.setattr(fbm, "exact_paths", refuse)
-    monkeypatch.setattr(fbm, "fast_paths", refuse)
+    monkeypatch.setattr(fbm.ExactSampler, "paths", refuse)
+    monkeypatch.setattr(fbm.FftSampler, "paths", refuse)
     cfg = small_config(n_obs_list=(8,), sampler=sampler, estimate_hurst=estimate_hurst)
     with pytest.raises(AssertionError, match="every path"):  # the guard holds for panels
         simulate_panel(2, SamplingGrid.uniform(8, 5.0), 0.5, EffectsLaw(0.0, 1.0), RngStream(1),
@@ -463,6 +463,48 @@ def test_config_rejects_unknown_sampler():
     with pytest.raises(ValueError, match="bogus"):
         small_config(sampler="bogus")
     assert small_config(sampler="fast").sampler == "fast"
+
+
+@pytest.mark.parametrize("estimate_hurst", [False, True])
+def test_config_rejects_an_invalid_filter_spec(estimate_hurst):
+    # on construction, whether or not H is estimated
+    with pytest.raises(ValueError, match="bogus"):
+        small_config(filter="bogus", estimate_hurst=estimate_hurst)
+    with pytest.raises(ValueError, match="order"):
+        small_config(filter=[1.0, -1.0], estimate_hurst=estimate_hurst)
+
+
+def test_config_holds_its_filter_as_a_variation_filter():
+    named, listed = small_config(filter="diff3"), small_config(filter=[-1.0, 3.0, -3.0, 1.0])
+    assert named.filter is as_filter("diff3")
+    assert listed == named == small_config(filter=(-1.0, 3.0, -3.0, 1.0))
+    assert hash(listed) == hash(named)  # a list spec used to make hash() raise TypeError
+    assert small_config(filter="1,-3,3,-1").filter == as_filter([1.0, -3.0, 3.0, -1.0])
+
+
+def cell_record(cell):
+    hists = [(h.edges.tobytes(), h.counts.tobytes()) for _, h in sorted(cell.histograms.items())]
+    fields = [getattr(cell, f.name) for f in dataclasses.fields(cell) if f.name != "histograms"]
+    return np.array(fields, dtype=float).tobytes(), hists
+
+
+def test_list_filter_runs_bitwise_as_its_variation_filter(monkeypatch):
+    # every replication reads the config's one filter object; nothing re-parses the spec
+    seen, estimate = [], experiment.estimate_h
+
+    def spy(y, horizon, k, filt):
+        seen.append(filt)
+        return estimate(y, horizon, k, filt)
+
+    monkeypatch.setattr(experiment, "estimate_h", spy)
+    runs = []
+    for spec in ([1.0, -3.0, 3.0, -1.0], as_filter([1.0, -3.0, 3.0, -1.0])):
+        cfg = small_config(n_obs_list=(16, 32), replications=6, estimate_hurst=True, filter=spec)
+        runs.append([cell_record(c) for c in run_experiment(cfg)])
+        assert isinstance(cfg.filter, VariationFilter)
+        assert len(seen) == 12 and all(f is cfg.filter for f in seen)
+        seen.clear()
+    assert runs[0] == runs[1]
 
 
 def serial_cell(cfg, cell_index, h, n_subjects, n_obs):

@@ -12,7 +12,7 @@ from fracmix import (
     build_gram,
     simulate_panel,
 )
-from fracmix.fbm import exact_paths, fast_paths, fgn_spectrum
+from fracmix.fbm import ExactSampler, FftSampler, fgn_spectrum
 from fracmix.gram import cholesky_factor, fbm_covariance
 
 PURE = EffectsLaw(0.0, 0.0)  # phi_i = 0: panel rows are the fBm paths
@@ -21,13 +21,13 @@ PURE = EffectsLaw(0.0, 0.0)  # phi_i = 0: panel rows are the fBm paths
 def test_rng_stream_reproducible():
     grid = SamplingGrid.uniform(16, 1.0)
     factor = cholesky_factor(grid, 0.7)
-    a = exact_paths(factor, RngStream(42, 3).generator(), 1)
-    b = exact_paths(factor, RngStream(42, 3).generator(), 1)
+    a = ExactSampler(factor).paths(RngStream(42, 3).generator(), 1)
+    b = ExactSampler(factor).paths(RngStream(42, 3).generator(), 1)
     assert np.array_equal(a, b)
-    c = exact_paths(factor, RngStream(42, 4).generator(), 1)
+    c = ExactSampler(factor).paths(RngStream(42, 4).generator(), 1)
     assert not np.array_equal(a, c)
-    x = fast_paths(64, 1.0, 0.3, RngStream(7).generator(), 1)
-    y = fast_paths(64, 1.0, 0.3, RngStream(7).generator(), 1)
+    x = FftSampler(64, 1.0, 0.3).paths(RngStream(7).generator(), 1)
+    y = FftSampler(64, 1.0, 0.3).paths(RngStream(7).generator(), 1)
     assert np.array_equal(x, y)
 
 
@@ -41,7 +41,8 @@ def test_rng_stream_validation():
 def test_exact_single_point_is_standard_normal():
     grid = SamplingGrid((1.0,))
     gm = build_gram(grid, 0.85)  # t1 = 1 so variance is 1 for any H
-    draws = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(0).generator(), 10_000)[:, 0]
+    sampler = ExactSampler(cholesky_factor(gm.grid, gm.h))
+    draws = sampler.paths(RngStream(0).generator(), 10_000)[:, 0]
     assert abs(draws.mean()) < 0.03
     assert draws.var() == pytest.approx(1.0, rel=0.05)
 
@@ -50,7 +51,7 @@ def test_exact_brownian_increments():
     n, T = 8, 2.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, 0.5)
-    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(1).generator(), 10_000)
+    paths = ExactSampler(cholesky_factor(gm.grid, gm.h)).paths(RngStream(1).generator(), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     dt = T / n
     assert np.allclose(inc.var(axis=0), dt, rtol=0.05)
@@ -71,13 +72,13 @@ def test_exact_covariance_matches_gram(method):
 
 
 def test_fast_single_point():
-    draws = fast_paths(1, 3.0, 0.7, RngStream(3).generator(), 20_000)[:, 0]
+    draws = FftSampler(1, 3.0, 0.7).paths(RngStream(3).generator(), 20_000)[:, 0]
     assert draws.var() == pytest.approx(3.0 ** (2 * 0.7), rel=0.05)
 
 
 def test_fast_brownian_increment_variance():
     n, T = 256, 1.0
-    paths = fast_paths(n, T, 0.5, RngStream(4).generator(), 10_000)
+    paths = FftSampler(n, T, 0.5).paths(RngStream(4).generator(), 10_000)
     inc = np.diff(np.concatenate([np.zeros((paths.shape[0], 1)), paths], axis=1), axis=1)
     assert np.mean(inc.var(axis=0)) == pytest.approx(T / n, rel=0.03)
 
@@ -88,14 +89,15 @@ def test_fast_matches_exact_at_endpoint(h):
     n, T = 256, 5.0
     grid = SamplingGrid.uniform(n, T)
     gm = build_gram(grid, h)
-    a = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(10, 0).generator(), 10_000)[:, -1]
-    b = fast_paths(n, T, h, RngStream(10, 1).generator(), 10_000)[:, -1]
+    exact = ExactSampler(cholesky_factor(gm.grid, gm.h))
+    a = exact.paths(RngStream(10, 0).generator(), 10_000)[:, -1]
+    b = FftSampler(n, T, h).paths(RngStream(10, 1).generator(), 10_000)[:, -1]
     assert ks_2samp(a, b).pvalue > 0.01
 
 
 def test_self_similarity_endpoint_variance():
     h, T = 0.7, 5.0
-    paths = fast_paths(128, T, h, RngStream(5).generator(), 10_000)
+    paths = FftSampler(128, T, h).paths(RngStream(5).generator(), 10_000)
     assert paths[:, -1].var() == pytest.approx(T ** (2 * h), rel=0.03)
 
 
@@ -103,7 +105,7 @@ def test_stationary_increments():
     h = 0.85
     grid = SamplingGrid.uniform(16, 2.0)
     gm = build_gram(grid, h)
-    paths = exact_paths(cholesky_factor(gm.grid, gm.h), RngStream(6).generator(), 20_000)
+    paths = ExactSampler(cholesky_factor(gm.grid, gm.h)).paths(RngStream(6).generator(), 20_000)
     t = grid.times
     for i, j in [(0, 3), (2, 9), (5, 15), (10, 14)]:
         emp = (paths[:, j] - paths[:, i]).var()
@@ -114,7 +116,7 @@ def test_fast_paired_paths_are_uncorrelated():
     # rows i and pairs + i are the real and imaginary parts of one
     # transform; their cross-covariance must vanish
     n, pairs, h = 16, 10_000, 0.85
-    paths = fast_paths(n, 1.0, h, RngStream(12).generator(), 2 * pairs)
+    paths = FftSampler(n, 1.0, h).paths(RngStream(12).generator(), 2 * pairs)
     re, im = paths[:pairs], paths[pairs:]
     cross = re.T @ im / pairs
     scale = np.sqrt(np.outer(re.var(axis=0), im.var(axis=0)))
@@ -140,7 +142,7 @@ def test_embedding_error_is_raised_on_negative_spectrum(monkeypatch):
 
     monkeypatch.setattr(fbm_mod, "fgn_spectrum", bad_spectrum)
     with pytest.raises(EmbeddingError):
-        fast_paths(8, 1.0, 0.5, RngStream(0).generator(), 1)
+        FftSampler(8, 1.0, 0.5).paths(RngStream(0).generator(), 1)
     grid = SamplingGrid.uniform(8, 1.0)
     with pytest.raises(EmbeddingError):
         simulate_panel(3, grid, 0.5, PURE, RngStream(0), noise="fast")
@@ -191,8 +193,73 @@ def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):
     got = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), noise="exact")
     gen = RngStream(8, 2).generator()
     phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(6)
-    w = exact_paths(cholesky_factor(grid, 0.85), gen, 6)
+    w = ExactSampler(cholesky_factor(grid, 0.85)).paths(gen, 6)
     assert np.array_equal(got.y, phi[:, None] * grid.times[None, :] + w)
     assert np.array_equal(got.true_effects, phi)
     with pytest.raises(HurstRangeError):
         simulate_panel(6, grid, 0.995, law, RngStream(8, 2), noise="exact")
+
+
+# ------------------------------------------ the samplers' own paths
+def oracle_exact_paths(factor, gen, count):
+    """The exact sampler as a free function: the rows of (L z)'."""
+    z = gen.standard_normal((factor.shape[0], count))
+    return (factor @ z).T
+
+
+def oracle_fast_paths(n, horizon, h, gen, count):
+    """The FFT sampler as a free function: spectrum, then all draws, then
+    32 pairs per transform straight into one output."""
+    lam = fgn_spectrum(n, h)
+    scale, step = np.sqrt(lam / lam.size), (float(horizon) / n) ** h
+    shape = ((count + 1) // 2, scale.size)
+    re, im = gen.standard_normal(shape), gen.standard_normal(shape)
+    pairs = re.shape[0]
+    out = np.empty((count, n))
+    for a in range(0, pairs, 32):
+        b = min(a + 32, pairs)
+        w = np.fft.fft(scale * (re[a:b] + 1j * im[a:b]), axis=1)[:, :n]
+        np.cumsum(w.real, axis=1, out=out[a:b])
+        tail = out[pairs + a : pairs + b]
+        np.cumsum(w.imag[: tail.shape[0]], axis=1, out=tail)
+    out *= step
+    return out
+
+
+@pytest.mark.parametrize("h", [0.15, 0.5, 0.85])
+@pytest.mark.parametrize("n", [1, 7, 64, 256])
+@pytest.mark.parametrize("count", [1, 2, 33, 65])
+def test_sampler_paths_are_bitwise_the_oracle(count, n, h):
+    grid = SamplingGrid.uniform(n, 5.0)
+    factor = cholesky_factor(grid, h)
+    want = oracle_exact_paths(factor, RngStream(71, count).generator(), count)
+    got = ExactSampler(factor).paths(RngStream(71, count).generator(), count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    fast = FftSampler(n, 5.0, h)
+    want = oracle_fast_paths(n, 5.0, h, RngStream(72, count).generator(), count)
+    got = fast.paths(RngStream(72, count).generator(), count)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # slope_noise's path 0 comes from the same synthesis as row 0 of paths
+    form = fast.slope_form(build_gram(grid, h).weights)
+    _, first = fast.slope_noise(form, RngStream(72, count).generator(), count, first_path=True)
+    assert first.shape == (n,) and first.tobytes() == want[0].tobytes()
+
+
+def test_fft_sampler_computes_its_spectrum_once(monkeypatch):
+    import fracmix.fbm as fbm_mod
+
+    calls, spectrum = [], fbm_mod.fgn_spectrum
+
+    def spy(n, h):
+        calls.append((n, h))
+        return spectrum(n, h)
+
+    monkeypatch.setattr(fbm_mod, "fgn_spectrum", spy)
+    grid = SamplingGrid.uniform(64, 5.0)
+    sampler = fbm_mod.noise_sampler("fast", grid, 0.7)
+    sampler.paths(RngStream(73).generator(), 3)
+    form = sampler.slope_form(build_gram(grid, 0.7).weights)
+    for first_path in (False, True):
+        sampler.slope_noise(form, RngStream(73).generator(), 3, first_path=first_path)
+    sampler.paths(RngStream(74).generator(), 5)
+    assert calls == [(64, 0.7)]

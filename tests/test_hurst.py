@@ -1,7 +1,9 @@
 import functools
+import importlib.util
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from fracmix import (
     validate_filter,
 )
 from fracmix import hurst
-from fracmix.fbm import fast_paths
+from fracmix.fbm import FftSampler
 from fracmix.gram import HURST_MAX, HURST_MIN, hurst_value
 from fracmix.hurst import (
     FILTERS,
@@ -469,7 +471,7 @@ def test_variance_constant_needs_no_lag_window(t, k):
 
 # -------------------------------------------------------------- estimate_h
 def test_default_filter_is_certified_once(monkeypatch):
-    y = fast_paths(256, 5.0, 0.7, RngStream(25).generator(), 1)[0]
+    y = FftSampler(256, 5.0, 0.7).paths(RngStream(25).generator(), 1)[0]
     explicit = estimate_h(y, 5.0, f=validate_filter((1.0, -2.0, 1.0)))
     as_filter("diff2")  # certified at import: no call certifies it again
 
@@ -485,7 +487,7 @@ def test_default_filter_is_certified_once(monkeypatch):
 def test_estimator_consistent_on_brownian():
     gen = RngStream(21).generator()
     n, reps = 2**10, 50
-    paths = fast_paths(n, 1.0, 0.5, gen, reps)
+    paths = FftSampler(n, 1.0, 0.5).paths(gen, reps)
     hs = [estimate_h(p, 1.0).h_hat for p in paths]
     assert np.mean(hs) == pytest.approx(0.5, abs=0.02)
 
@@ -493,7 +495,7 @@ def test_estimator_consistent_on_brownian():
 def test_estimator_ignores_added_drift():
     n = 2**10
     t = np.arange(1, n + 1) / n
-    path = fast_paths(n, 1.0, 0.7, RngStream(22).generator(), 1)[0]
+    path = FftSampler(n, 1.0, 0.7).paths(RngStream(22).generator(), 1)[0]
     quantum = 2.0**26
     y = np.round(path * quantum) / quantum  # dyadic values: drift sums cancel exactly
     base = estimate_h(y, 1.0)
@@ -514,7 +516,7 @@ def test_estimator_ignores_added_drift_at_full_precision(h, stream, c):
     # finder's tolerance
     n = 2**10
     t = np.arange(1, n + 1) / n
-    y = fast_paths(n, 1.0, h, RngStream(24, stream).generator(), 1)[0]
+    y = FftSampler(n, 1.0, h).paths(RngStream(24, stream).generator(), 1)[0]
     base = estimate_h(y, 1.0).h_hat
     assert abs(estimate_h(y + c * t, 1.0).h_hat - base) <= _ROOT_XTOL
 
@@ -543,7 +545,7 @@ def test_estimator_horizon_generalization():
         est = estimate_h(y0 * (want / s0) ** 0.5, T)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
     # and statistically: a T-horizon path estimates its H
-    paths = fast_paths(2**12, T, 0.85, RngStream(23).generator(), 20)
+    paths = FftSampler(2**12, T, 0.85).paths(RngStream(23).generator(), 20)
     hs = [estimate_h(p, T).h_hat for p in paths]
     assert np.mean(hs) == pytest.approx(0.85, abs=0.02)
 
@@ -583,7 +585,7 @@ def test_estimator_rejects_a_bad_horizon_by_name(horizon):
 
 def test_asym_std_normalization():
     n = 2**12
-    path = fast_paths(n, 1.0, 0.5, RngStream(24).generator(), 1)[0]
+    path = FftSampler(n, 1.0, 0.5).paths(RngStream(24).generator(), 1)[0]
     est = estimate_h(path, 1.0)
     expected = math.sqrt(asym_variance_a(est.h_hat, 2.0, DIFF2)) / (
         2.0 * math.sqrt(n) * math.log(n)
@@ -612,7 +614,7 @@ BRENT_GRID = list(
 
 def _brent_case(case):
     n, h, (k, f), horizon = BRENT_GRID[case]
-    return fast_paths(n, horizon, h, RngStream(17, case).generator(), 2), horizon, k, f
+    return FftSampler(n, horizon, h).paths(RngStream(17, case).generator(), 2), horizon, k, f
 
 
 def _grid_results(cases):
@@ -758,5 +760,23 @@ def test_estimator_reuses_the_bracket_values(monkeypatch):
         return brentq(traced, a, b, fa, fb)
 
     monkeypatch.setattr(hurst, "brentq", spy)
-    estimate_h(fast_paths(256, 1.0, 0.5, RngStream(25).generator(), 1)[0], 1.0)
+    estimate_h(FftSampler(256, 1.0, 0.5).paths(RngStream(25).generator(), 1)[0], 1.0)
     assert seen and all(HURST_MIN < x < HURST_MAX for x in seen)
+
+
+def test_hurst_study_script(capsys):
+    # scripts/hurst_study.py at two replications: nine (H, n) rows whose
+    # mean estimates sit near their H
+    path = Path(__file__).resolve().parents[1] / "scripts" / "hurst_study.py"
+    spec = importlib.util.spec_from_file_location("hurst_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    assert study.main(["--replications", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["H", "n"] and len(rows) == 9
+    values = [[float(v) for v in row.replace("|", " ").split()] for row in rows]
+    assert sorted({(h, n) for h, n, *_ in values}) == [
+        (h, 2.0**e) for h in (0.15, 0.5, 0.85) for e in (10, 12, 14)
+    ]
+    for (h, _, mean, *_), row in zip(values, rows):
+        assert abs(mean - h) < 0.02, row
