@@ -5,6 +5,10 @@ Davies-Harte FFT samplers), k-variation estimation of the Hurst exponent
 from a single trajectory, closed-form estimators of the effect mean and
 variance with exact finite-sample moments, and a reproducible Monte
 Carlo experiment harness.
+
+Importing the package loads numpy but no scipy subpackage: each function
+that calls ``scipy.linalg`` or ``scipy.special`` imports it on first
+use, so CLI calls that need neither do not pay for loading them.
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .effects import confidence_intervals, estimate_effects
@@ -168,6 +167,8 @@ def _read_panel(path):
 
 
 def cmd_experiment(args) -> int:
+    import scipy
+
     try:
         cfg = load_experiment_config(args.config)
     except OSError as exc:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import GridError
 from .gram import GramMatrix
@@ -150,6 +149,8 @@ def confidence_intervals(
         sigma2: sigma2_hat +/- z * beta_hat * sqrt(2 / N)
     with z the standard normal quantile at (1 + level) / 2.
     """
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if est.n_subjects < 2:

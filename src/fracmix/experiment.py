@@ -37,6 +37,7 @@ import contextvars
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +62,15 @@ _DOUBLE_MAX = float(np.finfo(float).max)
 _SUMMARY_EXPONENT = 480
 
 
+def _integer(key: str, v) -> int:
+    """v as an int: a bool, or anything without ``__index__`` (2.5 and
+    5.0 alike), raises ``ValueError`` naming the key."""
+    if not isinstance(v, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(v)
+    raise ValueError(f"{key}: expected an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     h_list: tuple[float, ...]
@@ -77,11 +87,16 @@ class ExperimentConfig:
     sampler: str = "exact"
 
     def __post_init__(self):
-        for key, kind in (("h_list", float), ("subjects_list", int), ("n_obs_list", int)):
-            values = tuple(kind(v) for v in getattr(self, key))
+        lists = {
+            "h_list": tuple(float(v) for v in self.h_list),
+            "subjects_list": tuple(_integer("subjects_list", v) for v in self.subjects_list),
+            "n_obs_list": tuple(_integer("n_obs_list", v) for v in self.n_obs_list),
+        }
+        for key, values in lists.items():
             object.__setattr__(self, key, values)
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{key} must be nonempty without repeated values, got {values}")
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         if self.replications < 1:
             raise ValueError(f"need at least one replication, got {self.replications}")
         # every cell builds a Gram matrix, so H takes the Gram range
@@ -96,6 +111,7 @@ class ExperimentConfig:
             raise ValueError(f"n_obs_list values must exceed {last} to estimate H with this filter")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
         if not math.isfinite(self.mu0):

@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg._solve_toeplitz import levinson
 
 from .errors import FactorizationError, GridError, HurstRangeError
 
@@ -129,6 +127,8 @@ class GramMatrix:
         ``FactorizationError`` when spacing^{-2H} overflows a double."""
         x = self._inv_column
         if x is None:
+            from scipy.linalg import solve_triangular
+
             return np.sum(solve_triangular(self._factor, y.T, lower=True) ** 2, axis=0)
         # ||L'e|| = ||L J e|| for lower triangular Toeplitz L, J the reversal
         p1, p2 = _gs_factors(x, np.diff(y, axis=1, prepend=0.0)[:, ::-1])
@@ -183,6 +183,8 @@ def build_gram(grid: SamplingGrid, h: float) -> GramMatrix:
             q = float(step ** (2.0 - 2.0 * hv) * np.sum(s))
             log_det = float(2.0 * hv * n * np.log(step) + np.sum(np.log(v)))
         else:
+            from scipy.linalg import solve_triangular
+
             L = cholesky_factor(grid, hv)
             wu = solve_triangular(L, grid.times, lower=True)
             q = float(wu @ wu)
@@ -218,6 +220,8 @@ def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # keyed on the grid's value: equal times share the factor
 def _cholesky(grid: SamplingGrid, hv: float) -> np.ndarray:
+    from scipy.linalg import cholesky
+
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             L = cholesky(fbm_covariance(grid, hv), lower=True)
@@ -236,6 +240,8 @@ def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     predictor phi from R phi = r_{1:n+1}, whose reflection coefficients
     give v_k = r_0 prod_{j<=k} (1 - kappa_j^2); one step down from phi gives
     x.  Raises ``FactorizationError`` unless v_0..v_n are positive."""
+    from scipy.linalg._solve_toeplitz import levinson
+
     n = r.size - 1
     a = np.append(r[n - 1 : 0 : -1], r[:n])
     try:

@@ -50,9 +50,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import poch
-from scipy.special import zeta
 
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
 from .gram import HURST_MAX, HURST_MIN, hurst_value
@@ -224,8 +221,10 @@ def k_value(k: float) -> float:
 
 def e_k(k: float) -> float:
     """k-th absolute moment of a standard normal, E|Z|^k."""
+    from scipy.special import gamma
+
     k = k_value(k)
-    return float(2.0 ** (k / 2.0) * gamma_fn((k + 1.0) / 2.0) / gamma_fn(0.5))
+    return float(2.0 ** (k / 2.0) * gamma((k + 1.0) / 2.0) / gamma(0.5))
 
 
 def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:
@@ -302,6 +301,8 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     it terminates exactly.  Cost and memory do not depend on t, and the
     result is within about 1e-14 relative of the exact series.
     """
+    from scipy.special import poch, zeta
+
     t = hurst_value(t)
     k = k_value(k)
     f = as_filter(f)

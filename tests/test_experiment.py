@@ -413,6 +413,39 @@ def test_config_rejects_base_seed_outside_64_bits(tmp_path, capsys, seed):
     assert "base_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("replications", 2.5), ("replications", 5.0), ("replications", True),
+     ("replications", np.True_), ("base_seed", 1.5), ("base_seed", False),
+     ("subjects_list", (5.7,)), ("subjects_list", (10, True)), ("n_obs_list", (8.9,)),
+     ("n_obs_list", ("4",))],
+)
+def test_config_rejects_values_that_are_not_integers(tmp_path, capsys, key, value):
+    # on construction, naming the key: not a TypeError in the first
+    # replication, nor a value cut to an integer
+    with pytest.raises(ValueError, match=f"^{key}: expected an integer"):
+        small_config(**{key: value})
+    number = value[0] if isinstance(value, tuple) else value
+    if type(number) is not float:
+        return
+    # a config file parses its integers itself, as before
+    keys = dict(h_list=0.5, subjects_list=10, n_obs_list=4, horizon=5.0, mu0=-2.0, sigma20=1.0,
+                replications=5)
+    keys[key] = number
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = small_config(subjects_list=(np.int32(10),), n_obs_list=(np.uint8(4),),
+                       replications=np.int64(5), base_seed=np.uint64(2**64 - 1))
+    got = (cfg.subjects_list, cfg.n_obs_list, cfg.replications, cfg.base_seed)
+    assert got == ((10,), (4,), 5, 2**64 - 1)
+    assert all(type(v) is int for v in (*got[0], *got[1], *got[2:]))
+
+
 @pytest.mark.parametrize("law", [dict(mu0=1e308), dict(sigma20=1e308)], ids=["mu0", "sigma20"])
 def test_overflowing_cell_raises_named_error(law):
     # an overflowing panel or variance names the cell instead of

@@ -189,7 +189,7 @@ def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Toeplitz build ran for the exact sampler")
 
-    monkeypatch.setattr("fracmix.gram.levinson", refuse)  # the only Toeplitz solve
+    monkeypatch.setattr("scipy.linalg._solve_toeplitz.levinson", refuse)  # the only Toeplitz solve
     got = simulate_panel(6, grid, 0.85, law, RngStream(8, 2), noise="exact")
     gen = RngStream(8, 2).generator()
     phi = law.mu + np.sqrt(law.sigma2) * gen.standard_normal(6)

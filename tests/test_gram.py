@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky, solve_triangular, toeplitz
+from scipy.linalg import _solve_toeplitz, cholesky, solve_triangular, toeplitz
 
 from fracmix import (
     EffectsLaw,
@@ -262,13 +263,13 @@ def test_quad_yy_past_the_double_range_fails_loudly():
 
 
 def test_cholesky_factor_keeps_the_last_factor_only(monkeypatch):
-    factor, calls = gram.cholesky, []
+    factor, calls = scipy.linalg.cholesky, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(gram, "cholesky", counting)
+    monkeypatch.setattr(scipy.linalg, "cholesky", counting)
     law = EffectsLaw(-2.0, 1.0)
     cfg = ExperimentConfig(
         h_list=(0.7,), subjects_list=(3,), n_obs_list=(24,), horizon=3.5,
@@ -446,7 +447,7 @@ def complex_levinson(r):
     R is real, so its real and imaginary parts are the two real solves."""
     n = r.size - 1
     try:
-        y, kappa = gram.levinson(np.append(r[n - 1 : 0 : -1], r[:n]).astype(complex), r[1:] + 1j)
+        y, kappa = _solve_toeplitz.levinson(np.append(r[n - 1 : 0 : -1], r[:n]).astype(complex), r[1:] + 1j)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"Toeplitz covariance is singular (n={n})") from exc
     phi, k = y.real, kappa.real[1:]
@@ -478,7 +479,7 @@ def test_real_levinson_solves_reject_what_the_complex_solve_rejects(r):
 
 
 def test_two_real_levinson_solves_per_uniform_build(monkeypatch):
-    solve, calls = gram.levinson, []
+    solve, calls = _solve_toeplitz.levinson, []
 
     def counting(*args):
         calls.append(args)
@@ -487,7 +488,7 @@ def test_two_real_levinson_solves_per_uniform_build(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Toeplitz solve ran after build_gram")
 
-    monkeypatch.setattr(gram, "levinson", counting)
+    monkeypatch.setattr(_solve_toeplitz, "levinson", counting)
     law = EffectsLaw(-2.0, 1.0)
     for n in (2, 64, 300):
         grid = SamplingGrid.uniform(n, 5.0)
@@ -497,10 +498,10 @@ def test_two_real_levinson_solves_per_uniform_build(monkeypatch):
         est = estimate_effects(panel, gm)
         want = log_marginal_likelihood(panel, gm, law)
         # y'V^{-1}y reads only the stored first column of R^{-1}
-        monkeypatch.setattr(gram, "levinson", refuse)
+        monkeypatch.setattr(_solve_toeplitz, "levinson", refuse)
         assert log_marginal_likelihood(panel, gm, law) == want
         assert estimate_effects(panel, gm) == est
-        monkeypatch.setattr(gram, "levinson", counting)
+        monkeypatch.setattr(_solve_toeplitz, "levinson", counting)
         calls.clear()
     build_gram(SamplingGrid((1.0, 1.5, 3.0)), 0.7)  # the Cholesky backend
     assert calls == []
