@@ -14,13 +14,14 @@ location not writable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
+from .checks import horizon_value, mean_value, seed_value, variance_value
 from .effects import confidence_intervals, estimate_effects
 from .errors import ConfigError, FracmixError, PanelFormatError
 from .experiment import CellSummary, run_experiment, worker_threads
@@ -28,7 +29,6 @@ from .gram import HURST_MAX, HURST_MIN, SamplingGrid, build_gram
 from .hurst import as_filter, estimate_h, k_value
 from .panel import EffectsLaw, simulate_panel
 from .panel_io import (
-    CONFIG_KEYS,
     dumps_result,
     format_real,
     load_experiment_config,
@@ -58,14 +58,13 @@ def cmd_simulate(args) -> int:
         raise _CliError(EXIT_USAGE, f"--subjects must be >= 1, got {args.subjects}")
     if args.n_obs < 1:
         raise _CliError(EXIT_USAGE, f"--n-obs must be >= 1, got {args.n_obs}")
-    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
-        raise _CliError(EXIT_USAGE, f"--horizon must be positive and finite, got {args.horizon}")
-    if not math.isfinite(args.mu):
-        raise _CliError(EXIT_USAGE, f"--mu must be finite, got {args.mu}")
-    if not (math.isfinite(args.sigma2) and args.sigma2 >= 0.0):
-        raise _CliError(EXIT_USAGE, f"--sigma2 must be finite and >= 0, got {args.sigma2}")
-    if not 0 <= args.seed < 2**64:
-        raise _CliError(EXIT_USAGE, f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    try:
+        horizon_value("--horizon", args.horizon)
+        mean_value("--mu", args.mu)
+        variance_value("--sigma2", args.sigma2)
+        seed_value("--seed", args.seed)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc)) from None
     try:
         grid = SamplingGrid.uniform(args.n_obs, args.horizon)
         panel = simulate_panel(
@@ -113,7 +112,7 @@ def cmd_hurst(args) -> int:
         "asym_std": est.asym_std,
         "n": est.n,
         "k": est.k,
-        "filter": list(est.filter.coeffs),
+        "filter": est.filter,
         "filter_order": est.filter.order,
         "subject": args.subject,
     }
@@ -199,11 +198,7 @@ def cmd_experiment(args) -> int:
             )
     manifest = {
         "base_seed": cfg.base_seed,
-        "config": {
-            key: cfg.filter.coeffs if key == "filter" else getattr(cfg, key)
-            for key in CONFIG_KEYS
-            if key != "base_seed"
-        },
+        "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "base_seed"},
         "versions": {"fracmix": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "threads": worker_threads(cfg),
     }

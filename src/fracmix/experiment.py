@@ -37,15 +37,15 @@ import contextvars
 import functools
 import itertools
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
+from . import checks
 from .effects import estimate_mu, estimate_sigma2, exact_moments
 from .errors import EstimationRangeError, FracmixError, NonFiniteError
 from .fbm import noise_sampler
@@ -62,43 +62,70 @@ _DOUBLE_MAX = float(np.finfo(float).max)
 _SUMMARY_EXPONENT = 480
 
 
-def _integer(key: str, v) -> int:
-    """v as an int: a bool, or anything without ``__index__`` (2.5 and
-    5.0 alike), raises ``ValueError`` naming the key."""
-    if not isinstance(v, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(v)
-    raise ValueError(f"{key}: expected an integer, got {v!r}")
+def _config_key(parse, check, **default):
+    """A config field: its config-file text parser and its typed check,
+    ``check(key, value)``, which returns the value to store."""
+    return field(metadata={"parse": parse, "check": check}, **default)
+
+
+def _list_key(parse, check):
+    """A config field holding a list: comma-separated in a file, each
+    value parsed and checked alone, stored as a tuple."""
+
+    def check_all(key, values):
+        if isinstance(values, str) or not hasattr(values, "__iter__"):
+            raise ValueError(f"{key}: expected a sequence, got {values!r}")
+        return tuple(check(key, v) for v in values)
+
+    return _config_key(lambda text: tuple(parse(v) for v in text.split(",")), check_all)
+
+
+def _truth(text: str) -> bool:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() in ("true", "1", "yes")
+
+
+def _replications(key, v) -> int:
+    v = checks.integer_value(key, v)
+    if v < 1:
+        raise ValueError(f"need at least one replication, got {v}")
+    return v
+
+
+def _sampler(key, v) -> str:
+    if not (isinstance(v, str) and v in ("exact", "fast")):
+        raise ValueError(f"sampler must be 'exact' or 'fast', got {v!r}")
+    return str(v)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    h_list: tuple[float, ...]
-    subjects_list: tuple[int, ...]
-    n_obs_list: tuple[int, ...]
-    horizon: float
-    mu0: float
-    sigma20: float
-    replications: int
-    k: float = 2.0
-    filter: VariationFilter = field(default_factory=lambda: as_filter("diff2"))
-    base_seed: int = 0
-    estimate_hurst: bool = False
-    sampler: str = "exact"
+    """``fields(ExperimentConfig)`` is the config schema, in manifest
+    order: each field holds its config-file parser and its typed check
+    (``checks``), which every value passes on construction, before the
+    checks across fields."""
+
+    h_list: tuple[float, ...] = _list_key(float, checks.real_value)
+    subjects_list: tuple[int, ...] = _list_key(int, checks.integer_value)
+    n_obs_list: tuple[int, ...] = _list_key(int, checks.integer_value)
+    horizon: float = _config_key(float, checks.horizon_value)
+    mu0: float = _config_key(float, checks.mean_value)
+    sigma20: float = _config_key(float, checks.variance_value)
+    replications: int = _config_key(int, _replications)
+    k: float = _config_key(float, lambda key, v: k_value(v), default=2.0)
+    filter: VariationFilter = _config_key(as_filter, lambda key, v: as_filter(v), default="diff2")
+    base_seed: int = _config_key(int, checks.seed_value, default=0)
+    estimate_hurst: bool = _config_key(_truth, checks.bool_value, default=False)
+    sampler: str = _config_key(str, _sampler, default="exact")
 
     def __post_init__(self):
-        lists = {
-            "h_list": tuple(float(v) for v in self.h_list),
-            "subjects_list": tuple(_integer("subjects_list", v) for v in self.subjects_list),
-            "n_obs_list": tuple(_integer("n_obs_list", v) for v in self.n_obs_list),
-        }
-        for key, values in lists.items():
-            object.__setattr__(self, key, values)
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.metadata["check"](f.name, getattr(self, f.name)))
+        for key in ("h_list", "subjects_list", "n_obs_list"):
+            values = getattr(self, key)
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{key} must be nonempty without repeated values, got {values}")
-        object.__setattr__(self, "replications", _integer("replications", self.replications))
-        if self.replications < 1:
-            raise ValueError(f"need at least one replication, got {self.replications}")
         # every cell builds a Gram matrix, so H takes the Gram range
         if not all(HURST_MIN <= h <= HURST_MAX for h in self.h_list):
             raise ValueError(
@@ -106,21 +133,8 @@ class ExperimentConfig:
             )
         if min(self.subjects_list) < 1 or min(self.n_obs_list) < 1:
             raise ValueError("subjects_list and n_obs_list values must be >= 1")
-        object.__setattr__(self, "filter", as_filter(self.filter))  # ValueError if invalid
         if self.estimate_hurst and min(self.n_obs_list) <= (last := self.filter.length):
             raise ValueError(f"n_obs_list values must exceed {last} to estimate H with this filter")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {self.base_seed}")
-        if not math.isfinite(self.mu0):
-            raise ValueError(f"mu0 must be finite, got {self.mu0}")
-        if not (math.isfinite(self.sigma20) and self.sigma20 >= 0.0):
-            raise ValueError(f"sigma20 must be finite and >= 0, got {self.sigma20}")
-        k_value(self.k)
-        if self.sampler not in ("exact", "fast"):
-            raise ValueError(f"sampler must be 'exact' or 'fast', got {self.sampler!r}")
 
     def cells(self) -> list[tuple[int, float, int, int]]:
         """(cell_index, h, n_subjects, n_obs) in stream-id order."""

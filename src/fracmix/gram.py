@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import integer_value
 from .errors import FactorizationError, GridError, HurstRangeError
 
 # Conditioning guard: as H -> 1 the matrix degenerates to rank one, and as
@@ -86,6 +87,7 @@ class SamplingGrid:
     @classmethod
     def uniform(cls, n: int, horizon: float) -> "SamplingGrid":
         """Grid t_j = j * horizon / n for j = 1..n."""
+        n = integer_value("n", n, GridError)
         if n < 1:
             raise GridError(f"need n >= 1 observations, got {n}")
         step = float(horizon) / n

@@ -51,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 
+from .checks import horizon_value, real_value
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
 from .gram import HURST_MAX, HURST_MIN, hurst_value
 
@@ -137,7 +138,12 @@ class HurstEstimate:
     k: float
     filter: VariationFilter
     n: int
-    asym_std: float
+
+    @cached_property
+    def asym_std(self) -> float:
+        """sqrt(A) / (k sqrt(n) log n) at h_hat, computed on first read."""
+        a_val = asym_variance_a(self.h_hat, self.k, self.filter)
+        return math.sqrt(a_val) / (self.k * math.sqrt(self.n) * math.log(self.n))
 
 
 def moment_sums(coeffs: np.ndarray, max_order: int) -> np.ndarray:
@@ -213,10 +219,10 @@ def _pi_series(t: float, f: VariationFilter) -> np.ndarray:
 
 
 def k_value(k: float) -> float:
-    """Validate a variation power: a float in (0, K_MAX]."""
-    if not 0.0 < k <= K_MAX:  # also rejects NaN
+    """Validate a variation power: a real number in (0, K_MAX]."""
+    if not 0.0 < (v := real_value("k", k)) <= K_MAX:  # also rejects NaN
         raise ValueError(f"k must be positive and finite, at most {K_MAX}, got {k}")
-    return float(k)
+    return v
 
 
 def e_k(k: float) -> float:
@@ -422,12 +428,11 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
     ``SeriesLengthError`` when the series has no complete filter window.
     """
     f = as_filter(f)
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = horizon_value("horizon", horizon)
     y = np.asarray(y, dtype=float)
     n = y.size
     s_obs = s_n(y, k, f)  # raises on an empty series before n divides
-    spacing = float(horizon) / n
+    spacing = horizon / n
     g, g_lo, g_mid, g_hi = _probed_curve(spacing, k_value(k), f)
     if not g_lo > g_mid > g_hi:
         raise EstimationRangeError(
@@ -440,6 +445,4 @@ def estimate_h(y: np.ndarray, horizon: float, k: float = 2.0, f="diff2") -> Hurs
             f"[{g_hi:.6g}, {g_lo:.6g}]; series is inconsistent with fBm scaling"
         )
     h_hat = brentq(lambda t: g(t) - s_obs, HURST_MIN, HURST_MAX, g_lo - s_obs, g_hi - s_obs)
-    a_val = asym_variance_a(h_hat, k, f)
-    asym_std = math.sqrt(a_val) / (k * math.sqrt(n) * math.log(n))
-    return HurstEstimate(h_hat=h_hat, k=k, filter=f, n=n, asym_std=asym_std)
+    return HurstEstimate(h_hat=h_hat, k=k, filter=f, n=n)

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .checks import mean_value, variance_value
 from .errors import GridError, NonFiniteError
 from .fbm import noise_sampler
 from .gram import SamplingGrid, hurst_value
@@ -31,10 +32,8 @@ class EffectsLaw:
     sigma2: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not np.isfinite(self.sigma2) or self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
+        mean_value("mu", self.mu)
+        variance_value("sigma2", self.sigma2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, PanelFormatError
 from .experiment import ExperimentConfig
 from .gram import SamplingGrid
-from .hurst import as_filter
+from .hurst import VariationFilter
 from .panel import Panel
 
 PANEL_HEADER = ["subject", "t", "y"]
@@ -202,9 +202,11 @@ def format_real(x: float) -> str:
 def dumps_result(document: dict) -> str:
     """Serialize a result document, two spaces per nesting level, all
     reals at 17 significant digits; a non-finite real becomes ``null``,
-    as JSON has no NaN or infinity."""
+    as JSON has no NaN or infinity, and a filter its coefficient list."""
 
     def render(obj, depth):
+        if isinstance(obj, VariationFilter):
+            obj = obj.coeffs
         if isinstance(obj, (np.ndarray, np.generic)):
             obj = obj.tolist()  # numpy scalars and arrays as Python values
         if isinstance(obj, (bool, int, str)) or obj is None:
@@ -233,40 +235,6 @@ def dumps_result(document: dict) -> str:
 # experiment config files: flat "key = value" lines, # comments,
 # comma-separated lists
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
-
-
-def _bool(text: str) -> bool:
-    v = text.lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
-
-
-# ExperimentConfig field -> parser, in manifest order; an omitted key takes its default
-CONFIG_KEYS = {
-    "h_list": _floats,
-    "subjects_list": _ints,
-    "n_obs_list": _ints,
-    "horizon": float,
-    "mu0": float,
-    "sigma20": float,
-    "replications": int,
-    "k": float,
-    "filter": as_filter,
-    "base_seed": int,
-    "estimate_hurst": _bool,
-    "sampler": str,
-}
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value strings with line-numbered errors."""
     values: dict[str, str] = {}
@@ -288,26 +256,27 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse a config file into an ExperimentConfig."""
+    """Parse a config file into an ExperimentConfig, each key by the
+    parser of its field; an omitted key takes the field's default."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8 text: {exc}") from None
     values = parse_config_text(text)
+    schema = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     for key in values:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(CONFIG_KEYS)}")
-    for f in dataclasses.fields(ExperimentConfig):  # required: no default of either kind
-        if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing required config key {f.name!r}")
+        if key not in schema:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {sorted(schema)}")
     fields = {}
-    for key, parse in CONFIG_KEYS.items():
+    for key, f in schema.items():
         if key in values:
             try:
-                fields[key] = parse(values[key])
+                fields[key] = f.metadata["parse"](values[key])
             except ValueError as exc:
                 raise ConfigError(f"key {key!r}: {exc}") from None
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {key!r}")
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import seed_value
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -30,10 +32,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not (0 <= int(self.stream_id) < 2**64):
-            raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
+        seed_value("seed", self.seed)
+        seed_value("stream_id", self.stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

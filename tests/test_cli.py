@@ -545,15 +545,26 @@ def test_manifest_reproduces_a_fast_sampler_run(tmp_path):
         files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
         return files, json.loads(files["manifest.json"])
 
+    def rerun(manifest, name):
+        keys = {**manifest["config"], "base_seed": manifest["base_seed"]}
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in keys.items()))
+        return run(again, name)[0]
+
     fast, manifest = run(one_cell_config(tmp_path, sampler="fast", replications="3"), "a")
     assert manifest["config"]["sampler"] == "fast"
-    keys = {**manifest["config"], "base_seed": manifest["base_seed"]}
-    again = tmp_path / "again.cfg"
-    again.write_text("".join(f"{k} = {_config_value(v)}\n" for k, v in keys.items()))
-    assert run(again, "b")[0] == fast
+    assert rerun(manifest, "b") == fast
     exact, manifest = run(one_cell_config(tmp_path, replications="3"), "c")
     assert manifest["config"]["sampler"] == "exact"  # the default, which draws otherwise
     assert exact["table_n4.csv"] != fast["table_n4.csv"]
+    # every optional key away from its default, the filter as a coefficient list
+    optional = dict(filter="-1,3,-3,1", estimate_hurst="true", k="3", sampler="fast",
+                    base_seed="5", n_obs_list="16, 64", replications="3")
+    files, manifest = run(one_cell_config(tmp_path, **optional), "d")
+    assert manifest["config"]["filter"] == [-1.0, 3.0, -3.0, 1.0]
+    assert (manifest["config"]["k"], manifest["config"]["estimate_hurst"]) == (3.0, True)
+    assert "hist_0.5_3_64_hurst.svg" in files
+    assert rerun(manifest, "e") == files
 
 
 def test_experiment_unknown_sampler_exits_2(tmp_path):

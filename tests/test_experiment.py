@@ -397,6 +397,11 @@ def test_config_validation():
         small_config(replications=0)
     with pytest.raises(ValueError):
         small_config(h_list=())
+    # an int past the double range is an infinite horizon, not an OverflowError
+    with pytest.raises(ValueError, match="^horizon must be positive and finite, got 1000"):
+        small_config(horizon=10**400)
+    with pytest.raises(ValueError, match="^mu0 must be finite, got -1000"):
+        small_config(mu0=-(10**400))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -444,6 +449,65 @@ def test_config_takes_numpy_integers_as_ints():
     got = (cfg.subjects_list, cfg.n_obs_list, cfg.replications, cfg.base_seed)
     assert got == ((10,), (4,), 5, 2**64 - 1)
     assert all(type(v) is int for v in (*got[0], *got[1], *got[2:]))
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [("estimate_hurst", "false", "a bool"), ("estimate_hurst", 1, "a bool"),
+     ("estimate_hurst", None, "a bool"), ("horizon", "5", "a real number"),
+     ("sigma20", "1", "a real number"), ("mu0", True, "a real number"),
+     ("mu0", np.True_, "a real number"), ("k", "2", "a real number"),
+     ("k", True, "a real number"), ("h_list", ("0.5",), "a real number"),
+     ("h_list", (0.5, None), "a real number"), ("h_list", 0.5, "a sequence"),
+     ("h_list", "0.5", "a sequence"), ("subjects_list", 10, "a sequence")],
+)
+def test_config_rejects_values_of_the_wrong_type(key, value, kind):
+    # a typed check per field: a string is never parsed, a bool is not a
+    # number, and the error names the key
+    with pytest.raises(ValueError, match=f"^{key}: expected {kind}, got "):
+        small_config(**{key: value})
+
+
+def test_config_takes_numpy_scalars_as_python_values():
+    cfg = small_config(h_list=(np.float64(0.5), np.float32(0.25)), horizon=np.int64(5),
+                       mu0=np.float64(-2.0), sigma20=np.float16(1.0), k=np.int32(3),
+                       estimate_hurst=np.True_, replications=np.int64(5))
+    got = (*cfg.h_list, cfg.horizon, cfg.mu0, cfg.sigma20, cfg.k)
+    assert got == (0.5, 0.25, 5.0, -2.0, 1.0, 3.0)
+    assert all(type(v) is float for v in got)
+    assert cfg.estimate_hurst is True and type(cfg.replications) is int
+    assert small_config(estimate_hurst=np.False_).estimate_hurst is False
+
+
+def test_config_schema_is_the_dataclass_fields(tmp_path, capsys):
+    # every field holds its file parser and its typed check, and the
+    # manifest echoes the fields in their order: a new field cannot ship
+    # without a parser and a check
+    from fracmix.panel_io import load_experiment_config
+
+    schema = dataclasses.fields(ExperimentConfig)
+    keys = [f.name for f in schema]
+    assert keys == ["h_list", "subjects_list", "n_obs_list", "horizon", "mu0", "sigma20",
+                    "replications", "k", "filter", "base_seed", "estimate_hurst", "sampler"]
+    for f in schema:
+        assert set(f.metadata) == {"parse", "check"}
+        assert callable(f.metadata["parse"]) and callable(f.metadata["check"])
+    text = {"h_list": "0.5, 0.85", "subjects_list": "10", "n_obs_list": "4, 8",
+            "horizon": "5", "mu0": "-2", "sigma20": "1", "replications": "2", "k": "3",
+            "filter": "diff3", "base_seed": "7", "estimate_hurst": "yes", "sampler": "fast"}
+    cfg = ExperimentConfig(**{f.name: f.metadata["parse"](text[f.name]) for f in schema})
+    assert cfg == small_config(h_list=(0.5, 0.85), subjects_list=(10,), n_obs_list=(4, 8),
+                               horizon=5.0, mu0=-2.0, sigma20=1.0, replications=2, k=3.0,
+                               filter=(-1.0, 3.0, -3.0, 1.0), base_seed=7, estimate_hurst=True,
+                               sampler="fast")
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    assert load_experiment_config(path) == cfg
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert list(manifest["config"]) == [k for k in keys if k != "base_seed"]
+    assert manifest["base_seed"] == 7 and manifest["config"]["filter"] == [-1.0, 3.0, -3.0, 1.0]
 
 
 @pytest.mark.parametrize("law", [dict(mu0=1e308), dict(sigma20=1e308)], ids=["mu0", "sigma20"])

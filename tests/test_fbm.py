@@ -36,6 +36,14 @@ def test_rng_stream_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
+    # an address is two integers: 1.5 is not cut to seed 1
+    with pytest.raises(ValueError, match="^seed: expected an integer, got 1.5$"):
+        RngStream(1.5)
+    with pytest.raises(ValueError, match="^stream_id: expected an integer, got True$"):
+        RngStream(0, True)
+    assert RngStream(np.uint64(2**64 - 1), np.int8(3)).generator().bit_generator.state == (
+        RngStream(2**64 - 1, 3).generator().bit_generator.state
+    )
 
 
 def test_exact_single_point_is_standard_normal():

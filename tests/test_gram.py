@@ -70,6 +70,14 @@ def test_grid_validation():
     assert not SamplingGrid((1.0, 1.1, 3.0)).is_uniform
 
 
+@pytest.mark.parametrize("n", [2.5, 5.0, True, np.True_, "4"])
+def test_uniform_grid_takes_an_integer_count_only(n):
+    # not cut to [2, 4, 6] with horizon 6.0 at n = 2.5, nor one point at True
+    with pytest.raises(GridError, match=f"^n: expected an integer, got {n!r}$"):
+        SamplingGrid.uniform(n, 5.0)
+    assert SamplingGrid.uniform(np.int64(4), 5.0) == SamplingGrid.uniform(4, 5.0)
+
+
 def test_grids_are_values():
     a, b = SamplingGrid.uniform(8, 1.0), SamplingGrid.uniform(8, 1.0)
     assert a is not b and a == b and hash(a) == hash(b)

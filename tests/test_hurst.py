@@ -594,6 +594,30 @@ def test_asym_std_normalization():
     assert est.asym_std == pytest.approx(expected, rel=1e-12)
 
 
+def test_asym_std_is_computed_on_first_read_only(monkeypatch):
+    # the experiment reads h_hat alone, so it never sums A; a reader of
+    # asym_std sums it once, to the bits of the formula
+    from fracmix import ExperimentConfig, run_experiment
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return asym_variance_a(*args)
+
+    monkeypatch.setattr(hurst, "asym_variance_a", spy)
+    cfg = ExperimentConfig(h_list=(0.3, 0.8), subjects_list=(3,), n_obs_list=(64,), horizon=1.0,
+                           mu0=0.0, sigma20=1.0, replications=4, estimate_hurst=True)
+    (cell,) = [s for s in run_experiment(cfg) if s.h == 0.8]
+    assert cell.hurst_refusals < 4 and calls == []
+    path = FftSampler(512, 1.0, 0.7).paths(RngStream(26).generator(), 1)[0]
+    est = estimate_h(path, 1.0, 3, DIFF3)
+    assert calls == []
+    want = math.sqrt(asym_variance_a(est.h_hat, 3, DIFF3)) / (3 * math.sqrt(512) * math.log(512))
+    assert est.asym_std.hex() == want.hex() and est.asym_std.hex() == want.hex()
+    assert calls == [(est.h_hat, 3, DIFF3)]
+
+
 def test_filtered_series_length():
     y = np.arange(1.0, 11.0)
     assert filtered_series(y, DIFF2).shape == (8,)

@@ -22,6 +22,12 @@ def test_effects_law_validation():
         EffectsLaw(0.0, -1.0)
     with pytest.raises(ValueError):
         EffectsLaw(float("inf"), 1.0)
+    with pytest.raises(ValueError, match="^sigma2 must be finite and >= 0, got inf$"):
+        EffectsLaw(0.0, float("inf"))
+    with pytest.raises(ValueError, match="^mu: expected a real number, got '1'$"):
+        EffectsLaw("1", 1.0)
+    with pytest.raises(ValueError, match="^sigma2: expected a real number, got True$"):
+        EffectsLaw(0.0, True)
     assert EffectsLaw(-2.0, 0.0).sigma2 == 0.0
 
 
