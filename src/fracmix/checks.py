@@ -22,15 +22,17 @@ def integer_value(name: str, v, error=ValueError) -> int:
     raise error(f"{name}: expected an integer, got {v!r}")
 
 
-def real_value(name: str, v) -> float:
-    """v as a float: an int or a float of any kind, but not a bool; an
-    int past the double range becomes an infinity of its sign."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+def real_value(name: str, v, error=ValueError) -> float:
+    """v as a float: an int or a float of any kind, but not a bool (else
+    ``error``); an int past the double range becomes an infinity of its
+    sign."""
+    # float and int first: they pass without the slower abstract-class check
+    if isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool):
         try:
             return float(v)
         except OverflowError:
             return math.inf if v > 0 else -math.inf
-    raise ValueError(f"{name}: expected a real number, got {v!r}")
+    raise error(f"{name}: expected a real number, got {v!r}")
 
 
 def bool_value(name: str, v) -> bool:

@@ -39,7 +39,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -275,6 +274,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[CellSummary]:
     replication, queued ranges are cancelled, and no thread outlives the
     call.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     summaries = []
     threads = worker_threads(cfg)
     cuts = [cfg.replications * i // threads for i in range(threads + 1)]

@@ -13,8 +13,9 @@ times (the deterministic value 0 at t = 0 is not stored):
   FFT of the embedding's first row, once per sampler; synthesis from
   one complex FFT per pair of paths [3], cumulative sum and a T^H
   self-similarity rescale.  Uniform grids only; O(n log n) per path.
-  The pairs are synthesised a fixed block at a time into the output, so
-  beyond its 2n normals per path the sampler holds only that output.
+  The normals are drawn and consumed a fixed block at a time: besides
+  one block, ``paths`` holds its output and the real parts of all its
+  draws, and ``slope_noise`` only its reads, whatever the path count.
 
 ``noise_sampler`` is the one place a method name ("exact" or "fast")
 picks a sampler.  The sampler it returns either draws the paths
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -54,18 +56,24 @@ from .gram import SamplingGrid, cholesky_factor, fgn_autocovariance, hurst_value
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
 
-# ``FftSampler`` synthesises this many pairs of paths per FFT, so its
-# complex temporaries stay a few MB whatever the path count
-_BLOCK_PAIRS = 32
+# ``FftSampler`` draws and consumes its normals about this many at a time
+# (see ``FftSampler._blocks``), so its temporaries stay a few hundred kB
+# whatever the path count
+_BLOCK_NORMALS = 2**15
+
+
+def _held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """make(shape), an array of the given shape.  Raises ``GridError``
+    when numpy cannot size or allocate it."""
+    try:
+        return make(shape)
+    except (ValueError, MemoryError) as exc:
+        raise GridError(f"cannot hold {' x '.join(map(str, shape))} {what}: {exc}") from None
 
 
 def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """The next standard normals of gen in the given shape.  Raises
-    ``GridError`` when numpy cannot size or allocate them."""
-    try:
-        return gen.standard_normal(shape)
-    except (ValueError, MemoryError) as exc:
-        raise GridError(f"cannot hold {shape[0]} x {shape[1]} normal draws: {exc}") from None
+    """The next standard normals of gen in the given shape, as ``_held``."""
+    return _held(gen.standard_normal, shape, "normal draws")
 
 
 def fgn_spectrum(n: int, h: float) -> np.ndarray:
@@ -132,11 +140,24 @@ class FftSampler:
         lam = fgn_spectrum(self.n, hv)
         return np.sqrt(lam / lam.size), (float(self.horizon) / self.n) ** hv
 
-    def _draws(self, gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The real, then the imaginary parts of complex standard normals z,
-        one row of m = 2n per pair of paths."""
-        shape = ((count + 1) // 2, self._scaling[0].size)
-        return _normals(gen, shape), _normals(gen, shape)
+    def _blocks(self, pairs: int) -> Iterator[tuple[int, int]]:
+        """Row ranges a:b that cover rows 0 to pairs of a draw of m = 2n
+        columns in order, about ``_BLOCK_NORMALS`` normals each: a multiple
+        of 16 rows, at least 16, and a lone last row joins the block before
+        it.  A matrix-vector product over each block then rounds every row
+        as one product over all the rows does; BLAS kernels take the rows in
+        groups, and numpy computes a one-row product as a dot product."""
+        rows = max(16, _BLOCK_NORMALS // self._scaling[0].size // 16 * 16)
+        a = 0
+        while a < pairs:
+            b = a + rows if pairs - a - rows > 1 else pairs
+            yield a, b
+            a = b
+
+    def _fgn(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """The first n values of fft(sqrt(lam/m) (re + i im)) along the last
+        axis: a unit-spacing fGn draw in each of its real and imaginary parts."""
+        return np.fft.fft(self._scaling[0] * (re + 1j * im), axis=-1)[..., : self.n]
 
     def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """(count, n) matrix of fBm paths on the uniform grid j*horizon/n.
@@ -144,21 +165,18 @@ class FftSampler:
         With z complex standard normal, the real and imaginary parts of
         fft(sqrt(lam/m) z) are two independent unit-spacing fGn draws, so
         each transform serves two paths: pair j gives paths j and
-        (count + 1) // 2 + j.  All draws are taken first, real parts then
-        imaginary parts; the transforms and cumulative sums then run
-        ``_BLOCK_PAIRS`` pairs at a time, straight into the output, with the
-        same values as one transform over all pairs.
+        (count + 1) // 2 + j.  The real parts of all pairs are drawn first,
+        then the imaginary parts a block of pairs at a time (``_blocks``);
+        each block is transformed and summed straight into the output.  So
+        the call holds the output, the real parts (about as many bytes) and
+        one block.
         """
-        return self._synthesis(*self._draws(gen, count), count)
-
-    def _synthesis(self, re: np.ndarray, im: np.ndarray, count: int) -> np.ndarray:
-        """The first count paths of the pair draws re + i im, as ``paths``."""
         scale, step = self._scaling
-        pairs = re.shape[0]
-        out = np.empty((count, self.n))
-        for a in range(0, pairs, _BLOCK_PAIRS):
-            b = min(a + _BLOCK_PAIRS, pairs)
-            w = np.fft.fft(scale * (re[a:b] + 1j * im[a:b]), axis=1)[:, : self.n]
+        pairs = (count + 1) // 2
+        re = _normals(gen, (pairs, scale.size))
+        out = _held(np.empty, (count, self.n), "path values")
+        for a, b in self._blocks(pairs):
+            w = self._fgn(re[a:b], _normals(gen, (b - a, scale.size)))
             # cumulated unit-spacing fGn is fBm on 1..n: pair j's real part is
             # path j, its imaginary part path pairs + j (if count reaches it)
             np.cumsum(w.real, axis=1, out=out[a:b])
@@ -184,10 +202,26 @@ class FftSampler:
         """The (count,) reads W @ c of the paths ``paths`` would draw, for
         form = ``slope_form(c)``, taken in real arithmetic, and with
         ``first_path`` path 0 of that draw (else None)."""
-        re, im = self._draws(gen, count)
-        reads = np.concatenate([re @ form.real - im @ form.imag, re @ form.imag + im @ form.real])
-        first = self._synthesis(re[:1], im[:1], 1)[0] if first_path else None
-        return reads[:count], first
+        pairs = (count + 1) // 2
+        # pair j's reads are re_j @ f.real - im_j @ f.imag (path j) and
+        # re_j @ f.imag + im_j @ f.real (path pairs + j), taken a block of
+        # draws at a time in the order ``paths`` draws them
+        reads = _held(np.empty, (2, pairs), "slope reads")
+        heads = []  # row 0 of the real, then of the imaginary parts: path 0's draws
+        for a, b in self._blocks(pairs):
+            re = _normals(gen, (b - a, form.size))
+            reads[0, a:b] = re @ form.real
+            reads[1, a:b] = re @ form.imag
+            if first_path and a == 0:
+                heads.append(re[0].copy())
+        for a, b in self._blocks(pairs):
+            im = _normals(gen, (b - a, form.size))
+            reads[0, a:b] -= im @ form.imag
+            reads[1, a:b] += im @ form.real
+            if first_path and a == 0:
+                heads.append(im[0].copy())
+        first = np.cumsum(self._fgn(*heads).real) * self._scaling[1] if first_path else None
+        return reads.reshape(-1)[:count], first
 
 
 def noise_sampler(method: str, grid: SamplingGrid, h: float) -> ExactSampler | FftSampler:

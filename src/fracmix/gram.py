@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import integer_value
+from .checks import integer_value, real_value
 from .errors import FactorizationError, GridError, HurstRangeError
 
 # Conditioning guard: as H -> 1 the matrix degenerates to rank one, and as
@@ -49,8 +49,9 @@ _Q_MIN = float(np.finfo(float).tiny)  # the estimators divide by q = u'V^{-1}u
 
 
 def hurst_value(h: float) -> float:
-    """Validate a Hurst exponent: a float in the open interval (0, 1)."""
-    v = float(h)
+    """Validate a Hurst exponent: a real number (``checks.real_value``) in
+    the open interval (0, 1)."""
+    v = real_value("Hurst exponent", h, HurstRangeError)
     if not 0.0 < v < 1.0:  # also rejects NaN
         raise HurstRangeError(f"Hurst exponent must lie in (0, 1), got {h}")
     return v
@@ -90,7 +91,7 @@ class SamplingGrid:
         n = integer_value("n", n, GridError)
         if n < 1:
             raise GridError(f"need n >= 1 observations, got {n}")
-        step = float(horizon) / n
+        step = real_value("horizon", horizon, GridError) / n
         try:
             times = np.arange(1, n + 1) * step
         except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate n times

@@ -118,9 +118,9 @@ def simulate_panel(
 
     The panel's ``y`` is the one (N, n) buffer that the drift terms are
     written to and the paths added into, and ``Panel`` adopts it without a
-    copy.  At its peak the call holds about 3x the panel's bytes for
-    "fast" (its normal draws are 2x), 2x for "exact" (with the factor of V
-    already cached) and 1x for "none".
+    copy.  At its peak the call holds about 2x the panel's bytes for
+    "fast" (the paths and the real parts of their normal draws), 2x for
+    "exact" (with the factor of V already cached) and 1x for "none".
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")

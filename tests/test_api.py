@@ -18,10 +18,14 @@ def test_every_export_resolves():
     assert len(set(fracmix.__all__)) == len(fracmix.__all__)
 
 
-# scipy subpackages that `import fracmix, fracmix.cli` must not load;
-# fracmix imports scipy.linalg and scipy.special inside the functions
-# that call them, so only commands that factor, solve or estimate load them
+# scipy subpackages and standard modules that `import fracmix, fracmix.cli`
+# must not load; fracmix imports scipy.linalg and scipy.special inside the
+# functions that call them, so only commands that factor, solve or estimate
+# load them, and concurrent.futures (which loads logging) inside
+# run_experiment
 HEAVY = {
+    "concurrent.futures",
+    "logging",
     "scipy.stats",
     "scipy.integrate",
     "scipy.interpolate",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -666,12 +667,12 @@ def test_one_task_per_thread_and_cell(monkeypatch):
     # bookkeeping does not grow with R: one future per range of replications
     submitted = []
 
-    class CountingPool(experiment.ThreadPoolExecutor):
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args[-1])
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(experiment, "_worker_count", lambda: 3)
     cfg = small_config(h_list=(0.15, 0.85), replications=50)
     run_experiment(cfg)
@@ -781,7 +782,7 @@ def test_the_failing_thread_marks_its_position_before_its_next_range(monkeypatch
     ran, replicate_one, queued = [], experiment._replicate_with_gram, threading.Event()
     submitted = []
 
-    class WatchedPool(experiment.ThreadPoolExecutor):
+    class WatchedPool(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             future = super().submit(fn, *args, **kwargs)
             submitted.append(args[-1])
@@ -796,7 +797,7 @@ def test_the_failing_thread_marks_its_position_before_its_next_range(monkeypatch
             raise NonFiniteError("replication 2 failed")
         return replicate_one(cfg, cell_index, gram, read, n_subjects, rep)
 
-    monkeypatch.setattr(experiment, "ThreadPoolExecutor", WatchedPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", WatchedPool)
     monkeypatch.setattr(experiment, "_worker_count", lambda: 1)
     monkeypatch.setattr(experiment, "_replicate_with_gram", failing)
     with pytest.raises(NonFiniteError, match="replication 2 failed"):

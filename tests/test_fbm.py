@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -236,7 +238,7 @@ def oracle_fast_paths(n, horizon, h, gen, count):
 
 @pytest.mark.parametrize("h", [0.15, 0.5, 0.85])
 @pytest.mark.parametrize("n", [1, 7, 64, 256])
-@pytest.mark.parametrize("count", [1, 2, 33, 65])
+@pytest.mark.parametrize("count", [1, 2, 33, 65, 1100])
 def test_sampler_paths_are_bitwise_the_oracle(count, n, h):
     grid = SamplingGrid.uniform(n, 5.0)
     factor = cholesky_factor(grid, h)
@@ -251,6 +253,62 @@ def test_sampler_paths_are_bitwise_the_oracle(count, n, h):
     form = fast.slope_form(build_gram(grid, h).weights)
     _, first = fast.slope_noise(form, RngStream(72, count).generator(), count, first_path=True)
     assert first.shape == (n,) and first.tobytes() == want[0].tobytes()
+
+
+def oracle_fast_reads(n, horizon, h, form, gen, count):
+    """slope_noise as one call: all real parts, then all imaginary parts,
+    each read by one matrix-vector product per part of the form; and path
+    0 synthesised from row 0 of each."""
+    lam = fgn_spectrum(n, h)
+    scale, step = np.sqrt(lam / lam.size), (float(horizon) / n) ** h
+    shape = ((count + 1) // 2, scale.size)
+    re, im = gen.standard_normal(shape), gen.standard_normal(shape)
+    reads = np.concatenate([re @ form.real - im @ form.imag, re @ form.imag + im @ form.real])
+    first = np.cumsum(np.fft.fft(scale * (re[0] + 1j * im[0]))[:n].real) * step
+    return reads[:count], first
+
+
+# (n, count): rows per block of 2n normals are 16384 at n = 1, 2336 at
+# n = 7, 960 at n = 17, 64 at n = 256 and 16 at n = 1024 and 2048; the
+# counts give one row, one block with a lone last row, and several blocks
+# with and without one.  One product over all the rows is itself split
+# across threads by OpenBLAS past 460,800 normals, which changes its
+# bits with the thread count, so each half of the draws stays below that.
+@pytest.mark.parametrize(
+    "n,count",
+    [(1, 1), (1, 32769), (1, 98305), (7, 3), (7, 4673), (7, 9346), (17, 2), (17, 1921),
+     (17, 4500), (17, 5762), (256, 129), (256, 400), (256, 641), (1024, 33), (1024, 199),
+     (2048, 97), (2048, 98)],
+)
+def test_slope_reads_are_bitwise_the_one_call_oracle(n, count):
+    h = (0.15, 0.5, 0.85)[count % 3]
+    sampler = FftSampler(n, 5.0, h)
+    form = sampler.slope_form(build_gram(SamplingGrid.uniform(n, 5.0), h).weights)
+    want, want_first = oracle_fast_reads(n, 5.0, h, form, RngStream(74, count).generator(), count)
+    got, first = sampler.slope_noise(form, RngStream(74, count).generator(), count, first_path=True)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert first.shape == (n,) and first.tobytes() == want_first.tobytes()
+    got, none = sampler.slope_noise(form, RngStream(74, count).generator(), count)
+    assert none is None and got.tobytes() == want.tobytes()
+
+
+def test_fft_sampler_memory_is_one_block_past_its_output():
+    # holding all 2 x 2000 x 2048 draws at once would take about 65 MB for
+    # the reads, and 3x the paths' bytes for the paths
+    n, count, h = 1024, 4000, 0.5
+    sampler = FftSampler(n, 5.0, h)
+    form = sampler.slope_form(build_gram(SamplingGrid.uniform(n, 5.0), h).weights)
+    tracemalloc.start()
+    try:
+        sampler.slope_noise(form, RngStream(75).generator(), count, first_path=True)
+        reads_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        paths = sampler.paths(RngStream(76).generator(), count)
+        paths_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads_peak < 4 * 2**20
+    assert paths_peak <= 2.1 * paths.nbytes
 
 
 def test_fft_sampler_computes_its_spectrum_once(monkeypatch):

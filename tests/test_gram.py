@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_hurst_validation():
     for bad in (0.0, 1.0, -0.2, 1.7, float("nan"), float("inf")):
         with pytest.raises(HurstRangeError):
             hurst_value(bad)
+    # a string is never parsed and a bool is not a number, wherever H enters
+    law, stream = EffectsLaw(0.0, 1.0), RngStream(1)
+    for bad in ("0.5", True, np.True_):
+        message = f"^Hurst exponent: expected a real number, got {re.escape(repr(bad))}$"
+        for call in (
+            lambda: hurst_value(bad),
+            lambda: build_gram(GRID4, bad),
+            lambda: noise_sampler("fast", GRID4, bad),
+            lambda: simulate_panel(2, GRID4, bad, law, stream, noise="fast"),
+        ):
+            with pytest.raises(HurstRangeError, match=message):
+                call()
 
 
 def test_grid_validation():
@@ -63,6 +76,10 @@ def test_grid_validation():
         SamplingGrid((2.0, 1.0))
     with pytest.raises(GridError):
         SamplingGrid(())
+    for bad in ("5", True, np.True_, None):
+        # not horizon 5.0 from "5", nor 1.0 from True
+        with pytest.raises(GridError, match=f"^horizon: expected a real number, got {bad!r}$"):
+            SamplingGrid.uniform(4, bad)
     g = SamplingGrid.uniform(4, 5.0)
     assert np.allclose(g.times, [1.25, 2.5, 3.75, 5.0])
     assert g.horizon == 5.0
