@@ -166,8 +166,6 @@ def _read_panel(path):
 
 
 def cmd_experiment(args) -> int:
-    import scipy
-
     try:
         cfg = load_experiment_config(args.config)
     except OSError as exc:
@@ -196,6 +194,8 @@ def cmd_experiment(args) -> int:
                 f"refused in {s.hurst_refusals} of {cfg.replications} replications",
                 file=sys.stderr,
             )
+    import scipy  # for its version only, so a config or --out error loads none of it
+
     manifest = {
         "base_seed": cfg.base_seed,
         "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "base_seed"},

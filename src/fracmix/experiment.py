@@ -20,7 +20,8 @@ its replications on a thread pool that serves the whole grid (numpy's
 normal draws, FFTs and BLAS calls release the GIL), one contiguous
 range of replications per thread.  The calling thread keeps one cell
 ahead: while the pool draws cell c it sets up and queues cell c+1, then
-puts cell c's reads back in replication order and aggregates them.  So
+waits for cell c's ranges in replication order and aggregates the (R, N)
+reads they wrote, one row per replication, allocated at set-up.  So
 every output is bit-for-bit that of a serial loop, whatever the pool's
 size, and errors are raised in the order a serial loop meets them.
 
@@ -47,7 +48,7 @@ import numpy as np
 from . import checks
 from .effects import estimate_mu, estimate_sigma2, exact_moments
 from .errors import EstimationRangeError, FracmixError, NonFiniteError
-from .fbm import noise_sampler
+from .fbm import held, noise_sampler
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, as_filter, estimate_h, k_value
 from .panel import EffectsLaw, draw_effects
@@ -323,41 +324,43 @@ def _named(cell):
 
 def _start_cell(cfg, pool, cuts, stop, cell):
     """Set one cell up and queue replications cuts[i] to cuts[i+1] as one
-    task of pool each; the cell, its Gram matrix and the tasks."""
+    task of pool each; the cell, its Gram matrix, the (R, N) slope reads
+    and (R,) H estimates that the tasks fill row by row, and the tasks."""
     cell_index, h, n_subjects, n_obs = cell
     with _named(cell):
         grid = SamplingGrid.uniform(n_obs, cfg.horizon)
         gram = build_gram(grid, h)  # one per cell, as are the sampler and its slope form
         sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
         read = functools.partial(sampler.slope_noise, sampler.slope_form(gram.weights))
+        xi = held(np.empty, (cfg.replications, n_subjects), "subjects' slope reads")
+        h_hats = held(np.empty, (cfg.replications,), "H estimates")
     first = cell_index * cfg.replications  # the stream id of replication 0
 
-    def replicate(reps: range) -> list[tuple[np.ndarray, float]]:
-        out = []
+    def replicate(reps: range) -> None:
         for rep in reps:
             if first + rep >= stop.position:
                 break
             try:
-                out.append(_replicate_with_gram(cfg, cell_index, gram, read, n_subjects, rep))
+                xi[rep], h_hats[rep] = _replicate_with_gram(
+                    cfg, cell_index, gram, read, n_subjects, rep
+                )
             except BaseException:
                 stop.lower(first + rep)
                 raise
-        return out
 
     futures = [
         pool.submit(contextvars.copy_context().run, replicate, range(lo, hi))
         for lo, hi in itertools.pairwise(cuts)
     ]
-    return cell, gram, futures
+    return cell, gram, xi, h_hats, futures
 
 
-def _finish_cell(cfg, cell, gram, futures) -> CellSummary:
-    """Collect a started cell's replications in order and aggregate them."""
+def _finish_cell(cfg, cell, gram, xi, h_hats, futures) -> CellSummary:
+    """Wait for a started cell's replications in order and aggregate them."""
     _, h, n_subjects, n_obs = cell
     with _named(cell):
-        # in replication order, so the first failure is the one serial runs raise
-        reads = [out for future in futures for out in future.result()]
-        xi, h_hats = map(np.array, zip(*reads))  # (R, N) slope reads and (R,) H estimates
+        for future in futures:  # in order, so the first failure is the one serial runs raise
+            future.result()
         finite_h = h_hats[np.isfinite(h_hats)]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
             samples = {"mu": estimate_mu(xi)}

@@ -62,7 +62,7 @@ _NEG_EIG_TOL = 1e-10
 _BLOCK_NORMALS = 2**15
 
 
-def _held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
+def held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
     """make(shape), an array of the given shape.  Raises ``GridError``
     when numpy cannot size or allocate it."""
     try:
@@ -72,8 +72,8 @@ def _held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """The next standard normals of gen in the given shape, as ``_held``."""
-    return _held(gen.standard_normal, shape, "normal draws")
+    """The next standard normals of gen in the given shape, as ``held``."""
+    return held(gen.standard_normal, shape, "normal draws")
 
 
 def fgn_spectrum(n: int, h: float) -> np.ndarray:
@@ -174,7 +174,7 @@ class FftSampler:
         scale, step = self._scaling
         pairs = (count + 1) // 2
         re = _normals(gen, (pairs, scale.size))
-        out = _held(np.empty, (count, self.n), "path values")
+        out = held(np.empty, (count, self.n), "path values")
         for a, b in self._blocks(pairs):
             w = self._fgn(re[a:b], _normals(gen, (b - a, scale.size)))
             # cumulated unit-spacing fGn is fBm on 1..n: pair j's real part is
@@ -206,7 +206,7 @@ class FftSampler:
         # pair j's reads are re_j @ f.real - im_j @ f.imag (path j) and
         # re_j @ f.imag + im_j @ f.real (path pairs + j), taken a block of
         # draws at a time in the order ``paths`` draws them
-        reads = _held(np.empty, (2, pairs), "slope reads")
+        reads = held(np.empty, (2, pairs), "slope reads")
         heads = []  # row 0 of the real, then of the imaginary parts: path 0's draws
         for a, b in self._blocks(pairs):
             re = _normals(gen, (b - a, form.size))

@@ -19,13 +19,21 @@ def test_every_export_resolves():
 
 
 # scipy subpackages and standard modules that `import fracmix, fracmix.cli`
-# must not load; fracmix imports scipy.linalg and scipy.special inside the
-# functions that call them, so only commands that factor, solve or estimate
-# load them, and concurrent.futures (which loads logging) inside
-# run_experiment
+# must not load, each with every module under it; fracmix imports
+# scipy.linalg and scipy.special inside the functions that call them, so
+# only commands that factor, solve or estimate load them, and
+# concurrent.futures (which loads logging) inside run_experiment; the SVG
+# writer escapes its labels itself, as xml.sax.saxutils would, which
+# imports urllib.request and with it http.client, ssl and email
+# (urllib.parse still loads, through pathlib)
 HEAVY = {
     "concurrent.futures",
     "logging",
+    "ssl",
+    "email",
+    "http",
+    "xml.sax",
+    "urllib.request",
     "scipy.stats",
     "scipy.integrate",
     "scipy.interpolate",
@@ -36,6 +44,11 @@ HEAVY = {
 }
 
 
+def heavy(modules):
+    """The module names that are a HEAVY name or lie under one."""
+    return {m for m in modules if any(m == h or m.startswith(h + ".") for h in HEAVY)}
+
+
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
     # every CLI call pays the import (the console entry point loads
     # fracmix.cli too): the first four made up about 0.6 s of it, and
@@ -43,14 +56,14 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     # (925 -> 706 ms median over 12 fresh-interpreter pairs, 2 cores,
     # and 811 -> 596 modules loaded); importing scipy.linalg and
     # scipy.special on first use took it from 662 to 291 ms (median of
-    # 10 alternating pairs, 2 cores) and from 598 to 286 modules
+    # 10 alternating pairs, 2 cores) and from 598 to 286 modules; dropping
+    # xml.sax.saxutils took it to 234 modules
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     code = "import sys, fracmix, fracmix.cli; print('\\n'.join(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    subpackages = {".".join(name.split(".")[:2]) for name in out.split()}
-    assert subpackages & HEAVY == set()
+    assert heavy(out.split()) == set()
 
 
 def run_cold(*args):
@@ -76,18 +89,25 @@ SIMULATE = ["simulate", "--hurst", "0.7", "--subjects", "20", "--n-obs", "64", "
 @pytest.mark.parametrize(
     "args,code",
     [(["--version"], 0), (["simulate", "--hurst", "0.7", "--out", "p.csv"], 2),
-     ([*SIMULATE[:2], "1.5", *SIMULATE[3:], "--out", "p.csv"], 2)],
-    ids=["version", "argparse-usage", "range-usage"],
+     ([*SIMULATE[:2], "1.5", *SIMULATE[3:], "--out", "p.csv"], 2),
+     (["experiment", "--config", "bad.cfg", "--out", "o"], 2)],
+    ids=["version", "argparse-usage", "range-usage", "experiment-config"],
 )
 def test_cli_calls_without_scipy_work_load_no_scipy_subpackage(tmp_path, monkeypatch, args, code):
     # the same stdout, stderr and exit code as in this process, where
     # fracmix and scipy are long loaded
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(
+        "h_list = 1.5\nsubjects_list = 3\nn_obs_list = 4\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 1\n"
+    )
     got, loaded = run_cold(*args)
     want = run_cli(*args)
     assert (got.returncode, got.stdout, got.stderr) == (code, want.stdout, want.stderr)
-    assert want.returncode == code and not (tmp_path / "p.csv").exists()
-    assert "fracmix.cli" in loaded and loaded & HEAVY == set()
+    assert want.returncode == code
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "o").exists()
+    assert "fracmix.cli" in loaded and heavy(loaded) == set()
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in loaded)
 
 
 def test_cold_simulate_loads_no_scipy_subpackage(tmp_path):
@@ -95,7 +115,7 @@ def test_cold_simulate_loads_no_scipy_subpackage(tmp_path):
     want = run_cli(*SIMULATE, "--out", str(tmp_path / "warm.csv"))
     assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
-    assert loaded & HEAVY == set()
+    assert heavy(loaded) == set()
 
 
 POOL_RUN = """

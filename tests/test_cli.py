@@ -629,6 +629,28 @@ def test_unsizable_count_exits_with_one_error_line(tmp_path, argv, code, fragmen
     assert "Traceback" not in res.stderr
 
 
+def test_unholdable_replications_exit_before_any_replication(tmp_path, monkeypatch):
+    # the cell's (R, N) reads are allocated at set-up, so a replication
+    # count no machine can hold ends at once instead of growing until the
+    # OS kills the run; a replication that starts fails the test
+    from fracmix import experiment
+
+    started = []
+
+    def replicating(*args):
+        started.append(args[-1])
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(experiment, "_replicate_with_gram", replicating)
+    cfg = one_cell_config(tmp_path, replications=str(10**14))
+    res = run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 4 and started == []
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: cell (H=0.5, N=3, n=4): cannot hold {10**14} x 3 ")
+    assert not list((tmp_path / "o").iterdir())
+
+
 class _Exhausted:
     """A generator whose draw number ``fail_at`` cannot be sized or allocated."""
 
