@@ -8,7 +8,10 @@ Carlo experiment harness.
 
 Importing the package loads numpy but no scipy subpackage: each function
 that calls ``scipy.linalg`` or ``scipy.special`` imports it on first
-use, so CLI calls that need neither do not pay for loading them.
+use, so CLI calls that need neither do not pay for loading them.  Gram
+matrices on uniform grids load only scipy's compiled Levinson module,
+not the ``scipy.linalg`` package; the Cholesky factor (the exact sampler
+and non-uniform grids) imports the package.
 """
 
 __version__ = "0.1.0"

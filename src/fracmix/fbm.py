@@ -156,8 +156,12 @@ class FftSampler:
 
     def _fgn(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
         """The first n values of fft(sqrt(lam/m) (re + i im)) along the last
-        axis: a unit-spacing fGn draw in each of its real and imaginary parts."""
-        return np.fft.fft(self._scaling[0] * (re + 1j * im), axis=-1)[..., : self.n]
+        axis: a unit-spacing fGn draw in each of its real and imaginary parts.
+        One complex buffer holds the scaled draws and, in place, their FFT."""
+        z = 1j * im  # re and the scale join in place, with the bits of scale * (re + 1j * im)
+        z += re
+        z *= self._scaling[0]
+        return np.fft.fft(z, axis=-1, out=z)[..., : self.n]
 
     def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """(count, n) matrix of fBm paths on the uniform grid j*horizon/n.
@@ -182,6 +186,7 @@ class FftSampler:
             np.cumsum(w.real, axis=1, out=out[a:b])
             tail = out[pairs + a : pairs + b]
             np.cumsum(w.imag[: tail.shape[0]], axis=1, out=tail)
+            del w  # so the next block is not drawn beside this one
         out *= step  # self-similarity maps spacing 1 to spacing T/n
         return out
 

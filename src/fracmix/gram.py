@@ -19,8 +19,12 @@ the grid; V is never inverted.
   det R and x = R^{-1}e_1.  x fixes R^{-1} = (L1 L1' - L2 L2') / x_0 [3], L1
   and L2 lower triangular Toeplitz with first columns x and
   (0, x_{n-1}, ..., x_1), so each y'V^{-1}y is two FFT convolutions.
+  The solver is scipy's compiled ``scipy.linalg._solve_toeplitz``
+  module, loaded by itself (``_toeplitz_kernel``): this backend never
+  imports the ``scipy.linalg`` package and its BLAS and LAPACK wrappers.
 * Other grids: V is formed and factored as V = L L' (Cholesky); c and q
-  come from two triangular solves, and y'V^{-1}y from one.
+  come from two triangular solves, and y'V^{-1}y from one.  These, and
+  ``cholesky_factor``, import ``scipy.linalg``.
 
 The exact sampler reads V only as its Cholesky factor L, which
 ``cholesky_factor`` alone makes, keeping the factor of the last (grid, H)
@@ -33,8 +37,14 @@ it was asked for; the Cholesky backend takes its L from there too.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import ModuleType
 
 import numpy as np
 
@@ -236,14 +246,55 @@ def _cholesky(grid: SamplingGrid, hv: float) -> np.ndarray:
     return L
 
 
+_KERNEL = "scipy.linalg._solve_toeplitz"  # the compiled Levinson solver's module
+_kernel: list[ModuleType] = []  # that module, once ``_toeplitz_kernel`` has loaded it
+_kernel_lock = threading.Lock()
+
+
+def _toeplitz_kernel() -> ModuleType:
+    """The compiled module ``_KERNEL``, loaded on first use without
+    ``scipy/linalg/__init__.py`` and the BLAS and LAPACK wrappers it loads,
+    none of which a uniform build calls.
+
+    The module under that name in ``sys.modules`` is used when there is one
+    (``scipy.linalg`` was imported), so a monkeypatch on
+    ``scipy.linalg._solve_toeplitz.levinson`` reaches ``_levinson``
+    whichever was loaded first.  Otherwise the extension file in scipy's
+    linalg directory is loaded by itself, once, under a lock, and kept out
+    of ``sys.modules``: left there, a later ``import scipy.linalg`` would
+    find it and not bind it as that package's attribute.  A scipy the path
+    finder cannot search (a zipped one) is imported as usual.
+    """
+    mod = sys.modules.get(_KERNEL)
+    if mod is not None:
+        return mod
+    with _kernel_lock:
+        if not _kernel:
+            import scipy
+
+            linalg = [os.path.join(p, "linalg") for p in scipy.__path__]
+            spec = importlib.machinery.PathFinder.find_spec(_KERNEL, linalg)
+            if spec is None:
+                from scipy.linalg import _solve_toeplitz as mod
+            else:
+                mod = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(mod)
+                if sys.modules.get(_KERNEL) is mod:  # a single-phase extension registers itself
+                    del sys.modules[_KERNEL]
+            _kernel.append(mod)
+    return _kernel[0]
+
+
 def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """s = R^{-1}1, x = R^{-1}e_1 and the prediction error variances v
     (det R = prod v) of the symmetric Toeplitz R with first row r_{0:n}.
-    Two compiled Levinson solves give s from R s = 1 and the order-n
-    predictor phi from R phi = r_{1:n+1}, whose reflection coefficients
-    give v_k = r_0 prod_{j<=k} (1 - kappa_j^2); one step down from phi gives
-    x.  Raises ``FactorizationError`` unless v_0..v_n are positive."""
-    from scipy.linalg._solve_toeplitz import levinson
+    Two compiled Levinson solves (scipy's ``levinson``, from
+    ``_toeplitz_kernel``; no ``scipy.linalg`` package import) give s from
+    R s = 1 and the order-n predictor phi from R phi = r_{1:n+1}, whose
+    reflection coefficients give v_k = r_0 prod_{j<=k} (1 - kappa_j^2);
+    one step down from phi gives x.  Raises ``FactorizationError`` unless
+    v_0..v_n are positive."""
+    levinson = _toeplitz_kernel().levinson
 
     n = r.size - 1
     a = np.append(r[n - 1 : 0 : -1], r[:n])

@@ -12,6 +12,7 @@ accumulated drift integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,7 +72,11 @@ class Panel:
             raise GridError(f"panel has {y.shape[1]} columns, grid has {len(self.grid)} times")
         if y.shape[0] < 1:
             raise ValueError("panel needs at least one subject")
-        if not np.all(np.isfinite(y)):
+        # a finite sum means finite entries, with no (N, n) mask; a panel of
+        # finite entries can still sum past a double, so then look at each
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = y.sum()
+        if not math.isfinite(total) and not np.all(np.isfinite(y)):
             raise NonFiniteError("panel observations must be finite")
         y.flags.writeable = False
         object.__setattr__(self, "y", y)

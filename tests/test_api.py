@@ -161,8 +161,186 @@ def test_scipy_special_first_imported_on_pool_threads_gives_the_same_summaries()
 
     lazy, eager = run(POOL_RUN, "lazy"), run(POOL_RUN, "eager")
     # searched for once: on a pool thread, unless this scipy's linalg
-    # imports special itself, when the first Gram build loads it
+    # imports special itself, when the first Cholesky factor (the exact
+    # sampler's, made on the main thread) loads it
     (along,) = run("import sys, scipy.linalg; print('scipy.special' in sys.modules)")
     assert lazy[0] == f"[{along}]"
     assert eager[0] == "[]"  # already loaded
     assert lazy[1] == eager[1]
+
+
+# ------------------------------------- the compiled Levinson kernel alone
+# A uniform Gram build loads scipy.linalg._solve_toeplitz by itself, without
+# the scipy.linalg package and its BLAS and LAPACK wrappers; the Cholesky
+# backend and the exact sampler import the package as before.
+def run_fresh(code, *args):
+    """The stdout lines of ``python -c code *args`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        check=True, timeout=600,
+    ).stdout.split()
+
+
+LINALG_RUN = """
+import sys
+import numpy as np
+from fracmix import EffectsLaw, RngStream, SamplingGrid, build_gram, simulate_panel
+from fracmix.experiment import ExperimentConfig, run_experiment
+grid = SamplingGrid.uniform(64, 5.0)
+case = sys.argv[1]
+if case == "uniform-build":
+    build_gram(grid, 0.7).quad_yy(np.ones((2, 64)))
+elif case in ("fast-experiment", "exact-experiment"):
+    cfg = ExperimentConfig(h_list=(0.3, 0.8), subjects_list=(5,), n_obs_list=(16, 64), horizon=5.0,
+                           mu0=-2.0, sigma20=1.0, replications=3, base_seed=2, estimate_hurst=True,
+                           sampler=case.split("-")[0])
+    run_experiment(cfg)
+elif case == "non-uniform-build":
+    build_gram(SamplingGrid((1.0, 1.5, 3.0)), 0.7)
+elif case == "exact-panel":
+    simulate_panel(4, grid, 0.7, EffectsLaw(-2.0, 1.0), RngStream(3), noise="exact")
+print("scipy.linalg" in sys.modules, "scipy.linalg._solve_toeplitz" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "case,package",
+    [("uniform-build", False), ("fast-experiment", False), ("non-uniform-build", True),
+     ("exact-panel", True), ("exact-experiment", True)],
+)
+def test_uniform_builds_load_the_levinson_kernel_without_scipy_linalg(case, package):
+    # a kernel loaded by itself is not left in sys.modules
+    assert run_fresh(LINALG_RUN, case) == [str(package), str(package)]
+
+
+def test_cold_uniform_hurst_and_effects_load_no_scipy_linalg(tmp_path):
+    from fracmix import Panel, SamplingGrid
+    from fracmix.panel_io import read_panel_csv, write_panel_csv
+
+    uniform, other = tmp_path / "uniform.csv", tmp_path / "other.csv"
+    assert run_cli(*SIMULATE, "--out", str(uniform)).returncode == 0
+    y = read_panel_csv(uniform).y[:, :3]
+    write_panel_csv(other, Panel(SamplingGrid((1.0, 1.5, 3.0)), y))
+    for package, args in [(False, ["hurst", "--input", str(uniform)]),
+                          (False, ["effects", "--input", str(uniform), "--hurst", "0.7"]),
+                          (True, ["effects", "--input", str(other), "--hurst", "0.7"])]:
+        got, loaded = run_cold(*args)
+        want = run_cli(*args)
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+        assert ("scipy.linalg" in loaded) == package, args
+
+
+ORDER_RUN = """
+import sys
+import pytest
+from fracmix import gram
+grid = gram.SamplingGrid.uniform(33, 5.0)
+if sys.argv[1] == "package-first":
+    import scipy.linalg
+first = gram.build_gram(grid, 0.7)
+calls, mp = [], pytest.MonkeyPatch()
+solve = gram._toeplitz_kernel().levinson
+# the dotted path imports scipy.linalg, after the kernel in "kernel-first"
+mp.setattr("scipy.linalg._solve_toeplitz.levinson", lambda *a: calls.append(a) or solve(*a))
+import scipy.linalg
+kernel = sys.modules[gram._KERNEL]
+again = gram.build_gram(grid, 0.7)
+mp.undo()
+print(scipy.linalg._solve_toeplitz is kernel, gram._toeplitz_kernel() is kernel,
+      kernel.levinson is solve, len(calls), again.weights.tobytes() == first.weights.tobytes())
+"""
+
+
+@pytest.mark.parametrize("order", ["kernel-first", "package-first"])
+def test_a_dotted_monkeypatch_reaches_the_kernel_in_either_load_order(order):
+    assert run_fresh(ORDER_RUN, order) == ["True", "True", "True", "2", "True"]
+
+
+THREADS_RUN = """
+import importlib.machinery, sys, threading
+from fracmix import gram
+finds, find = [], importlib.machinery.PathFinder.find_spec
+
+def spy(name, path=None, target=None):
+    if name == gram._KERNEL:
+        finds.append(name)
+    return find(name, path, target)
+
+importlib.machinery.PathFinder.find_spec = spy
+sys.setswitchinterval(1e-6)
+barrier, got = threading.Barrier(2), {}
+
+def build(i):
+    barrier.wait()
+    got[i] = (gram.build_gram(gram.SamplingGrid.uniform(257, 5.0), 0.6).weights.tobytes(),
+              gram._toeplitz_kernel())
+
+threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(any(t.is_alive() for t in threads), len(finds), got[0][1] is got[1][1], got[0][0] == got[1][0],
+      "scipy.linalg" in sys.modules)
+"""
+
+
+def test_two_threads_making_the_first_uniform_build_share_one_kernel():
+    # one search for the kernel: the second thread waits for the first's load
+    for _ in range(3):
+        assert run_fresh(THREADS_RUN) == ["False", "1", "True", "True", "False"]
+
+
+BITS_RUN = """
+import dataclasses, hashlib, sys
+import numpy as np
+if sys.argv[1] == "package":
+    import scipy.linalg
+from fracmix import gram
+digest = hashlib.sha256()
+for n in (1, 2, 4, 32, 257, 4096):
+    grid = gram.SamplingGrid.uniform(n, 5.0)
+    y = np.random.default_rng(n).standard_normal((3, n)) + grid.times
+    for h in (0.01, 0.15, 0.5, 0.85, 0.99):
+        g = gram.build_gram(grid, h)
+        for f in dataclasses.fields(g):
+            v = getattr(g, f.name)
+            if isinstance(v, np.ndarray):
+                v = v.tobytes()
+            elif isinstance(v, float):
+                v = v.hex()
+            digest.update(repr(v).encode())
+        digest.update(g.quad_yy(y).tobytes())
+print("scipy.linalg" in sys.modules, digest.hexdigest())
+"""
+
+
+def test_the_kernel_alone_gives_the_bits_of_the_package_import():
+    (alone, a), (package, b) = run_fresh(BITS_RUN, "kernel"), run_fresh(BITS_RUN, "package")
+    assert (alone, package) == ("False", "True")
+    assert a == b
+
+
+def test_a_scipy_the_path_finder_cannot_search_takes_the_usual_import():
+    code = """
+import importlib.machinery, sys
+from fracmix import gram
+find, searches = importlib.machinery.PathFinder.find_spec, []
+
+def spy(name, *args):  # the kernel's own search finds nothing; the package import finds it
+    if name == gram._KERNEL:
+        searches.append(name)
+        if len(searches) == 1:
+            return None
+    return find(name, *args)
+
+importlib.machinery.PathFinder.find_spec = spy
+g = gram.build_gram(gram.SamplingGrid.uniform(40, 5.0), 0.4)
+print(len(searches), "scipy.linalg" in sys.modules, gram._toeplitz_kernel() is sys.modules[gram._KERNEL],
+      g.weights.tobytes().hex())
+"""
+    fell_back = run_fresh(code)
+    direct = run_fresh("from fracmix import gram\n"
+                       "print(gram.build_gram(gram.SamplingGrid.uniform(40, 5.0), 0.4).weights.tobytes().hex())")
+    assert fell_back == ["2", "True", "True", *direct]

@@ -294,21 +294,42 @@ def test_slope_reads_are_bitwise_the_one_call_oracle(n, count):
 
 def test_fft_sampler_memory_is_one_block_past_its_output():
     # holding all 2 x 2000 x 2048 draws at once would take about 65 MB for
-    # the reads, and 3x the paths' bytes for the paths
-    n, count, h = 1024, 4000, 0.5
-    sampler = FftSampler(n, 5.0, h)
-    form = sampler.slope_form(build_gram(SamplingGrid.uniform(n, 5.0), h).weights)
-    tracemalloc.start()
-    try:
-        sampler.slope_noise(form, RngStream(75).generator(), count, first_path=True)
-        reads_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        paths = sampler.paths(RngStream(76).generator(), count)
-        paths_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert reads_peak < 4 * 2**20
-    assert paths_peak <= 2.1 * paths.nbytes
+    # the reads, and 3x the paths' bytes for the paths; at n = 7 one block
+    # (2,336 pairs) is a quarter of the output, and the paths peaked at 3.8x
+    # with three complex copies of it and the last block kept while the next
+    # was drawn (2.8x with one)
+    h = 0.5
+    for n, count, bound in [(1024, 4000, 2.1), (7, 20000, 3.0)]:
+        sampler = FftSampler(n, 5.0, h)
+        form = sampler.slope_form(build_gram(SamplingGrid.uniform(n, 5.0), h).weights)
+        tracemalloc.start()
+        try:
+            sampler.slope_noise(form, RngStream(75).generator(), count, first_path=True)
+            reads_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            paths = sampler.paths(RngStream(76).generator(), count)
+            paths_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reads_peak < 4 * 2**20
+        assert paths_peak <= bound * paths.nbytes, n
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1024])
+def test_fft_synthesis_in_one_buffer_has_the_bits_of_the_expression(n):
+    # signed zeros included: the real part of re + 1j * im is re + copysign(0, im),
+    # so a -0.0 in re stays -0.0 only where im is negative
+    sampler = FftSampler(n, 5.0, 0.3)
+    scale = sampler._scaling[0]
+    rng = np.random.default_rng(n)
+    re, im = rng.standard_normal((2, 6, 2 * n))
+    re[0], im[1] = -0.0, -0.0
+    re[2, ::2], im[2, ::2], re[3, 1::2] = 0.0, -0.0, -0.0
+    re[4], im[4] = -0.0, np.where(np.arange(2 * n) % 2, 0.0, -1.0)
+    re[5], im[5] = -0.0, np.abs(im[5])  # scaled, the real parts are +0.0, not -0.0
+    want = np.fft.fft(scale * (re + 1j * im), axis=-1)[..., :n]
+    assert sampler._fgn(re, im).tobytes() == want.tobytes()
+    assert sampler._fgn(re[4], im[4]).tobytes() == want[4].tobytes()
 
 
 def test_fft_sampler_computes_its_spectrum_once(monkeypatch):

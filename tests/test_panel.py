@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from fracmix import (
     EffectsLaw,
     GridError,
+    NonFiniteError,
     Panel,
     RngStream,
     SamplingGrid,
@@ -82,12 +83,41 @@ def test_panel_grid_mismatch_is_rejected():
         Panel(grid=SamplingGrid.uniform(4, 1.0), y=np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "inf", "-inf", "inf-inf"]
+)
 def test_panel_rejects_non_finite_y(bad):
     y = np.zeros((2, 4))
-    y[1, 2] = bad
-    with pytest.raises(ValueError, match="finite"):
+    y[1, 2 : 2 + len(bad)] = bad
+    with pytest.raises(NonFiniteError, match="^panel observations must be finite$"):
         Panel(grid=SamplingGrid.uniform(4, 1.0), y=y)
+
+
+def test_panel_takes_finite_rows_whose_sum_overflows():
+    # the sums of these are inf and NaN (inf plus -inf), so the elementwise
+    # check decides, and finds every entry finite
+    mixed = np.full((3, 4), 1e308)
+    mixed[1] = -1e308
+    mixed[2, 0] = -np.finfo(float).max
+    for y in (np.full((3, 4), 1e308), mixed):
+        with np.errstate(all="raise"):  # and no floating-point warning escapes
+            panel = Panel(grid=SamplingGrid.uniform(4, 1.0), y=y)
+        assert panel.y.tobytes() == y.tobytes()
+
+
+def test_panel_finiteness_check_needs_no_elementwise_temporary():
+    # np.isfinite(y) on the noise-free 512 x 4096 panel is a 2.1 MB mask
+    y = np.ones((512, 4096))
+    y.flags.writeable = False
+    grid = SamplingGrid.uniform(4096, 5.0)
+    tracemalloc.start()
+    try:
+        panel = Panel(grid=grid, y=y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.y is y
+    assert peak <= 0.01 * y.nbytes
 
 
 # ------------------------------------------------- one buffer per panel
