@@ -10,8 +10,9 @@ Importing the package loads numpy but no scipy subpackage: each function
 that calls ``scipy.linalg`` or ``scipy.special`` imports it on first
 use, so CLI calls that need neither do not pay for loading them.  Gram
 matrices on uniform grids load only scipy's compiled Levinson module,
-not the ``scipy.linalg`` package; the Cholesky factor (the exact sampler
-and non-uniform grids) imports the package.
+not the ``scipy.linalg`` package, and the exact sampler's Cholesky
+factor there is numpy alone (the Schur algorithm); only non-uniform
+grids import the package.
 """
 
 __version__ = "0.1.0"

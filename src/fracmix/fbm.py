@@ -7,7 +7,9 @@ times (the deterministic value 0 at t = 0 is not stored):
 
 * ``ExactSampler`` draws the Gaussian vector with covariance V(H) as
   L z (L the Cholesky factor, z standard normal).  Works on any grid;
-  O(n^3) once per grid for L, O(n^2) per path.
+  O(n^2) per path.  L is made once per grid: in O(n^2) by the Schur
+  algorithm on a uniform grid, by LAPACK in O(n^3) on other grids
+  (``gram.cholesky_factor``).
 * ``FftSampler`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, once per sampler; synthesis from
@@ -100,7 +102,9 @@ def fgn_spectrum(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ExactSampler:
-    """Paths L z on any grid, L the Cholesky factor of V(H)."""
+    """Paths L z on any grid, L the Cholesky factor of V(H) (from
+    ``gram.cholesky_factor``: the Schur algorithm on a uniform grid,
+    LAPACK on others)."""
 
     factor: np.ndarray
 

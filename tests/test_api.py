@@ -160,19 +160,18 @@ def test_scipy_special_first_imported_on_pool_threads_gives_the_same_summaries()
         ).stdout.split()
 
     lazy, eager = run(POOL_RUN, "lazy"), run(POOL_RUN, "eager")
-    # searched for once: on a pool thread, unless this scipy's linalg
-    # imports special itself, when the first Cholesky factor (the exact
-    # sampler's, made on the main thread) loads it
-    (along,) = run("import sys, scipy.linalg; print('scipy.special' in sys.modules)")
-    assert lazy[0] == f"[{along}]"
+    # searched for once, on a pool thread: the exact sampler's factor on
+    # these uniform grids loads no scipy.linalg, which might import special
+    assert lazy[0] == "[False]"
     assert eager[0] == "[]"  # already loaded
     assert lazy[1] == eager[1]
 
 
 # ------------------------------------- the compiled Levinson kernel alone
 # A uniform Gram build loads scipy.linalg._solve_toeplitz by itself, without
-# the scipy.linalg package and its BLAS and LAPACK wrappers; the Cholesky
-# backend and the exact sampler import the package as before.
+# the scipy.linalg package and its BLAS and LAPACK wrappers, and the exact
+# sampler on a uniform grid factors V with numpy alone (the Schur pass); the
+# Cholesky backend and the exact sampler on other grids import the package.
 def run_fresh(code, *args):
     """The stdout lines of ``python -c code *args`` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -200,6 +199,9 @@ elif case == "non-uniform-build":
     build_gram(SamplingGrid((1.0, 1.5, 3.0)), 0.7)
 elif case == "exact-panel":
     simulate_panel(4, grid, 0.7, EffectsLaw(-2.0, 1.0), RngStream(3), noise="exact")
+elif case == "non-uniform-exact-panel":
+    simulate_panel(4, SamplingGrid((1.0, 1.5, 3.0)), 0.7, EffectsLaw(-2.0, 1.0), RngStream(3),
+                   noise="exact")
 print("scipy.linalg" in sys.modules, "scipy.linalg._solve_toeplitz" in sys.modules)
 """
 
@@ -207,7 +209,7 @@ print("scipy.linalg" in sys.modules, "scipy.linalg._solve_toeplitz" in sys.modul
 @pytest.mark.parametrize(
     "case,package",
     [("uniform-build", False), ("fast-experiment", False), ("non-uniform-build", True),
-     ("exact-panel", True), ("exact-experiment", True)],
+     ("exact-panel", False), ("exact-experiment", False), ("non-uniform-exact-panel", True)],
 )
 def test_uniform_builds_load_the_levinson_kernel_without_scipy_linalg(case, package):
     # a kernel loaded by itself is not left in sys.modules

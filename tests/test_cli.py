@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -573,6 +574,29 @@ def test_experiment_unknown_sampler_exits_2(tmp_path):
     assert res.returncode == 2
     (line,) = res.stderr.splitlines()
     assert line.startswith("error: --config: ") and "sampler" in line and "bogus" in line
+
+
+def test_exact_experiment_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # on uniform grids the exact sampler's factor comes from elementwise
+    # numpy (the Schur pass); LAPACK's factor of V at n = 128 rounds
+    # differently at 1 and 2 OpenBLAS threads, and so did table_n128.csv
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "h_list = 0.15, 0.85\nsubjects_list = 5\nn_obs_list = 32, 128\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 4\nbase_seed = 7\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        res = subprocess.run(
+            RUN + ["experiment", "--config", str(cfg), "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert {"table_n32.csv", "table_n128.csv", "manifest.json"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("sampler", ["exact", "fast"])

@@ -350,3 +350,76 @@ def test_fft_sampler_computes_its_spectrum_once(monkeypatch):
         sampler.slope_noise(form, RngStream(73).generator(), 3, first_path=first_path)
     sampler.paths(RngStream(74).generator(), 5)
     assert calls == [(64, 0.7)]
+
+
+# ------------------------------------ the exact law of (mu_hat, sigma2_hat)
+# At known H, mu_hat is N(mu, beta/N) and N(sigma2_hat + 1/q)/beta is
+# chi-squared with N - 1 degrees of freedom, beta = sigma2 + 1/q.  Each of
+# the 16 tests below (8 cells, 2 estimates) maps a cell's R = 1000
+# estimates through that CDF and rejects at a Kolmogorov p-value below
+# LAW_ALPHA, so a correct sampler fails a run with probability at most
+# 16 * LAW_ALPHA = 0.16 %.
+LAW_ALPHA = 1e-4
+
+
+def law_p_values(monkeypatch):
+    """(cell, p_mu, p_sigma2) per cell of an exact-sampler experiment on
+    H in {0.15, 0.85} x N in {5, 50} x n in {32, 256}, R = 1000."""
+    from scipy.special import chdtr, kolmogorov, ndtr
+
+    from fracmix import experiment
+
+    cfg = experiment.ExperimentConfig(
+        h_list=(0.15, 0.85), subjects_list=(5, 50), n_obs_list=(32, 256), horizon=5.0,
+        mu0=-2.0, sigma20=1.0, replications=1000, base_seed=4242,
+    )
+    reads, sigma2 = [], experiment.estimate_sigma2
+
+    def spy(xi, q):  # once per cell, in cell order, with its (R, N) reads
+        reads.append((xi.copy(), q))
+        return sigma2(xi, q)
+
+    monkeypatch.setattr(experiment, "estimate_sigma2", spy)
+    experiment.run_experiment(cfg)
+
+    def ks_p(u):
+        u = np.sort(u)
+        i = np.arange(1, u.size + 1)
+        d = max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
+        return kolmogorov(np.sqrt(u.size) * d)
+
+    out = []
+    for (_, h, n_subjects, n_obs), (xi, q) in zip(cfg.cells(), reads, strict=True):
+        beta = cfg.sigma20 + 1.0 / q
+        mu_hat = xi.mean(axis=1)
+        chi2 = n_subjects * np.var(xi, axis=1) / beta  # N (sigma2_hat + 1/q) / beta
+        out.append((
+            (h, n_subjects, n_obs),
+            ks_p(ndtr((mu_hat - cfg.mu0) / np.sqrt(beta / n_subjects))),
+            ks_p(chdtr(n_subjects - 1, chi2)),
+        ))
+    return out
+
+
+def test_exact_sampler_estimates_follow_their_exact_law(monkeypatch):
+    failed = [(cell, p_mu, p_s2) for cell, p_mu, p_s2 in law_p_values(monkeypatch)
+              if min(p_mu, p_s2) < LAW_ALPHA]
+    assert failed == []
+
+
+@pytest.mark.parametrize("mutant", ["unscaled", "uncumulated"])
+def test_exact_law_check_rejects_a_wrong_factor(monkeypatch, mutant):
+    # the uniform-grid factor without its spacing**H scale, or without its
+    # cumulative sum (a factor of the increments' covariance)
+    import fracmix.fbm as fbm_mod
+    from fracmix import gram
+
+    def factor(grid, h):
+        L = gram._schur(gram.fgn_autocovariance(len(grid), h))
+        if mutant == "unscaled":
+            return np.cumsum(L, axis=0)
+        return L * (grid.horizon / len(grid)) ** h
+
+    monkeypatch.setattr(fbm_mod, "cholesky_factor", factor)
+    p = [min(p_mu, p_s2) for _, p_mu, p_s2 in law_p_values(monkeypatch)]
+    assert min(p) < LAW_ALPHA

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -288,13 +289,19 @@ def test_quad_yy_past_the_double_range_fails_loudly():
 
 
 def test_cholesky_factor_keeps_the_last_factor_only(monkeypatch):
-    factor, calls = scipy.linalg.cholesky, []
+    # factorizations are counted on both paths: the Schur pass on uniform
+    # grids, LAPACK on the others
+    schur, lapack, calls = gram._schur, scipy.linalg.cholesky, []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return factor(*args, **kwargs)
+    def counting(name, factor):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return factor(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", counting)
+        return count
+
+    monkeypatch.setattr(gram, "_schur", counting("schur", schur))
+    monkeypatch.setattr(scipy.linalg, "cholesky", counting("lapack", lapack))
     law = EffectsLaw(-2.0, 1.0)
     cfg = ExperimentConfig(
         h_list=(0.7,), subjects_list=(3,), n_obs_list=(24,), horizon=3.5,
@@ -303,27 +310,31 @@ def test_cholesky_factor_keeps_the_last_factor_only(monkeypatch):
     cholesky_factor(GRID4, 0.7)  # whatever an earlier test left is evicted
     calls.clear()
     run_experiment(cfg)
-    assert len(calls) == 1  # V factored once per cell, not once per replication
+    assert calls == ["schur"]  # V factored once per cell, not once per replication
+    cholesky_factor(SamplingGrid.uniform(24, 3.5), 0.7)  # the cell's factor is kept
+    assert calls == ["schur"]
     grid = SamplingGrid((1.0, 1.7, 2.2, 4.0, 5.5))
     gm = build_gram(grid, 0.7)  # the Cholesky backend
     panel = simulate_panel(5, grid, 0.7, law, RngStream(3))
     log_marginal_likelihood(panel, gm, law)
-    assert len(calls) == 2
+    assert calls == ["schur", "lapack"]
     # keyed on the times and H, not on the objects; one factor at a time
     L = cholesky_factor(SamplingGrid(grid.times.copy()), np.float64(0.7))
     assert len(calls) == 2 and cholesky_factor(grid, 0.7) is L
     assert not L.flags.writeable
     with pytest.raises(ValueError):
         L[0, 0] = 0.0
-    cholesky_factor(GRID4, 0.7)
+    U = cholesky_factor(GRID4, 0.7)
+    assert not U.flags.writeable
     again = cholesky_factor(grid, 0.7)
-    assert len(calls) == 4 and again is not L and np.array_equal(again, L)
+    assert calls == ["schur", "lapack", "schur", "lapack"]
+    assert again is not L and np.array_equal(again, L)
     # a failure is not kept
     bad = SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
     for count in (5, 6):
         with pytest.raises(FactorizationError):
             cholesky_factor(bad, 0.99)
-        assert len(calls) == count
+        assert len(calls) == count and calls[-1] == "lapack"
 
 
 # ------------------------------------------------ Toeplitz backend (uniform grids)
@@ -372,10 +383,17 @@ def test_toeplitz_backend_matches_dense_reference(h, n):
     # the dense reference is backward stable, so its forward error is
     # bounded by a small multiple of eps * cond(V)
     grid = SamplingGrid.uniform(n, 5.0)
-    cond = np.linalg.cond(fbm_covariance(grid, h))
+    V = fbm_covariance(grid, h)
+    cond = np.linalg.cond(V)
     gm, L = assert_backends_agree(grid, h, 128 * np.finfo(float).eps * cond)
-    # the exact sampler draws with the same factor as a dense build
-    assert np.array_equal(cholesky_factor(gm.grid, gm.h), L)
+    # the exact sampler's factor (the Schur pass on a uniform grid) is a
+    # lower triangular factor of V with a positive diagonal
+    S = cholesky_factor(gm.grid, gm.h)
+    assert S.shape == L.shape and np.array_equal(np.tril(S), S) and np.all(np.diag(S) > 0.0)
+    # V = step^{2H} C R C' with C the cumulative-sum matrix: step^H C L_R, bit for bit
+    L_R = gram._schur(gram.fgn_autocovariance(n, h))
+    assert np.array_equal(S, np.float64(5.0 / n) ** h * np.cumsum(L_R, axis=0))
+    assert np.max(np.abs(S @ S.T - V)) <= 16 * n * np.finfo(float).eps * np.max(np.abs(V))
 
 
 @pytest.mark.parametrize("h", [0.01, 0.15, 0.5, 0.85, 0.99])
@@ -422,6 +440,54 @@ def test_toeplitz_backend_rejects_non_positive_definite_autocovariance(monkeypat
     monkeypatch.setattr(gram, "fgn_autocovariance", acov)
     with pytest.raises(FactorizationError):
         build_gram(SamplingGrid.uniform(8, 5.0), 0.5)
+
+
+@pytest.mark.parametrize(
+    "acov",
+    [
+        lambda n, h: np.ones(n),  # rank one: the first rotation has |rho| = 1
+        lambda n, h: np.where(np.arange(n) == 1, 2.0, 1.0) * (np.arange(n) < 2),  # indefinite
+    ],
+    ids=["singular", "indefinite"],
+)
+def test_schur_pass_rejects_non_positive_definite_autocovariance(monkeypatch, acov):
+    monkeypatch.setattr(gram, "fgn_autocovariance", acov)
+    gram._cholesky.cache_clear()  # so the factor is made, not found
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a named error, and no numpy warning
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            cholesky_factor(SamplingGrid.uniform(8, 5.0), 0.5)
+
+
+def mp_cholesky(grid, h, mpmath):
+    """The Cholesky factor of V at the grid's double times, to 40 digits."""
+    n = len(grid)
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(float(v)) for v in grid.times]
+        two_h = 2 * mpmath.mpf(h)
+        V = mpmath.matrix(n, n)
+        for k in range(n):
+            for l in range(n):
+                V[k, l] = (t[k] ** two_h + t[l] ** two_h - abs(t[k] - t[l]) ** two_h) / 2
+        L = mpmath.cholesky(V)
+        return np.array([[float(L[k, l]) for l in range(n)] for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [24, 96])
+@pytest.mark.parametrize("h", [0.15, 0.85, 0.99])
+def test_schur_factor_against_40_digit_oracle(h, n):
+    # spacing 1/16, exact in binary, so the grid is uniform to the last bit;
+    # the error is the largest entry's, relative to the largest entry of L
+    mpmath = pytest.importorskip("mpmath")
+    grid = SamplingGrid.uniform(n, n / 16)
+    exact = mp_cholesky(grid, h, mpmath)
+
+    def error(L):
+        return np.max(np.abs(L - exact)) / np.max(np.abs(exact))
+
+    schur = error(cholesky_factor(grid, h))
+    assert schur <= error(cholesky(fbm_covariance(grid, h), lower=True))  # LAPACK on V
+    assert schur < 1e-12
 
 
 def durbin_reference(r):
