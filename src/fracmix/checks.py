@@ -3,7 +3,7 @@ flags, the grid, the streams, the effects law and the H estimator.
 Each takes the name to print and a value, accepts only values of its
 type (numpy scalars included; a bool is not a number and a string is
 never parsed), returns it as a Python value, and raises ``ValueError``
-naming the setting."""
+naming the setting.  ``held`` guards an allocation the settings size."""
 
 import contextlib
 import math
@@ -11,6 +11,8 @@ import numbers
 import operator
 
 import numpy as np
+
+from .errors import GridError
 
 
 def integer_value(name: str, v, error=ValueError) -> int:
@@ -63,3 +65,12 @@ def seed_value(name: str, v) -> int:
     if not 0 <= (x := integer_value(name, v)) < 2**64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {x}")
     return x
+
+
+def held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """make(shape), an array of the given shape.  Raises ``GridError``
+    when numpy cannot size or allocate it."""
+    try:
+        return make(shape)
+    except (ValueError, MemoryError) as exc:
+        raise GridError(f"cannot hold {' x '.join(map(str, shape))} {what}: {exc}") from None

@@ -48,7 +48,7 @@ import numpy as np
 from . import checks
 from .effects import estimate_mu, estimate_sigma2, exact_moments
 from .errors import EstimationRangeError, FracmixError, NonFiniteError
-from .fbm import held, noise_sampler
+from .fbm import noise_sampler
 from .gram import HURST_MAX, HURST_MIN, GramMatrix, SamplingGrid, build_gram
 from .hurst import VariationFilter, as_filter, estimate_h, k_value
 from .panel import EffectsLaw, draw_effects
@@ -332,8 +332,8 @@ def _start_cell(cfg, pool, cuts, stop, cell):
         gram = build_gram(grid, h)  # one per cell, as are the sampler and its slope form
         sampler = noise_sampler(cfg.sampler, gram.grid, gram.h)
         read = functools.partial(sampler.slope_noise, sampler.slope_form(gram.weights))
-        xi = held(np.empty, (cfg.replications, n_subjects), "subjects' slope reads")
-        h_hats = held(np.empty, (cfg.replications,), "H estimates")
+        xi = checks.held(np.empty, (cfg.replications, n_subjects), "subjects' slope reads")
+        h_hats = checks.held(np.empty, (cfg.replications,), "H estimates")
     first = cell_index * cfg.replications  # the stream id of replication 0
 
     def replicate(reps: range) -> None:

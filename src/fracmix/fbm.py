@@ -7,9 +7,9 @@ times (the deterministic value 0 at t = 0 is not stored):
 
 * ``ExactSampler`` draws the Gaussian vector with covariance V(H) as
   L z (L the Cholesky factor, z standard normal).  Works on any grid;
-  O(n^2) per path.  L is made once per grid: in O(n^2) by the Schur
-  algorithm on a uniform grid, by LAPACK in O(n^3) on other grids
-  (``gram.cholesky_factor``).
+  O(n^2) per path.  The sampler holds L, made once per sampler: in
+  O(n^2) by the Schur algorithm on a uniform grid, by LAPACK in O(n^3)
+  on other grids (``gram.cholesky_factor``).
 * ``FftSampler`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, once per sampler; synthesis from
@@ -51,6 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .checks import held
 from .errors import EmbeddingError, GridError
 from .gram import SamplingGrid, cholesky_factor, fgn_autocovariance, hurst_value
 
@@ -62,15 +63,6 @@ _NEG_EIG_TOL = 1e-10
 # (see ``FftSampler._blocks``), so its temporaries stay a few hundred kB
 # whatever the path count
 _BLOCK_NORMALS = 2**15
-
-
-def held(make, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """make(shape), an array of the given shape.  Raises ``GridError``
-    when numpy cannot size or allocate it."""
-    try:
-        return make(shape)
-    except (ValueError, MemoryError) as exc:
-        raise GridError(f"cannot hold {' x '.join(map(str, shape))} {what}: {exc}") from None
 
 
 def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:

@@ -27,8 +27,8 @@ the grid; V is never inverted.
   ``scipy.linalg``.
 
 The exact sampler reads V only as its Cholesky factor L, which
-``cholesky_factor`` alone makes, keeping the factor of the last (grid, H)
-it was asked for; the Cholesky backend takes its L from there too.  On a
+``cholesky_factor`` alone makes, afresh on each call: whoever asks for L
+holds it (a sampler, or the Cholesky backend's ``GramMatrix``).  On a
 uniform grid V = delta^{2H} C R C' (C the cumulative-sum matrix), so
 L = delta^H C L_R: one Schur pass [4, 5] gives L_R from the
 autocovariance in O(n^2) time with elementwise numpy, without forming V
@@ -51,12 +51,11 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import ModuleType
 
 import numpy as np
 
-from .checks import integer_value, real_value
+from .checks import held, integer_value, real_value
 from .errors import FactorizationError, GridError, HurstRangeError
 
 # Conditioning guard: as H -> 1 the matrix degenerates to rank one, and as
@@ -110,11 +109,7 @@ class SamplingGrid:
         if n < 1:
             raise GridError(f"need n >= 1 observations, got {n}")
         step = real_value("horizon", horizon, GridError) / n
-        try:
-            times = np.arange(1, n + 1) * step
-        except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate n times
-            raise GridError(f"cannot hold {n} observations: {exc}") from None
-        return cls(times)
+        return cls(held(lambda shape: np.arange(1, shape[0] + 1) * step, (n,), "observations"))
 
     def __len__(self) -> int:
         return self.times.size
@@ -229,18 +224,13 @@ def _gram_hurst(h: float) -> float:
 
 
 def cholesky_factor(grid: SamplingGrid, h: float) -> np.ndarray:
-    """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V.
+    """Read-only lower Cholesky factor L of V(H) on the grid, L L' = V:
+    the Schur pass on a uniform grid, LAPACK on V elsewhere.
 
-    The factor of the last (grid, H) asked for is kept, so repeated
-    ``simulate_panel(noise="exact")`` calls on one grid, and an exact
-    panel after a non-uniform ``build_gram``, factor once; a failure is
-    not kept and raises again.  Raises as ``build_gram`` does.
+    Each call factors V afresh and keeps nothing; the caller holds L for
+    as long as it needs it.  Raises as ``build_gram`` does.
     """
-    return _cholesky(grid, _gram_hurst(h))
-
-
-@lru_cache(maxsize=1)  # keyed on the grid's value: equal times share the factor
-def _cholesky(grid: SamplingGrid, hv: float) -> np.ndarray:
+    hv = _gram_hurst(h)
     n = len(grid)
     if grid.is_uniform:
         # V = step^{2H} C R C' for C the cumulative-sum matrix, and Cholesky

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import mean_value, variance_value
+from .checks import held, mean_value, variance_value
 from .errors import GridError, NonFiniteError
 from .fbm import noise_sampler
 from .gram import SamplingGrid, hurst_value
@@ -96,10 +96,8 @@ def draw_effects(law: EffectsLaw, gen: np.random.Generator, n_subjects: int) -> 
     """The drift rates phi_i of n_subjects subjects from the next
     n_subjects standard normals of gen.  Raises ``GridError`` when numpy
     cannot size or allocate them."""
-    try:
-        return law.mu + np.sqrt(law.sigma2) * gen.standard_normal(n_subjects)
-    except (ValueError, MemoryError) as exc:
-        raise GridError(f"cannot hold {n_subjects} subjects: {exc}") from None
+    scale = np.sqrt(law.sigma2)
+    return held(lambda shape: law.mu + scale * gen.standard_normal(shape), (n_subjects,), "subjects")
 
 
 def simulate_panel(
@@ -114,7 +112,8 @@ def simulate_panel(
     """Simulate a panel of n_subjects trajectories.
 
     noise names the fBm sampler, as ``fbm.noise_sampler`` reads it: "exact"
-    (any grid; draws with the Cholesky factor of V from ``cholesky_factor``)
+    (any grid; draws with the Cholesky factor of V from ``cholesky_factor``,
+    which the call makes and drops)
     or "fast" (uniform grids, circulant embedding); "none" (zero noise, a
     diagnostics hook) makes each row exactly phi_i * t.  The stream ``rng``
     is opened once; effects are drawn from it (``draw_effects``) before the
@@ -125,7 +124,8 @@ def simulate_panel(
     written to and the paths added into, and ``Panel`` adopts it without a
     copy.  At its peak the call holds about 2x the panel's bytes for
     "fast" (the paths and the real parts of their normal draws), 2x for
-    "exact" (with the factor of V already cached) and 1x for "none".
+    "exact" (the paths and their normal draws; the factor of V besides)
+    and 1x for "none".
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")

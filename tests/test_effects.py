@@ -24,7 +24,9 @@ from fracmix import (
     simulate_panel,
     xi_values,
 )
+from fracmix.fbm import noise_sampler
 from fracmix.gram import fbm_covariance
+from fracmix.panel import draw_effects
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
@@ -236,13 +238,24 @@ def test_exact_moments_zero_spread_panel_has_zero_mu_variance():
 
 # ------------------------------------------------- sampling distributions
 def _replicate(h, n, n_subjects, reps, seed, horizon=5.0):
+    """The Gram matrix and mu_hat and sigma2_hat of reps panels, panel r
+    the one ``simulate_panel`` draws from RngStream(seed, r) with the exact
+    sampler.  One sampler, so one factor of V, draws them all, as a cell's
+    does; panel 0 is checked against ``simulate_panel`` bit for bit."""
     grid = SamplingGrid.uniform(n, horizon)
     gm = build_gram(grid, h)
     law = EffectsLaw(-2.0, 1.0)
+    sampler = noise_sampler("exact", grid, h)
     mus = np.empty(reps)
     s2s = np.empty(reps)
     for r in range(reps):
-        p = simulate_panel(n_subjects, grid, h, law, RngStream(seed, r))
+        gen = RngStream(seed, r).generator()
+        y = draw_effects(law, gen, n_subjects)[:, None] * grid.times
+        y += sampler.paths(gen, n_subjects)
+        p = Panel(grid=grid, y=y)
+        if r == 0:
+            want = simulate_panel(n_subjects, grid, h, law, RngStream(seed, r))
+            assert p.y.tobytes() == want.y.tobytes()
         xi = xi_values(p, gm)
         mus[r] = estimate_mu(xi)
         s2s[r] = estimate_sigma2(xi, gm.quad_uu)

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -288,53 +289,77 @@ def test_quad_yy_past_the_double_range_fails_loudly():
         log_marginal_likelihood(Panel(grid=grid, y=y), gm, EffectsLaw(0.0, 1.0))
 
 
-def test_cholesky_factor_keeps_the_last_factor_only(monkeypatch):
-    # factorizations are counted on both paths: the Schur pass on uniform
-    # grids, LAPACK on the others
-    schur, lapack, calls = gram._schur, scipy.linalg.cholesky, []
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The factorizations on either path, the Schur pass on uniform grids
+    and LAPACK on the others, by name as they start, and a weakref to
+    each factor made."""
+    schur, lapack, calls, refs = gram._schur, scipy.linalg.cholesky, [], []
 
-    def counting(name, factor):
-        def count(*args, **kwargs):
+    def recording(name, factor):
+        def record(*args, **kwargs):
             calls.append(name)
-            return factor(*args, **kwargs)
+            L = factor(*args, **kwargs)
+            refs.append(weakref.ref(L))
+            return L
 
-        return count
+        return record
 
-    monkeypatch.setattr(gram, "_schur", counting("schur", schur))
-    monkeypatch.setattr(scipy.linalg, "cholesky", counting("lapack", lapack))
-    law = EffectsLaw(-2.0, 1.0)
-    cfg = ExperimentConfig(
-        h_list=(0.7,), subjects_list=(3,), n_obs_list=(24,), horizon=3.5,
-        mu0=-2.0, sigma20=1.0, replications=4,
-    )
-    cholesky_factor(GRID4, 0.7)  # whatever an earlier test left is evicted
-    calls.clear()
-    run_experiment(cfg)
-    assert calls == ["schur"]  # V factored once per cell, not once per replication
-    cholesky_factor(SamplingGrid.uniform(24, 3.5), 0.7)  # the cell's factor is kept
+    monkeypatch.setattr(gram, "_schur", recording("schur", schur))
+    monkeypatch.setattr(scipy.linalg, "cholesky", recording("lapack", lapack))
+    return calls, refs
+
+
+ONE_CELL = ExperimentConfig(
+    h_list=(0.7,), subjects_list=(3,), n_obs_list=(24,), horizon=3.5,
+    mu0=-2.0, sigma20=1.0, replications=4,
+)
+NON_UNIFORM = SamplingGrid((1.0, 1.7, 2.2, 4.0, 5.5))
+
+
+def test_v_is_factored_once_per_cell_not_per_replication(factorizations):
+    run_experiment(ONE_CELL)
+    assert factorizations[0] == ["schur"]
+
+
+def test_schur_factors_uniform_grids_and_lapack_the_others(factorizations):
+    calls, law = factorizations[0], EffectsLaw(-2.0, 1.0)
+    simulate_panel(5, SamplingGrid.uniform(24, 3.5), 0.7, law, RngStream(2))
     assert calls == ["schur"]
-    grid = SamplingGrid((1.0, 1.7, 2.2, 4.0, 5.5))
-    gm = build_gram(grid, 0.7)  # the Cholesky backend
-    panel = simulate_panel(5, grid, 0.7, law, RngStream(3))
-    log_marginal_likelihood(panel, gm, law)
+    gm = build_gram(NON_UNIFORM, 0.7)  # the Cholesky backend factors V ...
     assert calls == ["schur", "lapack"]
-    # keyed on the times and H, not on the objects; one factor at a time
-    L = cholesky_factor(SamplingGrid(grid.times.copy()), np.float64(0.7))
-    assert len(calls) == 2 and cholesky_factor(grid, 0.7) is L
-    assert not L.flags.writeable
-    with pytest.raises(ValueError):
-        L[0, 0] = 0.0
-    U = cholesky_factor(GRID4, 0.7)
-    assert not U.flags.writeable
-    again = cholesky_factor(grid, 0.7)
-    assert calls == ["schur", "lapack", "schur", "lapack"]
-    assert again is not L and np.array_equal(again, L)
-    # a failure is not kept
-    bad = SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
-    for count in (5, 6):
+    panel = simulate_panel(5, NON_UNIFORM, 0.7, law, RngStream(3))  # ... as the sampler does
+    log_marginal_likelihood(panel, gm, law)  # which reads the backend's factor
+    assert calls == ["schur", "lapack", "lapack"]
+
+
+def test_cholesky_factor_is_read_only_and_a_value_of_the_times_and_h():
+    for grid in (GRID4, NON_UNIFORM):
+        L = cholesky_factor(grid, 0.7)
+        assert not L.flags.writeable
+        with pytest.raises(ValueError):
+            L[0, 0] = 0.0
+        again = cholesky_factor(SamplingGrid(grid.times.copy()), np.float64(0.7))
+        assert again is not L and np.array_equal(again, L)
+
+
+def test_cholesky_factor_failure_raises_on_every_call(factorizations):
+    calls, bad = factorizations[0], SamplingGrid((1.0, 1.0 + 1e-13, 2.0))
+    for count in (1, 2):
         with pytest.raises(FactorizationError):
             cholesky_factor(bad, 0.99)
-        assert len(calls) == count and calls[-1] == "lapack"
+        assert calls == ["lapack"] * count
+
+
+def test_no_factor_outlives_its_caller(factorizations):
+    calls, refs = factorizations
+    law = EffectsLaw(-2.0, 1.0)
+    for grid in (SamplingGrid.uniform(24, 3.5), NON_UNIFORM):
+        panel = simulate_panel(5, grid, 0.7, law, RngStream(4), noise="exact")
+        del panel
+    run_experiment(ONE_CELL)
+    assert calls == ["schur", "lapack", "schur"] and len(refs) == 3
+    assert all(ref() is None for ref in refs)
 
 
 # ------------------------------------------------ Toeplitz backend (uniform grids)
@@ -452,7 +477,6 @@ def test_toeplitz_backend_rejects_non_positive_definite_autocovariance(monkeypat
 )
 def test_schur_pass_rejects_non_positive_definite_autocovariance(monkeypatch, acov):
     monkeypatch.setattr(gram, "fgn_autocovariance", acov)
-    gram._cholesky.cache_clear()  # so the factor is made, not found
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a named error, and no numpy warning
         with pytest.raises(FactorizationError, match="not positive definite"):

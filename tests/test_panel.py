@@ -171,7 +171,6 @@ def test_noise_free_panel_keeps_the_sign_of_zero():
 @pytest.mark.parametrize("noise,bound", [("fast", 4.0), ("fast", 2.5), ("none", 1.3), ("exact", 2.3)])
 def test_simulation_peak_memory(noise, bound):
     n_subjects, grid, h = 4096, SamplingGrid.uniform(256, 5.0), 0.85
-    cholesky_factor(grid, h)  # the exact sampler's factor is cached, as in a run
     tracemalloc.start()
     try:
         panel = simulate_panel(n_subjects, grid, h, EffectsLaw(-2.0, 1.0), RngStream(63), noise=noise)
