@@ -7,12 +7,14 @@ variance with exact finite-sample moments, and a reproducible Monte
 Carlo experiment harness.
 
 Importing the package loads numpy but no scipy subpackage: each function
-that calls ``scipy.linalg`` or ``scipy.special`` imports it on first
-use, so CLI calls that need neither do not pay for loading them.  Gram
-matrices on uniform grids load only scipy's compiled Levinson module,
-not the ``scipy.linalg`` package, and the exact sampler's Cholesky
-factor there is numpy alone (the Schur algorithm); only non-uniform
-grids import the package.
+that calls ``scipy.linalg`` imports it on first use, so CLI calls that
+do not need it do not pay for loading it.  Gram matrices on uniform
+grids load only scipy's compiled Levinson module, not the
+``scipy.linalg`` package, and the exact sampler's Cholesky factor there
+is numpy alone (the Schur algorithm); only non-uniform grids import the
+package.  The Hurst and effects estimators read ``fracmix.special``'s
+ports of Cephes' Gamma, Hurwitz zeta and normal quantile, not
+``scipy.special``, which nothing in the package imports.
 """
 
 __version__ = "0.1.0"

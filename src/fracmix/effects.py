@@ -31,6 +31,7 @@ import numpy as np
 from .errors import GridError
 from .gram import GramMatrix
 from .panel import EffectsLaw, Panel
+from .special import ndtri
 
 
 class ExactMoments(NamedTuple):
@@ -149,13 +150,11 @@ def confidence_intervals(
         sigma2: sigma2_hat +/- z * beta_hat * sqrt(2 / N)
     with z the standard normal quantile at (1 + level) / 2.
     """
-    from scipy.special import ndtri
-
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if est.n_subjects < 2:
         raise ValueError("need at least two subjects for intervals")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = ndtri(0.5 * (1.0 + level))
     n = est.n_subjects
     half_mu = z * np.sqrt(est.beta_hat / n)
     half_s2 = z * est.beta_hat * np.sqrt(2.0 / n)

@@ -54,6 +54,7 @@ import numpy as np
 from .checks import horizon_value, real_value
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
 from .gram import HURST_MAX, HURST_MIN, hurst_value
+from .special import gamma, poch, zeta
 
 # Named filters: the minimal order-2 filter is the default; the order-3
 # variant trades a shorter effective sample for faster correlation decay.
@@ -227,10 +228,8 @@ def k_value(k: float) -> float:
 
 def e_k(k: float) -> float:
     """k-th absolute moment of a standard normal, E|Z|^k."""
-    from scipy.special import gamma
-
     k = k_value(k)
-    return float(2.0 ** (k / 2.0) * gamma((k + 1.0) / 2.0) / gamma(0.5))
+    return 2.0 ** (k / 2.0) * gamma((k + 1.0) / 2.0) / gamma(0.5)
 
 
 def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:
@@ -307,8 +306,6 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     it terminates exactly.  Cost and memory do not depend on t, and the
     result is within about 1e-14 relative of the exact series.
     """
-    from scipy.special import poch, zeta
-
     t = hurst_value(t)
     k = k_value(k)
     f = as_filter(f)
@@ -325,12 +322,12 @@ def asym_variance_a(t: float, k: float, f: VariationFilter) -> float:
     # (c_{2j}^k)^2 (2j)! iterates as f_1 = k^2/2, f_{j+1} = f_j (k-2j)^2 / ((2j+1)(2j+2))
     coef = k * k / 2.0
     # E_{2k}/E_k^2 as Pochhammer symbols: exact for even integer k
-    total = float(poch((k + 1.0) / 2.0, k / 2.0) / poch(0.5, k / 2.0)) - 1.0
+    total = poch((k + 1.0) / 2.0, k / 2.0) / poch(0.5, k / 2.0) - 1.0
     for j in range(1, _ORDER_CAP + 1):
         part = float(np.power(rho2, j).sum())
         if tails:
             b = sq if j == 1 else np.convolve(b, sq)[: a.size]
-            part += float(b @ zeta(j * sigma + _SERIES_POWERS, q))
+            part += float(b @ [zeta(x, q) for x in (j * sigma + _SERIES_POWERS).tolist()])
         term = 2.0 * coef * part
         total += term
         if term <= _TERM_TOL * total:

@@ -20,8 +20,9 @@ def test_every_export_resolves():
 
 # scipy subpackages and standard modules that `import fracmix, fracmix.cli`
 # must not load, each with every module under it; fracmix imports
-# scipy.linalg and scipy.special inside the functions that call them, so
-# only commands that factor, solve or estimate load them, and
+# scipy.linalg inside the functions that call it, so only commands that
+# factor or solve load it, and never imports scipy.special (the estimators
+# read fracmix.special's ports of Gamma, zeta and the normal quantile), and
 # concurrent.futures (which loads logging) inside run_experiment; the SVG
 # writer escapes its labels itself, as xml.sax.saxutils would, which
 # imports urllib.request and with it http.client, ssl and email
@@ -147,10 +148,10 @@ print(first, digest.hexdigest())
 """
 
 
-def test_scipy_special_first_imported_on_pool_threads_gives_the_same_summaries():
+def test_pool_threads_search_for_no_scipy_special_and_give_the_same_summaries():
     # with estimate_hurst, the pool threads are the first to call e_k and
-    # asym_variance_a, so they import scipy.special themselves; the
-    # summaries must match bit for bit a run that imported it up front
+    # asym_variance_a, which read fracmix.special, not scipy.special; the
+    # summaries must match bit for bit a run that imported scipy up front
     env = {**os.environ, "PYTHONPATH": str(SRC)}
 
     def run(*args):
@@ -160,9 +161,7 @@ def test_scipy_special_first_imported_on_pool_threads_gives_the_same_summaries()
         ).stdout.split()
 
     lazy, eager = run(POOL_RUN, "lazy"), run(POOL_RUN, "eager")
-    # searched for once, on a pool thread: the exact sampler's factor on
-    # these uniform grids loads no scipy.linalg, which might import special
-    assert lazy[0] == "[False]"
+    assert lazy[0] == "[]"  # searched for on no thread
     assert eager[0] == "[]"  # already loaded
     assert lazy[1] == eager[1]
 
@@ -231,6 +230,23 @@ def test_cold_uniform_hurst_and_effects_load_no_scipy_linalg(tmp_path):
         want = run_cli(*args)
         assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
         assert ("scipy.linalg" in loaded) == package, args
+        assert "scipy.special" not in loaded, args
+
+
+def test_cold_hurst_estimating_experiment_loads_no_scipy_special(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "h_list = 0.3\nsubjects_list = 5\nn_obs_list = 16, 64\nhorizon = 5.0\n"
+        "mu0 = -2.0\nsigma20 = 1.0\nreplications = 6\nbase_seed = 3\nestimate_hurst = true\n"
+    )
+    cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
+    got, loaded = run_cold("experiment", "--config", str(cfg), "--out", str(cold_dir))
+    want = run_cli("experiment", "--config", str(cfg), "--out", str(warm_dir))
+    got.stderr = got.stderr.replace(str(cold_dir), str(warm_dir))  # the one difference
+    assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+    cold, warm = ({p.name: p.read_bytes() for p in d.iterdir()} for d in (cold_dir, warm_dir))
+    assert "hist_0.3_5_64_hurst.svg" in cold and cold == warm
+    assert heavy(loaded) == {"concurrent.futures", "logging"}
 
 
 ORDER_RUN = """

@@ -23,7 +23,7 @@ from fracmix import (
     s_n,
     validate_filter,
 )
-from fracmix import hurst
+from fracmix import hurst, special
 from fracmix.fbm import FftSampler
 from fracmix.gram import HURST_MAX, HURST_MIN, hurst_value
 from fracmix.hurst import (
@@ -177,7 +177,9 @@ def test_variation_power_bound_is_where_e_k_overflows():
     above = math.nextafter(K_MAX, math.inf)
     with pytest.raises(ValueError, match=f"at most {K_MAX}"):
         k_value(above)
-    with np.errstate(over="ignore"):  # e_k's own formula, past the check
+    # e_k's own formula, past the check, and with scipy's gamma as the oracle
+    assert 2.0 ** (above / 2.0) * special.gamma((above + 1.0) / 2.0) == math.inf
+    with np.errstate(over="ignore"):
         assert 2.0 ** (above / 2.0) * scipy.special.gamma((above + 1.0) / 2.0) == math.inf
 
 
