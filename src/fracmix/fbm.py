@@ -9,15 +9,22 @@ times (the deterministic value 0 at t = 0 is not stored):
   L z (L the Cholesky factor, z standard normal).  Works on any grid;
   O(n^2) per path.  The sampler holds L, made once per sampler: in
   O(n^2) by the Schur algorithm on a uniform grid, by LAPACK in O(n^3)
-  on other grids (``gram.cholesky_factor``).
+  on other grids (``gram.cholesky_factor``).  ``paths`` draws all of z
+  at once (row j of L z needs rows 0 to j of z) and takes L z in tiles
+  too small for OpenBLAS to split across threads, so the product's bits
+  do not depend on the thread count; ``slope_noise`` draws and reads z
+  a block of time rows at a time.
 * ``FftSampler`` uses the Davies-Harte circulant embedding of the
   fractional Gaussian noise autocovariance [1, 2]: eigenvalues from one
   FFT of the embedding's first row, once per sampler; synthesis from
   one complex FFT per pair of paths [3], cumulative sum and a T^H
   self-similarity rescale.  Uniform grids only; O(n log n) per path.
-  The normals are drawn and consumed a fixed block at a time: besides
-  one block, ``paths`` holds its output and the real parts of all its
-  draws, and ``slope_noise`` only its reads, whatever the path count.
+  The normals are drawn and consumed a fixed block of pairs at a time:
+  besides one block, ``paths`` holds its output and the real parts of
+  all its draws.
+
+Both samplers' ``slope_noise`` hold one block of normals besides their
+reads, whatever the path count; ``_blocks`` sizes the blocks of both.
 
 ``noise_sampler`` is the one place a method name ("exact" or "fast")
 picks a sampler.  The sampler it returns either draws the paths
@@ -59,10 +66,38 @@ from .gram import SamplingGrid, cholesky_factor, fgn_autocovariance, hurst_value
 # embedding genuinely failed; anything closer is FFT roundoff.
 _NEG_EIG_TOL = 1e-10
 
-# ``FftSampler`` draws and consumes its normals about this many at a time
-# (see ``FftSampler._blocks``), so its temporaries stay a few hundred kB
-# whatever the path count
+# Both samplers draw and consume their normals about this many at a time
+# (see ``_blocks``): the FFT sampler a block of pairs of paths, the exact
+# sampler's slope reads a block of time rows of all paths, and the exact
+# sampler's paths multiply L by a block of paths' normals.  So their
+# temporaries stay a few hundred kB whatever the path count.
 _BLOCK_NORMALS = 2**15
+
+# ``ExactSampler.paths`` takes L z in tiles: rows a:b of L (their nonzero
+# columns :b) times one block of paths' normals (``_blocks``), in as many
+# rows as keep a tile within this many multiply-adds, and at least one.
+# OpenBLAS runs a matrix product of at most 65,536 times its
+# GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds on one thread, and a
+# one-row tile, a matrix-vector product, up to 460,800 elements (to
+# n = 27,000 at 17 paths a block).  A product that fits one tile is taken
+# whole.
+_TILE_MULADDS = 2**18
+
+
+def _blocks(count: int, width: int) -> Iterator[tuple[int, int]]:
+    """Ranges a:b that cover 0:count in order, for draws of ``width``
+    normals per index: about ``_BLOCK_NORMALS`` normals a range, in a
+    multiple of 16 indices and at least 16, and a lone last index joins
+    the range before it.  A product of a range's rows with a vector then
+    rounds each row as one product over all the rows does; BLAS kernels
+    take the rows in groups, and numpy computes a one-row product as a
+    dot product."""
+    size = max(16, _BLOCK_NORMALS // width // 16 * 16)
+    a = 0
+    while a < count:
+        b = a + size if count - a - size > 1 else count
+        yield a, b
+        a = b
 
 
 def _normals(gen: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -101,9 +136,25 @@ class ExactSampler:
     factor: np.ndarray
 
     def paths(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """(count, n) matrix of independent paths: the rows of (L z)', z normal."""
-        z = _normals(gen, (self.factor.shape[0], count))
-        return (self.factor @ z).T
+        """(count, n) matrix of independent paths: the rows of (L z)', z normal.
+
+        L z is taken a tile at a time (``_TILE_MULADDS``), each tile one
+        matrix product that OpenBLAS runs on one thread, so the paths have
+        the same bits at any BLAS thread count.  The call holds z and the
+        output, each the size of the paths, and a contiguous copy of one
+        block of z's columns (strided, they made the tiles 2.8x slower at
+        n = 256 and 4,096 paths).
+        """
+        n = self.factor.shape[0]
+        z = _normals(gen, (n, count))
+        out = held(np.empty, (n, count), "path values")
+        for c, d in _blocks(count, n):
+            rows = max(1, _TILE_MULADDS // (n * (d - c)))
+            block = np.ascontiguousarray(z[:, c:d])
+            for a in range(0, n, rows):
+                b = min(a + rows, n)
+                np.matmul(self.factor[a:b, :b], block[:b], out=out[a:b, c:d])
+        return out.T
 
     def slope_form(self, weights: np.ndarray) -> np.ndarray:
         """L'c for c = weights: a path's read W @ c is z'(L'c) in its normals z."""
@@ -114,10 +165,26 @@ class ExactSampler:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The (count,) reads W @ c of the paths ``paths`` would draw, for
         form = ``slope_form(c)``, and with ``first_path`` path 0 of that
-        draw (else None)."""
-        z = _normals(gen, (self.factor.shape[0], count))
-        first = self.factor @ z[:, 0] if first_path else None
-        return form @ z, first
+        draw (else None).
+
+        The (n, count) normals z are drawn a block of time rows at a time
+        (``_blocks``), in the order ``paths`` draws them, and each block's
+        share form[a:b] @ z[a:b] added into the reads; so beyond its reads
+        a call holds one block.  A draw of one block reads form @ z in one
+        product; more blocks round the split sum.
+        """
+        n = self.factor.shape[0]
+        head = np.empty(n) if first_path else None  # path 0's normals
+        for a, b in _blocks(n, count):
+            z = _normals(gen, (b - a, count))
+            if a == 0:
+                reads = form[:b] @ z
+            else:
+                reads += form[a:b] @ z
+            if first_path:
+                head[a:b] = z[:, 0]
+            del z  # so the next block is not drawn beside this one
+        return reads, self.factor @ head if first_path else None
 
 
 @dataclass(frozen=True)
@@ -135,20 +202,6 @@ class FftSampler:
         hv = hurst_value(self.h)
         lam = fgn_spectrum(self.n, hv)
         return np.sqrt(lam / lam.size), (float(self.horizon) / self.n) ** hv
-
-    def _blocks(self, pairs: int) -> Iterator[tuple[int, int]]:
-        """Row ranges a:b that cover rows 0 to pairs of a draw of m = 2n
-        columns in order, about ``_BLOCK_NORMALS`` normals each: a multiple
-        of 16 rows, at least 16, and a lone last row joins the block before
-        it.  A matrix-vector product over each block then rounds every row
-        as one product over all the rows does; BLAS kernels take the rows in
-        groups, and numpy computes a one-row product as a dot product."""
-        rows = max(16, _BLOCK_NORMALS // self._scaling[0].size // 16 * 16)
-        a = 0
-        while a < pairs:
-            b = a + rows if pairs - a - rows > 1 else pairs
-            yield a, b
-            a = b
 
     def _fgn(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
         """The first n values of fft(sqrt(lam/m) (re + i im)) along the last
@@ -175,7 +228,7 @@ class FftSampler:
         pairs = (count + 1) // 2
         re = _normals(gen, (pairs, scale.size))
         out = held(np.empty, (count, self.n), "path values")
-        for a, b in self._blocks(pairs):
+        for a, b in _blocks(pairs, 2 * self.n):
             w = self._fgn(re[a:b], _normals(gen, (b - a, scale.size)))
             # cumulated unit-spacing fGn is fBm on 1..n: pair j's real part is
             # path j, its imaginary part path pairs + j (if count reaches it)
@@ -209,13 +262,13 @@ class FftSampler:
         # draws at a time in the order ``paths`` draws them
         reads = held(np.empty, (2, pairs), "slope reads")
         heads = []  # row 0 of the real, then of the imaginary parts: path 0's draws
-        for a, b in self._blocks(pairs):
+        for a, b in _blocks(pairs, 2 * self.n):
             re = _normals(gen, (b - a, form.size))
             reads[0, a:b] = re @ form.real
             reads[1, a:b] = re @ form.imag
             if first_path and a == 0:
                 heads.append(re[0].copy())
-        for a, b in self._blocks(pairs):
+        for a, b in _blocks(pairs, 2 * self.n):
             im = _normals(gen, (b - a, form.size))
             reads[0, a:b] -= im @ form.imag
             reads[1, a:b] += im @ form.real

@@ -123,9 +123,10 @@ def simulate_panel(
     The panel's ``y`` is the one (N, n) buffer that the drift terms are
     written to and the paths added into, and ``Panel`` adopts it without a
     copy.  At its peak the call holds about 2x the panel's bytes for
-    "fast" (the paths and the real parts of their normal draws), 2x for
-    "exact" (the paths and their normal draws; the factor of V besides)
-    and 1x for "none".
+    "fast" (the paths and the real parts of their normal draws; the
+    imaginary parts are drawn a block at a time), 2x for "exact" (the
+    paths and all their normal draws, which the product with L reads a
+    block of paths at a time; the factor of V besides) and 1x for "none".
     """
     if n_subjects < 1:
         raise ValueError(f"need at least one subject, got {n_subjects}")

@@ -5,14 +5,14 @@ a fixed pair reproduces the same draws bit-for-bit on one platform, and
 streams with different ids are statistically independent, so replications
 may run in any order (or concurrently) without changing results.  What
 is computed from the draws is bit-for-bit on one platform at one BLAS
-thread count.  Experiment outputs (uniform grids, both samplers) keep
-their bits at any thread count, at the sizes checked: the exact sampler's Cholesky factor
-there is elementwise numpy (the Schur algorithm), and the slope reads are
-matrix-vector products.  Two things still round differently at different
-counts, so their results under ``OPENBLAS_NUM_THREADS=1`` can differ in
-the last bits from those under the default: LAPACK's factor on a
-non-uniform grid, and the product L z of a large exact-sampler panel
-(``simulate_panel``), which OpenBLAS splits across threads.
+thread count.  Experiment outputs and simulated panels on uniform grids
+(both samplers) keep their bits at any thread count, at the sizes
+checked: the exact sampler's Cholesky factor there is elementwise numpy
+(the Schur algorithm), its product L z is taken in tiles OpenBLAS runs
+on one thread, and the slope reads are matrix-vector products.  One
+thing still rounds differently at different counts, so its results under
+``OPENBLAS_NUM_THREADS=1`` can differ in the last bits from those under
+the default: LAPACK's factor on a non-uniform grid.
 
 ``simulate_panel`` and each experiment replication open their stream
 once with ``generator()``, draw the effects from it (``draw_effects``)

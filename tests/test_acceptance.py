@@ -36,6 +36,8 @@ from fracmix import (
 from fracmix.fbm import ExactSampler, FftSampler
 from fracmix.gram import cholesky_factor, fbm_covariance
 
+from exact_draws import exact_panels
+
 DIFF2 = as_filter("diff2")
 
 
@@ -93,11 +95,9 @@ def test_criterion_3_sigma2_bias_law():
     h, n_subjects, n, reps = 0.85, 50, 32, 2000
     grid = SamplingGrid.uniform(n, 5.0)
     gram = build_gram(grid, h)
-    law = EffectsLaw(-2.0, 1.0)
     q = gram.quad_uu
     s2 = np.empty(reps)
-    for r in range(reps):
-        panel = simulate_panel(n_subjects, grid, h, law, RngStream(77, r))
+    for r, panel in enumerate(exact_panels(n_subjects, grid, h, 77, reps)):
         s2[r] = estimate_effects(panel, gram).sigma2_hat
     m = exact_moments(1.0, n_subjects, q)
     predicted = (n_subjects - 1) / n_subjects - 1.0 / (n_subjects * q)
@@ -240,10 +240,8 @@ def test_criterion_9_interval_coverage():
     reps, level = 400, 0.95
     grid = SamplingGrid.uniform(32, 5.0)
     gram = build_gram(grid, 0.5)
-    law = EffectsLaw(-2.0, 1.0)
     hits = 0
-    for r in range(reps):
-        panel = simulate_panel(500, grid, 0.5, law, RngStream(141, r))
+    for panel in exact_panels(500, grid, 0.5, 141, reps):
         (lo, hi), _ = confidence_intervals(estimate_effects(panel, gram), level)
         hits += lo <= -2.0 <= hi
     coverage = hits / reps

@@ -579,10 +579,11 @@ def test_experiment_unknown_sampler_exits_2(tmp_path):
 def test_exact_experiment_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # on uniform grids the exact sampler's factor comes from elementwise
     # numpy (the Schur pass); LAPACK's factor of V at n = 128 rounds
-    # differently at 1 and 2 OpenBLAS threads, and so did table_n128.csv
+    # differently at 1 and 2 OpenBLAS threads, and so did table_n128.csv.
+    # At N = 300, n = 128 a replication's 38,400 normals are two blocks.
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(
-        "h_list = 0.15, 0.85\nsubjects_list = 5\nn_obs_list = 32, 128\nhorizon = 5.0\n"
+        "h_list = 0.15, 0.85\nsubjects_list = 5, 300\nn_obs_list = 32, 128\nhorizon = 5.0\n"
         "mu0 = -2.0\nsigma20 = 1.0\nreplications = 4\nbase_seed = 7\n"
     )
     outputs = []

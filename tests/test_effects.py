@@ -24,9 +24,9 @@ from fracmix import (
     simulate_panel,
     xi_values,
 )
-from fracmix.fbm import noise_sampler
 from fracmix.gram import fbm_covariance
-from fracmix.panel import draw_effects
+
+from exact_draws import exact_panels
 
 GRID4 = SamplingGrid((1.25, 2.5, 3.75, 5.0))
 
@@ -237,35 +237,20 @@ def test_exact_moments_zero_spread_panel_has_zero_mu_variance():
 
 
 # ------------------------------------------------- sampling distributions
-def _replicate(h, n, n_subjects, reps, seed, horizon=5.0):
-    """The Gram matrix and mu_hat and sigma2_hat of reps panels, panel r
-    the one ``simulate_panel`` draws from RngStream(seed, r) with the exact
-    sampler.  One sampler, so one factor of V, draws them all, as a cell's
-    does; panel 0 is checked against ``simulate_panel`` bit for bit."""
-    grid = SamplingGrid.uniform(n, horizon)
-    gm = build_gram(grid, h)
-    law = EffectsLaw(-2.0, 1.0)
-    sampler = noise_sampler("exact", grid, h)
-    mus = np.empty(reps)
-    s2s = np.empty(reps)
-    for r in range(reps):
-        gen = RngStream(seed, r).generator()
-        y = draw_effects(law, gen, n_subjects)[:, None] * grid.times
-        y += sampler.paths(gen, n_subjects)
-        p = Panel(grid=grid, y=y)
-        if r == 0:
-            want = simulate_panel(n_subjects, grid, h, law, RngStream(seed, r))
-            assert p.y.tobytes() == want.y.tobytes()
-        xi = xi_values(p, gm)
-        mus[r] = estimate_mu(xi)
-        s2s[r] = estimate_sigma2(xi, gm.quad_uu)
+def _estimates(h, n, reps, seed):
+    """The Gram matrix, and mu_hat and sigma2_hat of each of the reps
+    50-subject panels ``exact_panels`` draws on the uniform n-point grid."""
+    gm = build_gram(SamplingGrid.uniform(n, 5.0), h)
+    xis = [xi_values(p, gm) for p in exact_panels(50, gm.grid, h, seed, reps)]
+    mus = np.array([estimate_mu(xi) for xi in xis])
+    s2s = np.array([estimate_sigma2(xi, gm.quad_uu) for xi in xis])
     return gm, mus, s2s
 
 
 @pytest.mark.parametrize("h,n", [(0.15, 4), (0.5, 8), (0.85, 4)])
 def test_mu_estimator_unbiased(h, n):
     reps = 2000
-    gm, mus, _ = _replicate(h, n, 50, reps, seed=31)
+    gm, mus, _ = _estimates(h, n, reps, seed=31)
     m = exact_moments(1.0, 50, gm.quad_uu)
     assert abs(mus.mean() + 2.0) <= 4.0 * m.std_mu / math.sqrt(reps)
 
@@ -274,7 +259,7 @@ def test_mu_estimator_unbiased(h, n):
 @pytest.mark.parametrize("n", [4, 32, 256])
 def test_mu_estimator_variance_matches_exact(h, n):
     reps = 2000
-    gm, mus, _ = _replicate(h, n, 50, reps, seed=37)
+    gm, mus, _ = _estimates(h, n, reps, seed=37)
     m = exact_moments(1.0, 50, gm.quad_uu)
     assert mus.std() == pytest.approx(m.std_mu, rel=0.10)
 
@@ -282,14 +267,14 @@ def test_mu_estimator_variance_matches_exact(h, n):
 @pytest.mark.parametrize("h,n", [(0.5, 8), (0.85, 32)])
 def test_sigma2_estimator_bias_formula(h, n):
     reps = 2000
-    gm, _, s2s = _replicate(h, n, 50, reps, seed=41)
+    gm, _, s2s = _estimates(h, n, reps, seed=41)
     m = exact_moments(1.0, 50, gm.quad_uu)
     assert abs(s2s.mean() - m.mean_sigma2) <= 4.0 * m.std_sigma2 / math.sqrt(reps)
 
 
 def test_mu_estimator_clt_shape():
     reps = 2000
-    gm, mus, _ = _replicate(0.85, 32, 50, reps, seed=43)
+    gm, mus, _ = _estimates(0.85, 32, reps, seed=43)
     m = exact_moments(1.0, 50, gm.quad_uu)
     z = (mus + 2.0) / m.std_mu
     skew = np.mean(z**3) - 3 * z.mean() * z.var() - z.mean() ** 3
@@ -348,10 +333,8 @@ def test_interval_coverage():
     reps, level = 400, 0.95
     grid = SamplingGrid.uniform(32, 5.0)
     gm = build_gram(grid, 0.5)
-    law = EffectsLaw(-2.0, 1.0)
     hits = 0
-    for r in range(reps):
-        p = simulate_panel(500, grid, 0.5, law, RngStream(53, r))
+    for p in exact_panels(500, grid, 0.5, 53, reps):
         est = estimate_effects(p, gm)
         (lo, hi), _ = confidence_intervals(est, level)
         hits += lo <= -2.0 <= hi

@@ -17,6 +17,8 @@ from fracmix import (
 from fracmix.fbm import ExactSampler, FftSampler, fgn_spectrum
 from fracmix.gram import cholesky_factor, fbm_covariance
 
+from exact_draws import oracle_exact_paths
+
 PURE = EffectsLaw(0.0, 0.0)  # phi_i = 0: panel rows are the fBm paths
 
 
@@ -211,12 +213,6 @@ def test_exact_sampler_without_gram_skips_the_estimator_build(monkeypatch):
 
 
 # ------------------------------------------ the samplers' own paths
-def oracle_exact_paths(factor, gen, count):
-    """The exact sampler as a free function: the rows of (L z)'."""
-    z = gen.standard_normal((factor.shape[0], count))
-    return (factor @ z).T
-
-
 def oracle_fast_paths(n, horizon, h, gen, count):
     """The FFT sampler as a free function: spectrum, then all draws, then
     32 pairs per transform straight into one output."""
@@ -236,6 +232,9 @@ def oracle_fast_paths(n, horizon, h, gen, count):
     return out
 
 
+# The tiles round the exact sampler's paths apart from one product L z,
+# unless the product fits one tile (n^2 count <= 2^18): by at most 1.3
+# units of eps times sum_k |L_jk z_k| at the sizes below (2.7 at n = 1024).
 @pytest.mark.parametrize("h", [0.15, 0.5, 0.85])
 @pytest.mark.parametrize("n", [1, 7, 64, 256])
 @pytest.mark.parametrize("count", [1, 2, 33, 65, 1100])
@@ -245,6 +244,11 @@ def test_sampler_paths_are_bitwise_the_oracle(count, n, h):
     want = oracle_exact_paths(factor, RngStream(71, count).generator(), count)
     got = ExactSampler(factor).paths(RngStream(71, count).generator(), count)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    z = RngStream(71, count).generator().standard_normal((n, count))
+    one = (factor @ z).T
+    if n * n * count <= 2**18:
+        assert got.tobytes() == one.tobytes()
+    assert np.all(np.abs(got - one) <= 16 * np.finfo(float).eps * (np.abs(factor) @ np.abs(z)).T)
     fast = FftSampler(n, 5.0, h)
     want = oracle_fast_paths(n, 5.0, h, RngStream(72, count).generator(), count)
     got = fast.paths(RngStream(72, count).generator(), count)
@@ -313,6 +317,63 @@ def test_fft_sampler_memory_is_one_block_past_its_output():
             tracemalloc.stop()
         assert reads_peak < 4 * 2**20
         assert paths_peak <= bound * paths.nbytes, n
+
+
+class CountingGenerator:
+    """A generator that records the shape of each standard_normal call."""
+
+    def __init__(self, gen):
+        self.gen, self.shapes = gen, []
+
+    def standard_normal(self, size):
+        self.shapes.append(size)
+        return self.gen.standard_normal(size)
+
+
+# (n, count, blocks): time rows per block of count normals are 16 at
+# count 4681 (at least 16), 64 at count 500 (a lone 65th row joins the
+# block before it), 240 at count 129, 256 at count 128 and 1024 at count
+# 32.  One block reads form @ z in one product; more round the split sum.
+@pytest.mark.parametrize(
+    "n,count,blocks",
+    [(4, 50, 1), (7, 4681, 1), (64, 500, 1), (65, 500, 1), (256, 128, 1), (1024, 32, 1),
+     (66, 500, 2), (256, 129, 2), (40, 4681, 3), (256, 500, 4), (1024, 500, 16)],
+)
+def test_exact_slope_reads_are_the_one_call_reads_up_to_the_split_sum(n, count, blocks):
+    h = (0.15, 0.5, 0.85)[count % 3]
+    grid = SamplingGrid.uniform(n, 5.0)
+    sampler = ExactSampler(cholesky_factor(grid, h))
+    form = sampler.slope_form(build_gram(grid, h).weights)
+    gen = CountingGenerator(RngStream(77, count).generator())
+    got, first = sampler.slope_noise(form, gen, count, first_path=True)
+    assert len(gen.shapes) == blocks and sum(r * c for r, c in gen.shapes) == n * count
+    z = RngStream(77, count).generator().standard_normal((n, count))  # the same normals at once
+    want = form @ z
+    assert got.shape == (count,) and first.tobytes() == (sampler.factor @ z[:, 0]).tobytes()
+    if blocks == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * (np.abs(form) @ np.abs(z)))
+    again, none = sampler.slope_noise(form, RngStream(77, count).generator(), count)
+    assert none is None and again.tobytes() == got.tobytes()
+
+
+def test_exact_slope_reads_hold_one_block():
+    # all n x 500 normals at once took 1.0 MB at n = 256 and 4.1 MB at
+    # n = 1024; one block of 64 time rows is 256 kB, and two (the next
+    # block drawn beside the last) would pass 0.4 MiB
+    for n in (256, 1024):
+        grid = SamplingGrid.uniform(n, 5.0)
+        sampler = ExactSampler(cholesky_factor(grid, 0.5))
+        form = sampler.slope_form(build_gram(grid, 0.5).weights)
+        gen = RngStream(78).generator()  # the first one in a process imports numpy.random
+        tracemalloc.start()
+        try:
+            sampler.slope_noise(form, gen, 500, first_path=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20, n
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,8 @@ from fracmix import (
 )
 from fracmix.fbm import fgn_spectrum
 from fracmix.gram import cholesky_factor
+
+from exact_draws import oracle_exact_paths
 
 
 def test_effects_law_validation():
@@ -138,7 +143,7 @@ def separate_buffers_panel(n_subjects, grid, h, law, stream, noise):
     if noise == "none":
         w = np.zeros((n_subjects, len(grid)))
     elif noise == "exact":
-        w = (cholesky_factor(grid, h) @ gen.standard_normal((len(grid), n_subjects))).T
+        w = oracle_exact_paths(cholesky_factor(grid, h), gen, n_subjects)
     else:
         w = whole_array_fast_paths(len(grid), grid.horizon, h, gen, n_subjects)
     return phi[:, None] * grid.times[None, :] + w
@@ -154,6 +159,32 @@ def test_simulated_panel_is_bitwise_the_separate_buffers_sum(noise, count):
         want = separate_buffers_panel(count, grid, h, law, RngStream(61, count), noise)
         assert got.y.shape == want.shape
         assert got.y.tobytes() == want.tobytes()
+
+
+# One product L z over all the paths was split across threads by OpenBLAS,
+# and gave other bytes at 1 and 2 threads at each of these sizes
+EXACT_PANEL_DIGESTS = """
+import hashlib
+from fracmix import EffectsLaw, RngStream, SamplingGrid, simulate_panel
+for n in (256, 512, 1024):
+    panel = simulate_panel(500, SamplingGrid.uniform(n, 5.0), 0.3, EffectsLaw(-2.0, 1.0),
+                           RngStream(65, n), noise="exact")
+    print(n, hashlib.sha256(panel.y.tobytes()).hexdigest())
+"""
+
+
+def test_exact_panels_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        res = subprocess.run(
+            [sys.executable, "-c", EXACT_PANEL_DIGESTS],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 def test_noise_free_panel_keeps_the_sign_of_zero():
