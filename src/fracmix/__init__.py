@@ -12,8 +12,8 @@ do not need it do not pay for loading it.  Gram matrices on uniform
 grids load only scipy's compiled Levinson module, not the
 ``scipy.linalg`` package, and the exact sampler's Cholesky factor there
 is numpy alone (the Schur algorithm); only non-uniform grids import the
-package.  The Hurst and effects estimators read ``fracmix.special``'s
-ports of Cephes' Gamma, Hurwitz zeta and normal quantile, not
+package.  The Hurst and effects estimators read Gamma, erf and erfc from
+``math`` and ``fracmix.special``'s port of Cephes' Hurwitz zeta, not
 ``scipy.special``, which nothing in the package imports.
 """
 

@@ -23,6 +23,7 @@ raw value is kept because the moment identities above hold for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import GridError
 from .gram import GramMatrix
 from .panel import EffectsLaw, Panel
-from .special import ndtri
 
 
 class ExactMoments(NamedTuple):
@@ -148,13 +148,13 @@ def confidence_intervals(
     Plugs beta_hat into the limit laws:
         mu:     mu_hat     +/- z * sqrt(beta_hat / N)
         sigma2: sigma2_hat +/- z * beta_hat * sqrt(2 / N)
-    with z the standard normal quantile at (1 + level) / 2.
+    with z = _abs_normal_quantile(level), the normal quantile at (1 + level) / 2.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if est.n_subjects < 2:
         raise ValueError("need at least two subjects for intervals")
-    z = ndtri(0.5 * (1.0 + level))
+    z = _abs_normal_quantile(level)
     n = est.n_subjects
     half_mu = z * np.sqrt(est.beta_hat / n)
     half_s2 = z * est.beta_hat * np.sqrt(2.0 / n)
@@ -162,6 +162,36 @@ def confidence_intervals(
         (est.mu_hat - half_mu, est.mu_hat + half_mu),
         (est.sigma2_hat - half_s2, est.sigma2_hat + half_s2),
     )
+
+
+def _erf_slope(x: float) -> float:
+    """erf'(x) = 2 exp(-x^2) / sqrt(pi)."""
+    return 2.0 / math.sqrt(math.pi) * math.exp(-x * x)
+
+
+def _abs_normal_quantile(level: float) -> float:
+    """z with P(|Z| <= z) = erf(z / sqrt 2) = level, for 0 < level < 1.
+
+    Newton's method on x = z / sqrt 2, within 4e-16 relative of 40 digits
+    wherever z is a normal double.
+    Up to level 1/2 it solves erf(x) = level from x = level / erf'(0):
+    erf is concave on x >= 0, so it lies below its tangents and the steps
+    rise to the root.  Above it, log erfc(x) = log(1 - level), with
+    1 - level exact: log erfc is concave too, and erfc(x) <= exp(-x^2)
+    puts the start sqrt(-log(1 - level)) past the root, so the steps
+    fall.  Each loop stops at the first step that does not move x on,
+    where rounding takes over from the slope.
+    """
+    if level <= 0.5:
+        x = level / _erf_slope(0.0)
+        while (new := x - (math.erf(x) - level) / _erf_slope(x)) > x:
+            x = new
+    else:
+        tail = 1.0 - level
+        x = math.sqrt(-math.log(tail))
+        while (new := x + math.log((q := math.erfc(x)) / tail) * q / _erf_slope(x)) < x:
+            x = new
+    return math.sqrt(2.0) * x
 
 
 def log_marginal_likelihood(panel: Panel, g: GramMatrix, law: EffectsLaw) -> float:

@@ -12,7 +12,7 @@ has expectation g(H) with
 
     g(t) = spacing^{t k} * pi_t(0)^{k/2} * E_k,
     pi_t(j) = -0.5 * sum_{q,r} gamma_q gamma_r |q - r + j|^{2t},
-    E_k = E|Z|^k = 2^{k/2} Gamma((k+1)/2) / Gamma(1/2),
+    E_k = E|Z|^k = 2^{k/2} (1/2)_{k/2},  (a)_m = Gamma(a + m) / Gamma(a),
 
 exactly (the filtered process is stationary Gaussian with variance
 pi_H(0) * spacing^{2H}).  The estimate inverts the strictly decreasing
@@ -54,7 +54,7 @@ import numpy as np
 from .checks import horizon_value, real_value
 from .errors import EstimationRangeError, FilterOrderError, SeriesLengthError
 from .gram import HURST_MAX, HURST_MIN, hurst_value
-from .special import gamma, poch, zeta
+from .special import poch, zeta
 
 # Named filters: the minimal order-2 filter is the default; the order-3
 # variant trades a shorter effective sample for faster correlation decay.
@@ -64,7 +64,7 @@ FILTERS = {
 }
 
 # The largest variation power k at which E_k = E|Z|^k is a finite double
-K_MAX = 301.15557299838764
+K_MAX = 301.35612267673315
 
 # Root finding for the inversion, over the bracket [HURST_MIN, HURST_MAX];
 # the relative tolerance is scipy's smallest allowed, 4 eps
@@ -150,8 +150,7 @@ class HurstEstimate:
 def moment_sums(coeffs: np.ndarray, max_order: int) -> np.ndarray:
     """sum_j j^r gamma_j for r = 0..max_order-1, with 0^0 = 1."""
     j = np.arange(coeffs.size, dtype=float)
-    powers = j[None, :] ** np.arange(max_order, dtype=float)[:, None]
-    powers[0, :] = 1.0
+    powers = j[None, :] ** np.arange(max_order, dtype=float)[:, None]  # 0.0 ** 0.0 is 1.0
     return powers @ coeffs
 
 
@@ -227,9 +226,10 @@ def k_value(k: float) -> float:
 
 
 def e_k(k: float) -> float:
-    """k-th absolute moment of a standard normal, E|Z|^k."""
+    """k-th absolute moment of a standard normal, E|Z|^k = 2^{k/2} (1/2)_{k/2}:
+    exact at even k, where the rising factorial is a product of halves."""
     k = k_value(k)
-    return 2.0 ** (k / 2.0) * gamma((k + 1.0) / 2.0) / gamma(0.5)
+    return 2.0 ** (k / 2.0) * poch(0.5, k / 2.0)
 
 
 def filtered_series(y: np.ndarray, f: VariationFilter) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from fracmix import (
     simulate_panel,
     xi_values,
 )
+from fracmix.effects import _abs_normal_quantile
 from fracmix.gram import fbm_covariance
 
 from exact_draws import exact_panels
@@ -305,10 +307,16 @@ def test_interval_half_width_reference():
 
 @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_interval_quantile_is_normal_ppf_bitwise(level):
+    # the default level keeps scipy's z bit for bit; at the others z is
+    # within 4e-16 relative of 40 digits, which norm.ppf need not be
     panel = make_panel([[1.0, 2.0, 3.5, 4.0], [0.5, 1.5, 2.0, 3.0], [2.0, 2.5, 4.0, 6.5]])
     est = estimate_effects(panel, build_gram(GRID4, 0.7))
     n = est.n_subjects
-    z = float(norm.ppf(0.5 * (1.0 + level)))
+    z = _abs_normal_quantile(level)
+    if level == 0.95:
+        assert z == float(norm.ppf(0.975)) == 1.959963984540054
+    with mpmath.workdps(40):
+        assert abs(z / (mpmath.sqrt(2) * mpmath.erfinv(level)) - 1) <= 4e-16
     half_mu = z * np.sqrt(est.beta_hat / n)
     half_s2 = z * est.beta_hat * np.sqrt(2.0 / n)
     assert confidence_intervals(est, level) == (
@@ -327,6 +335,18 @@ def test_interval_level_to_zero_collapses():
     assert hi2 - lo2 < 1e-10
     with pytest.raises(ValueError):
         confidence_intervals(est, 1.5)
+
+
+def test_intervals_stay_finite_as_the_level_nears_one():
+    # (1 + level) / 2 rounds to 1 at 1 - 2^-53, whose normal quantile is
+    # infinite; P(|Z| <= z) = level has the root z = 8.2924
+    est = estimate_effects(
+        make_panel([[1.0, 2.0, 3.5, 4.0], [0.5, 1.5, 2.0, 3.0], [2.0, 2.5, 4.0, 6.5]]),
+        build_gram(GRID4, 0.7),
+    )
+    (lo, hi), (lo2, hi2) = confidence_intervals(est, math.nextafter(1.0, 0.0))
+    assert np.isfinite([lo, hi, lo2, hi2]).all()
+    assert hi - lo == pytest.approx(2 * 8.292361075813596 * math.sqrt(est.beta_hat / 3), rel=1e-14)
 
 
 def test_interval_coverage():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,12 +149,33 @@ def test_pi_gamma_rejects_bad_t():
 
 
 # --------------------------------------------------------------------- e_k
+def exact_e_k(mp, k):
+    """E|Z|^k = 2^{k/2} Gamma((k + 1)/2) / sqrt(pi) in mpmath's current precision."""
+    k = mp.mpf(k)
+    return 2 ** (k / 2) * mp.gamma((k + 1) / 2) / mp.sqrt(mp.pi)
+
+
 def test_absolute_normal_moments():
     assert e_k(2.0) == pytest.approx(1.0, abs=1e-14)
     assert e_k(1.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-14)
     assert e_k(4.0) == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(ValueError):
         e_k(0.0)
+
+
+@pytest.mark.parametrize("k", range(2, 21, 2))
+def test_e_k_exact_at_even_k(k):
+    # (k - 1)!!: at even k the rising factorial (1/2)_{k/2} is a product of
+    # halves, each exact
+    assert e_k(float(k)) == math.prod(range(k - 1, 0, -2))
+
+
+def test_e_k_within_bounds_of_40_digits_up_to_k_max():
+    # at most 2.0e-15 relative over (0, K_MAX]
+    mp = pytest.importorskip("mpmath")
+    ks = np.linspace(0.0, K_MAX, 2001)[1:].tolist()
+    with mp.workdps(40):
+        assert max(abs(e_k(k) / exact_e_k(mp, k) - 1) for k in ks) <= 2.5e-15
 
 
 @pytest.mark.parametrize("k", [0.0, -1.0, float("nan"), float("inf")])
@@ -177,10 +197,13 @@ def test_variation_power_bound_is_where_e_k_overflows():
     above = math.nextafter(K_MAX, math.inf)
     with pytest.raises(ValueError, match=f"at most {K_MAX}"):
         k_value(above)
-    # e_k's own formula, past the check, and with scipy's gamma as the oracle
-    assert 2.0 ** (above / 2.0) * special.gamma((above + 1.0) / 2.0) == math.inf
-    with np.errstate(over="ignore"):
-        assert 2.0 ** (above / 2.0) * scipy.special.gamma((above + 1.0) / 2.0) == math.inf
+    # e_k's product form overflows past the check, as E|Z|^k at 50 digits
+    # does: below DBL_MAX + ulp/2 at K_MAX, at or past it at the next double
+    assert 2.0 ** (above / 2.0) * special.poch(0.5, above / 2.0) == math.inf
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        overflow = mp.mpf(2) ** 1024 - mp.mpf(2) ** 970
+        assert exact_e_k(mp, K_MAX) < overflow <= exact_e_k(mp, above)
 
 
 @pytest.mark.parametrize(
@@ -676,7 +699,7 @@ def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, n):
 
 PINNED_H_HAT = {  # scipy.optimize.brentq's h_hat on the first path of each case
     1: "0x1.6dbfea642277cp-4",  # n=8, H=0.05, k=2.0, diff2, horizon 5
-    19: "0x1.51b69b36d6f02p-2",  # n=8, H=0.15, k=1.0, diff2, horizon 5
+    19: "0x1.51b69b36d6f03p-2",  # n=8, H=0.15, k=1.0, diff2, horizon 5
     36: "0x1.b9afc18429fcdp-1",  # n=8, H=0.85, k=2.0, diff2, horizon 1
     54: "0x1.f9586103c08f7p-1",  # n=8, H=0.97, k=1.0, diff2, horizon 1
     72: "0x1.3ccfbda5186b2p-3",  # n=32, H=0.15, k=2.0, diff2, horizon 1
@@ -684,14 +707,14 @@ PINNED_H_HAT = {  # scipy.optimize.brentq's h_hat on the first path of each case
     97: "0x1.bcd37851a0c5ap-1",  # n=32, H=0.85, k=2.0, diff2, horizon 5
     109: "0x1.eecc68dc87184p-1",  # n=32, H=0.97, k=2.0, diff2, horizon 5
     121: "0x1.bfd9ee06cd3ccp-5",  # n=256, H=0.05, k=2.0, diff2, horizon 5
-    131: "0x1.d6a33c646e8b7p-4",  # n=256, H=0.05, k=4.0, diff3, horizon 50
+    131: "0x1.d6a33c646e8b4p-4",  # n=256, H=0.05, k=4.0, diff3, horizon 50
     141: "0x1.3fce3e7f5c46cp-3",  # n=256, H=0.15, k=4.0, diff3, horizon 1
-    150: "0x1.ef98f12c1f357p-2",  # n=256, H=0.5, k=1.0, diff2, horizon 1
+    150: "0x1.ef98f12c1f356p-2",  # n=256, H=0.5, k=1.0, diff2, horizon 1
     160: "0x1.ade8c62300a7dp-1",  # n=256, H=0.85, k=1.5, diff3, horizon 5
     170: "0x1.f0fd25c6fb002p-1",  # n=256, H=0.97, k=2.0, diff2, horizon 50
     180: "0x1.95c363649e70fp-5",  # n=4096, H=0.05, k=2.0, diff2, horizon 1
-    190: "0x1.9a3b267a519c4p-5",  # n=4096, H=0.05, k=4.0, diff3, horizon 5
-    200: "0x1.3f35377a73982p-3",  # n=4096, H=0.15, k=1.0, diff2, horizon 50
+    190: "0x1.9a3b267a519c3p-5",  # n=4096, H=0.05, k=4.0, diff3, horizon 5
+    200: "0x1.3f35377a73980p-3",  # n=4096, H=0.15, k=1.0, diff2, horizon 50
     210: "0x1.0050da7539432p-1",  # n=4096, H=0.5, k=1.0, diff2, horizon 1
     220: "0x1.b3d7ba4f172dep-1",  # n=4096, H=0.85, k=1.5, diff3, horizon 5
     230: "0x1.f05f6491c0a02p-1",  # n=4096, H=0.97, k=2.0, diff2, horizon 50

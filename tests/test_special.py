@@ -1,8 +1,10 @@
-"""The Cephes ports in fracmix.special against live scipy.special, bit for
-bit, and against hex tables of the bits scipy 1.17 gave, which hold
-whatever a later scipy does."""
+"""The special functions the estimators read: the Cephes ports in
+fracmix.special against live scipy.special, bit for bit, and against hex
+tables of the bits scipy 1.17 gave, which hold whatever a later scipy
+does; Gamma from math and the interval quantile against 40 digits."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -11,9 +13,8 @@ import pytest
 import scipy.special
 
 from fracmix import special
+from fracmix.effects import _abs_normal_quantile
 from fracmix.hurst import _ORDER_CAP, _SERIES_POWERS, K_MAX, as_filter
-
-EXP_M2 = 0.13533528323661269189  # ndtri's switch to the tail expansions
 
 
 def same_bits(port, oracle, args):
@@ -23,72 +24,67 @@ def same_bits(port, oracle, args):
 
 
 # ------------------------------------------------------------------ gamma
-PINNED_GAMMA = {
-    0.5: "0x1.c5bf891b4ef6ap+0",
-    1.5: "0x1.c5bf891b4ef6ap-1",
-    2.0: "0x1.0000000000000p+0",
-    2.0000000000000004: "0x1.0000000000001p+0",
-    3.0: "0x1.0000000000000p+1",
-    33.0: "0x1.956ad0aae33a5p+117",  # the last argument of the recurrence
-    33.00000000000001: "0x1.956ad0aae3456p+117",  # the first of Stirling's formula
-    143.01608: "0x1.5603bf6efb4b8p+815",  # the last x^(x - 1/2) in one power
-    143.01608000000002: "0x1.5603bf6efb807p+815",
-    151.07778649919382: "0x1.57090d937c08dp+873",  # e_k's largest, at k = K_MAX
-    171.62: "0x1.f49ac9f1924cbp+1023",
+def test_math_gamma_within_bounds_of_40_digits_where_poch_reads_it():
+    # poch reads Gamma at a and a + m, 0 < m < 1, with a = 1/2 for e_k and
+    # a = (k + 1) / 2 for E_2k / E_k^2, k in (0, K_MAX]: at most 7.8e-16
+    # relative over 20,001 points of [0.5, 170]
+    xs = np.linspace(0.5, (K_MAX + 1.0) / 2.0 + 1.0, 4001).tolist()
+    with mpmath.workdps(40):
+        worst = max(abs(math.gamma(x) / mpmath.gamma(x) - 1) for x in xs)
+    assert worst <= 1e-15
+
+
+# -------------------------------------------------------- normal quantile
+def exact_quantile(level):
+    """z with P(|Z| <= z) = level, at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(level))
+
+
+def quantile_error(level):
+    """_abs_normal_quantile's relative error against 40 digits."""
+    with mpmath.workdps(40):
+        return abs(_abs_normal_quantile(level) / exact_quantile(level) - 1)
+
+
+QUANTILE_LEVELS = [
+    1e-300, 1e-20, 1e-8, 0.1, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+    0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-10, math.nextafter(1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("level", QUANTILE_LEVELS)
+def test_interval_quantile_within_4e_16_of_40_digits(level):
+    # reading level itself, not (1 + level) / 2, keeps z finite below 1
+    # (z = 8.2924 at 1 - 2^-53) and positive at tiny levels
+    assert quantile_error(level) <= 4e-16
+
+
+RANDOM_LEVELS = {
+    "uniform": lambda rng: rng.random(),
+    "upper-tail": lambda rng: 1.0 - 10.0 ** -rng.uniform(0.0, 15.9),
+    "lower-tail": lambda rng: 10.0 ** -rng.uniform(0.0, 307.0),
 }
 
 
-def test_gamma_matches_scipy_on_the_domain_e_k_reads():
-    # (k + 1) / 2 over k in (0, K_MAX], and the branch points
-    xs = np.linspace(0.5, (K_MAX + 1.0) / 2.0, 20001)[1:].tolist()
-    xs += [math.nextafter(x, d) for x in PINNED_GAMMA for d in (0.0, math.inf)]
-    assert same_bits(special.gamma, scipy.special.gamma, [(x,) for x in xs]) == []
+@pytest.mark.parametrize("family", sorted(RANDOM_LEVELS))
+def test_interval_quantile_within_4e_16_of_40_digits_on_random_levels(family):
+    rng = random.Random(7)
+    levels = [RANDOM_LEVELS[family](rng) for _ in range(400)]
+    assert max(map(quantile_error, levels)) <= 4e-16
 
 
-@pytest.mark.parametrize("x", sorted(PINNED_GAMMA))
-def test_gamma_bits_pinned(x):
-    assert special.gamma(x).hex() == PINNED_GAMMA[x]
-    assert special.gamma(x).hex() == float(scipy.special.gamma(x)).hex()
-
-
-def test_gamma_overflows_to_inf_at_the_cephes_bound():
-    assert special.gamma(math.nextafter(171.624376956302725, 0.0)) < math.inf
-    assert special.gamma(171.624376956302725) == math.inf == scipy.special.gamma(171.7)
-
-
-# ------------------------------------------------------------------ ndtri
-PINNED_NDTRI = {
-    math.nextafter(EXP_M2, 0.0): "-0x1.19fd30bc4de02p+0",
-    EXP_M2: "-0x1.19fd30bc4de02p+0",
-    math.nextafter(EXP_M2, 1.0): "-0x1.19fd30bc4de03p+0",
-    1.0 - EXP_M2: "0x1.19fd30bc4de03p+0",
-    math.nextafter(1.0 - EXP_M2, 1.0): "0x1.19fd30bc4de05p+0",
-    0.975: "0x1.f5c0331eeff84p+0",
-    1e-20: "-0x1.2865170b43a4dp+3",  # sqrt(-2 log y) >= 8: the far tail
-    1e-300: "-0x1.286074064c26ep+5",
-    5e-324: "-0x1.33bd3f27fcd03p+5",
-}
-
-
-def test_ndtri_matches_scipy():
-    rng = np.random.default_rng(5)
-    ys = rng.uniform(0.0, 1.0, 20000).tolist() + np.exp(-rng.uniform(0.0, 744.0, 20000)).tolist()
-    ys += (1.0 - np.exp(-rng.uniform(0.0, 36.0, 4000))).tolist() + [0.5, *PINNED_NDTRI]
-    assert same_bits(special.ndtri, scipy.special.ndtri, [(y,) for y in ys]) == []
-
-
-@pytest.mark.parametrize("y", sorted(PINNED_NDTRI))
-def test_ndtri_bits_pinned(y):
-    assert special.ndtri(y).hex() == PINNED_NDTRI[y]
-
-
-@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, math.nextafter(1.0, 0.0)])
-def test_ndtri_at_the_interval_levels(level):
-    # as confidence_intervals reads it; past 1 - 2^-53 the level rounds to
-    # y = 1.0, whose quantile, and so each interval, is infinite
-    y = 0.5 * (1.0 + level)
-    assert special.ndtri(y).hex() == float(scipy.special.ndtri(y)).hex()
-    assert (special.ndtri(0.0), special.ndtri(1.0)) == (-math.inf, math.inf)
+def test_interval_quantile_rises_with_the_level():
+    # the erf branch up to 1/2 and the erfc branch past it meet without a
+    # step back, and neither turns back within its tail
+    levels = sorted(
+        [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+        + np.linspace(0.0, 1.0, 20001)[1:-1].tolist()
+        + (1.0 - np.logspace(-15.9, -1.0, 2000)).tolist()
+        + np.logspace(-300.0, -1.0, 2000).tolist()
+    )
+    z = [_abs_normal_quantile(level) for level in levels]
+    assert all(a <= b for a, b in zip(z, z[1:]))
 
 
 # ------------------------------------------------------------------- zeta
