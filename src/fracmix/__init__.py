@@ -60,7 +60,7 @@ from .hurst import (
     s_n,
     validate_filter,
 )
-from .panel import EffectsLaw, Panel, simulate_panel, transform_to_y
+from .panel import EffectsLaw, Panel, simulate_panel
 from .rng import RngStream
 
 __all__ = [
@@ -101,7 +101,6 @@ __all__ = [
     "s_n",
     "simulate_panel",
     "summarize_empirical",
-    "transform_to_y",
     "validate_filter",
     "xi_values",
 ]

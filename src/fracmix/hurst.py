@@ -155,7 +155,8 @@ def moment_sums(coeffs: np.ndarray, max_order: int) -> np.ndarray:
 
 
 def validate_filter(coeffs) -> VariationFilter:
-    """Certify a filter's order; reject anything below order 2."""
+    """Certify a filter's order; reject anything below order 2, and
+    coefficients so large that its lag moments overflow a double."""
     c = np.array(coeffs, dtype=float)  # own copy: frozen below
     if c.ndim != 1 or c.size < 2:
         raise FilterOrderError("filter needs at least two coefficients")
@@ -175,7 +176,12 @@ def validate_filter(coeffs) -> VariationFilter:
             f"filter has order {order} < 2 and cannot annihilate the linear random-effect drift"
         )
     c.flags.writeable = False
-    return VariationFilter(coeffs=c, order=order)
+    f = VariationFilter(coeffs=c, order=order)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        moments = f.series_table[2]
+    if not np.all(np.isfinite(moments)):
+        raise FilterOrderError("filter coefficients too large: its lag moments overflow a double")
+    return f
 
 
 # FILTERS certified once, at import: one object and lag table per name

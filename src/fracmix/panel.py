@@ -4,17 +4,12 @@ Each of N independent subjects carries its own drift rate phi_i, drawn
 once from N(mu, sigma2), plus an independent fBm.  Conditionally on
 phi_i the observation vector is Gaussian with mean phi_i * u and
 covariance V(H); marginally Y(t) ~ N(t*mu, t^2*sigma2 + t^{2H}).
-
-Raw diffusions X with a known state drift a(.) are reduced to this form
-by ``transform_to_y``, which removes the initial value and the
-accumulated drift integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -145,33 +140,3 @@ def simulate_panel(
     del w  # Panel's checks run without the paths held
     y.flags.writeable = False
     return Panel(grid=grid, y=y, true_effects=phi)
-
-
-def transform_to_y(
-    times: np.ndarray, x: np.ndarray, drift: Callable[[float], float]
-) -> np.ndarray:
-    """Reduce a raw trajectory to the linear-drift form.
-
-    Parameters
-    ----------
-    times : includes the initial time 0; strictly increasing.
-    x : trajectory values at ``times`` (x[0] is the initial value).
-    drift : the known state drift a(.), evaluated at each observed state.
-
-    Returns Y at times[1:], where Y(t_j) = X(t_j) - X(0) - integral of
-    a(X(s)) ds approximated by the trapezoid rule on the observed grid.
-    The quadrature is exact for constant a and O(dt^2)-biased otherwise.
-    """
-    t = np.asarray(times, dtype=float)
-    xv = np.asarray(x, dtype=float)
-    if t.ndim != 1 or t.shape != xv.shape:
-        raise ValueError("times and x must be 1-D arrays of equal length")
-    if t.size < 2:
-        raise ValueError("need the initial point and at least one observation")
-    if t[0] != 0.0:
-        raise GridError(f"trajectory must start at t=0, got t[0]={t[0]}")
-    if np.any(np.diff(t) <= 0.0):
-        raise GridError("times must be strictly increasing")
-    a_vals = np.array([float(drift(v)) for v in xv])
-    accum = np.cumsum(np.diff(t) * (a_vals[1:] + a_vals[:-1]) / 2.0)
-    return xv[1:] - xv[0] - accum

@@ -174,6 +174,24 @@ def test_hurst_rejects_low_order_filter(tmp_path):
     assert "filter" in res.stderr
 
 
+@pytest.mark.parametrize("spec", ["1e200,-2e200,1e200", "1e150,-2e150,1e150"])
+def test_filter_whose_lag_moments_overflow_exits_2_without_a_warning(tmp_path, spec):
+    out, _ = simulate(tmp_path, **{"--subjects": "3", "--n-obs": "32"})
+    res = run_entry_point("hurst", "--input", str(out), f"--filter={spec}")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == [
+        "error: --filter: filter coefficients too large: its lag moments overflow a double"
+    ]
+    cfg = one_cell_config(tmp_path, n_obs_list="32", estimate_hurst="true", filter=spec)
+    res = run_entry_point("experiment", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: --config: key 'filter': filter coefficients too large: "
+        "its lag moments overflow a double"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_hurst_rejects_unknown_filter_name(tmp_path):
     out, _ = simulate(tmp_path)
     res = run_cli("hurst", "--input", str(out), "--filter", "diff9")

@@ -570,6 +570,8 @@ def test_config_rejects_an_invalid_filter_spec(estimate_hurst):
         small_config(filter="bogus", estimate_hurst=estimate_hurst)
     with pytest.raises(ValueError, match="order"):
         small_config(filter=[1.0, -1.0], estimate_hurst=estimate_hurst)
+    with pytest.raises(ValueError, match="lag moments overflow"):
+        small_config(filter="1e200,-2e200,1e200", estimate_hurst=estimate_hurst)
 
 
 def test_config_holds_its_filter_as_a_variation_filter():

@@ -110,6 +110,29 @@ def test_as_filter_rejects_with_value_error(spec):
             as_filter(spec)
 
 
+# diff2 scaled past about 1.8e148 has lag moments M_m = sum_d w_d d^m that
+# overflow a double; scaled past about 5.5e153, w itself overflows
+@pytest.mark.parametrize("spec", ["1e200,-2e200,1e200", "1e150,-2e150,1e150"])
+def test_filter_whose_lag_moments_overflow_is_refused(spec):
+    coeffs = [float(v) for v in spec.split(",")]
+    for form in (spec, coeffs, np.array(coeffs)):
+        with pytest.raises(FilterOrderError, match="lag moments overflow a double"):
+            as_filter(form)
+
+
+@pytest.mark.parametrize(
+    "spec,unit", [("1e100,-2e100,1e100", DIFF2), ("-1e140,3e140,-3e140,1e140", DIFF3)]
+)
+def test_large_filters_estimate_as_their_unit_filters(spec, unit):
+    f = as_filter(spec)
+    assert f.order == unit.order
+    for i, h in enumerate((0.15, 0.5, 0.85) * 10):
+        y = FftSampler(256, 5.0, h).paths(RngStream(40, i).generator(), 1)[0]
+        assert estimate_h(y, 5.0, f=f).h_hat == pytest.approx(
+            estimate_h(y, 5.0, f=unit).h_hat, rel=0, abs=1e-10
+        )
+
+
 # ---------------------------------------------------------------- pi_gamma
 def test_pi_gamma_hand_values():
     # diff2 filtering of unit-spacing Brownian motion: variance 2, lag-1

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 from fracmix import (
     EffectsLaw,
@@ -15,7 +14,6 @@ from fracmix import (
     RngStream,
     SamplingGrid,
     simulate_panel,
-    transform_to_y,
 )
 from fracmix.fbm import fgn_spectrum
 from fracmix.gram import cholesky_factor
@@ -257,74 +255,3 @@ def test_panel_copies_what_it_does_not_adopt(make):
     base[...] = 5  # the caller's array changes; the panel does not
     assert np.array_equal(panel.y, np.ones((3, 4)))
 
-
-def test_transform_zero_drift():
-    times = np.array([0.0, 0.5, 1.0, 2.0])
-    x = np.array([3.0, 3.5, 2.0, 5.0])
-    y = transform_to_y(times, x, lambda s: 0.0)
-    assert np.array_equal(y, x[1:] - 3.0)
-
-
-def test_transform_constant_drift_exact():
-    times = np.array([0.0, 0.25, 0.75, 1.5, 2.0])
-    x = np.array([1.0, 1.2, 0.4, 2.2, 1.8])
-    c = 0.75
-    y = transform_to_y(times, x, lambda s: c)
-    # dyadic steps and drift: every product and partial sum is exact
-    assert np.array_equal(y, x[1:] - x[0] - c * times[1:])
-
-
-def test_transform_quadrature_error_is_second_order():
-    # X(t) = x0 + t^2 with a state-linear drift; oracle is a 10^6-point
-    # trapezoid of the same integrand on a fine grid
-    x0, alpha, beta = 2.0, 0.4, -0.3
-
-    def drift(s):
-        return alpha * s + beta
-
-    def oracle(upper):
-        s = np.linspace(0.0, upper, 1_000_001)
-        integrand = drift(x0 + s**2)
-        return np.trapezoid(integrand, s)
-
-    errs = {}
-    for n in (16, 32):
-        times = np.linspace(0.0, 1.0, n + 1)
-        x = x0 + times**2
-        y = transform_to_y(times, x, drift)
-        y_ref = np.array([x0 + t**2 - x0 - oracle(t) for t in times[1:]])
-        errs[n] = np.max(np.abs(y - y_ref))
-        dt = 1.0 / n
-        assert errs[n] <= 1.0 * dt**2
-    # halving the step should cut the error roughly fourfold
-    assert errs[16] / errs[32] == pytest.approx(4.0, rel=0.5)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_transform_matches_scipy_trapezoid_bitwise(seed):
-    gen = np.random.default_rng(seed)
-    n = int(gen.integers(2, 300))
-    times = np.concatenate([[0.0], np.cumsum(10.0 ** gen.uniform(-5, 2, n - 1))])
-    x = gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 5)
-    a, b = gen.standard_normal(2)
-
-    def drift(s):
-        return a * np.sin(s) + b * s**2
-
-    want = x[1:] - x[0] - cumulative_trapezoid([drift(v) for v in x], times, initial=0.0)[1:]
-    assert np.array_equal(transform_to_y(times, x, drift), want)
-
-
-def test_transform_input_validation():
-    cases = [
-        ([0.5, 1.0], [0.0, 1.0], GridError, r"start at t=0, got t\[0\]=0\.5"),
-        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], GridError, "strictly increasing"),
-        ([0.0, 1.0, 0.5], [0.0, 1.0, 2.0], GridError, "strictly increasing"),
-        ([0.0, 1.0], [0.0, 1.0, 2.0], ValueError, "equal length"),
-        ([[0.0, 1.0]], [[0.0, 1.0]], ValueError, "1-D arrays"),
-        ([0.0], [1.0], ValueError, "at least one observation"),
-        ([], [], ValueError, "at least one observation"),
-    ]
-    for times, x, error, fragment in cases:
-        with pytest.raises(error, match=fragment):
-            transform_to_y(times, x, lambda s: 0.0)
