@@ -255,7 +255,11 @@ class FftSampler:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """The (count,) reads W @ c of the paths ``paths`` would draw, for
         form = ``slope_form(c)``, taken in real arithmetic, and with
-        ``first_path`` path 0 of that draw (else None)."""
+        ``first_path`` path 0 of that draw (else None).
+
+        Each block of normals is dropped before the next is drawn, so
+        beyond its reads (and path 0's two rows of draws) a call holds
+        one block, whatever the path count."""
         pairs = (count + 1) // 2
         # pair j's reads are re_j @ f.real - im_j @ f.imag (path j) and
         # re_j @ f.imag + im_j @ f.real (path pairs + j), taken a block of
@@ -268,12 +272,14 @@ class FftSampler:
             reads[1, a:b] = re @ form.imag
             if first_path and a == 0:
                 heads.append(re[0].copy())
+            del re  # so the next block is not drawn beside this one
         for a, b in _blocks(pairs, 2 * self.n):
             im = _normals(gen, (b - a, form.size))
             reads[0, a:b] -= im @ form.imag
             reads[1, a:b] += im @ form.real
             if first_path and a == 0:
                 heads.append(im[0].copy())
+            del im
         first = np.cumsum(self._fgn(*heads).real) * self._scaling[1] if first_path else None
         return reads.reshape(-1)[:count], first
 

@@ -147,11 +147,22 @@ class HurstEstimate:
         return math.sqrt(a_val) / (self.k * math.sqrt(self.n) * math.log(self.n))
 
 
-def moment_sums(coeffs: np.ndarray, max_order: int) -> np.ndarray:
-    """sum_j j^r gamma_j for r = 0..max_order-1, with 0^0 = 1."""
+def _certified_order(coeffs: np.ndarray) -> int:
+    """The least r whose moment sum_j j^r gamma_j (0^0 = 1) does not
+    vanish, to a tolerance scaled by sum_j j^r |gamma_j| so that
+    near-cancellation in float coefficients still certifies it.  The sums
+    stop at that r; a sum past a double (j^r overflows from 145 taps)
+    certifies nothing."""
     j = np.arange(coeffs.size, dtype=float)
-    powers = j[None, :] ** np.arange(max_order, dtype=float)[:, None]  # 0.0 ** 0.0 is 1.0
-    return powers @ coeffs
+    for r in range(coeffs.size):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            powers = j**r
+            scale = powers @ np.abs(coeffs)
+        if not np.isfinite(scale):
+            break
+        if abs(powers @ coeffs) > 1e-12 * max(scale, 1.0):
+            return r
+    raise FilterOrderError("could not certify a filter order (coefficients too small?)")
 
 
 def validate_filter(coeffs) -> VariationFilter:
@@ -164,14 +175,7 @@ def validate_filter(coeffs) -> VariationFilter:
         raise FilterOrderError("filter coefficients must be finite")
     if np.all(c == 0.0):
         raise FilterOrderError("filter must not be identically zero")
-    # tolerance scaled by the absolute-value sums so near-cancellation
-    # in float coefficients still certifies the order
-    scale = np.maximum(moment_sums(np.abs(c), c.size), 1.0)
-    nonzero = np.flatnonzero(np.abs(moment_sums(c, c.size)) > 1e-12 * scale)
-    if nonzero.size == 0:
-        raise FilterOrderError("could not certify a filter order (coefficients too small?)")
-    order = int(nonzero[0])
-    if order < 2:
+    if (order := _certified_order(c)) < 2:
         raise FilterOrderError(
             f"filter has order {order} < 2 and cannot annihilate the linear random-effect drift"
         )

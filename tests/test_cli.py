@@ -192,6 +192,20 @@ def test_filter_whose_lag_moments_overflow_exits_2_without_a_warning(tmp_path, s
     assert not (tmp_path / "o").exists()
 
 
+# from 145 taps j^r overflows a double; the order is still certified without
+# a numpy warning, and a 32-point series is then too short for the filter
+@pytest.mark.parametrize(
+    "spec,taps", [("1,-2,1" + ",0" * 200, 203), ("0," * 150 + "1,-2,1", 153)], ids=["trailing", "leading"]
+)
+def test_zero_padded_filter_exits_4_without_a_warning(tmp_path, spec, taps):
+    out, _ = simulate(tmp_path, **{"--subjects": "3", "--n-obs": "32"})
+    res = run_entry_point("hurst", "--input", str(out), f"--filter={spec}")
+    assert (res.returncode, res.stdout) == (4, "")
+    assert res.stderr.splitlines() == [
+        f"error: estimation failed: series of length 32 too short for a filter with {taps} taps"
+    ]
+
+
 def test_hurst_rejects_unknown_filter_name(tmp_path):
     out, _ = simulate(tmp_path)
     res = run_cli("hurst", "--input", str(out), "--filter", "diff9")

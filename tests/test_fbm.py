@@ -14,7 +14,7 @@ from fracmix import (
     build_gram,
     simulate_panel,
 )
-from fracmix.fbm import ExactSampler, FftSampler, fgn_spectrum
+from fracmix.fbm import ExactSampler, FftSampler, fgn_spectrum, noise_sampler
 from fracmix.gram import cholesky_factor, fbm_covariance
 
 from exact_draws import oracle_exact_paths
@@ -358,22 +358,34 @@ def test_exact_slope_reads_are_the_one_call_reads_up_to_the_split_sum(n, count, 
     assert none is None and again.tobytes() == got.tobytes()
 
 
-def test_exact_slope_reads_hold_one_block():
-    # all n x 500 normals at once took 1.0 MB at n = 256 and 4.1 MB at
-    # n = 1024; one block of 64 time rows is 256 kB, and two (the next
-    # block drawn beside the last) would pass 0.4 MiB
-    for n in (256, 1024):
-        grid = SamplingGrid.uniform(n, 5.0)
-        sampler = ExactSampler(cholesky_factor(grid, 0.5))
-        form = sampler.slope_form(build_gram(grid, 0.5).weights)
+# Beyond its reads and path 0's normals (a row of 2n of each of the real
+# and imaginary parts on the fast sampler, n on the exact one), a call
+# holds its largest block of normals and at most SLACK of temporaries.
+# Keeping each loop's last block while the fast sampler drew the next took
+# 749 kB at n = 256 and 500 paths, and all n x 500 normals at once took
+# 1.0 MB at n = 256 and 4.1 MB at n = 1024 on the exact sampler.
+SLACK = 64 * 2**10
+
+
+@pytest.mark.parametrize("method", ["exact", "fast"])
+@pytest.mark.parametrize("n,count", [(32, 500), (256, 500), (256, 4096), (1024, 500), (4096, 16)])
+def test_slope_reads_hold_one_block(method, n, count):
+    grid = SamplingGrid.uniform(n, 5.0)
+    sampler = noise_sampler(method, grid, 0.5)
+    form = sampler.slope_form(build_gram(grid, 0.5).weights)
+    counted = CountingGenerator(RngStream(78).generator())
+    sampler.slope_noise(form, counted, count)
+    block = 8 * max(r * c for r, c in counted.shapes)
+    for first_path in (False, True):
         gen = RngStream(78).generator()  # the first one in a process imports numpy.random
         tracemalloc.start()
         try:
-            sampler.slope_noise(form, gen, 500, first_path=True)
+            reads, _ = sampler.slope_noise(form, gen, count, first_path=first_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.4 * 2**20, n
+        path0 = 8 * (4 * n if method == "fast" else n) if first_path else 0
+        assert peak <= block + reads.nbytes + path0 + SLACK, (first_path, peak)
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 1024])

@@ -39,7 +39,6 @@ from fracmix.hurst import (
     brentq,
     filtered_series,
     k_value,
-    moment_sums,
 )
 
 DIFF2 = as_filter("diff2")
@@ -59,6 +58,11 @@ def pi_gamma(t, j, f):
 
 
 # ----------------------------------------------------------------- filters
+def moment_sums(coeffs, max_order):
+    """sum_j j^r gamma_j for r = 0..max_order-1, with 0^0 = 1."""
+    return np.arange(coeffs.size, dtype=float) ** np.arange(max_order)[:, None] @ coeffs
+
+
 def test_diff2_has_order_two():
     f = validate_filter((1.0, -2.0, 1.0))
     assert f.order == 2
@@ -118,6 +122,24 @@ def test_filter_whose_lag_moments_overflow_is_refused(spec):
     for form in (spec, coeffs, np.array(coeffs)):
         with pytest.raises(FilterOrderError, match="lag moments overflow a double"):
             as_filter(form)
+
+
+# j^r overflows a double from 145 taps, so the order comes from the moments
+# up to the first that does not vanish, and one that overflows before it
+# certifies nothing; the suite's filterwarnings turn a numpy warning into a failure
+@pytest.mark.parametrize(
+    "coeffs,order",
+    [([1.0, -2.0, 1.0] + [0.0] * 200, 2), ([0.0] * 150 + [1.0, -2.0, 1.0], 2),
+     ([0.0] * 150 + [-1.0, 3.0, -3.0, 1.0] + [0.0] * 100, 3),
+     ([1e-300, -2e-300, 1e-300] + [0.0] * 200, None)],
+    ids=["trailing", "leading", "both", "too-small"],
+)
+def test_zero_padded_filter_keeps_its_order(coeffs, order):
+    if order is None:
+        with pytest.raises(FilterOrderError, match="could not certify a filter order"):
+            validate_filter(coeffs)
+    else:
+        assert validate_filter(coeffs).order == order
 
 
 @pytest.mark.parametrize(
