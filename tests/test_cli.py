@@ -241,6 +241,18 @@ def test_hurst_out_of_range_series_exits_4(tmp_path):
     assert res.returncode == 4
 
 
+def test_hurst_inversion_past_its_cap_exits_4(tmp_path, monkeypatch):
+    # a root finder that gives up is an estimation failure, not a traceback
+    from fracmix import hurst
+
+    out, _ = simulate(tmp_path, **{"--n-obs": "64"})
+    assert run_cli("hurst", "--input", str(out)).returncode == 0
+    monkeypatch.setattr(hurst, "_ROOT_MAX_ITER", 1)
+    res = run_cli("hurst", "--input", str(out))
+    assert res.returncode == 4
+    assert "estimation failed: no root after 1 secant steps" in res.stderr
+
+
 def test_hurst_custom_filter_accepted(tmp_path):
     out, _ = simulate(
         tmp_path, **{"--subjects": "1", "--n-obs": "1024", "--horizon": "1"}

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -28,15 +29,11 @@ from fracmix.gram import HURST_MAX, HURST_MIN, hurst_value
 from fracmix.hurst import (
     FILTERS,
     K_MAX,
-    _ROOT_MAX_ITER,
-    _ROOT_RTOL,
-    _ROOT_XTOL,
     _SERIES_POWERS,
     _pi_series,
     _probed_curve,
-    _scale_curve,
+    _secant_root,
     as_filter,
-    brentq,
     filtered_series,
     k_value,
 )
@@ -188,7 +185,7 @@ def test_pi_gamma_rejects_bad_t():
     with pytest.raises(HurstRangeError):
         pi_gamma(1.0, 0, DIFF2)
     with pytest.raises(HurstRangeError):
-        _scale_curve(0.1, 2.0, DIFF2)(float("nan"))
+        _probed_curve(0.1, 2.0, DIFF2)[0](float("nan"))
     with pytest.raises(HurstRangeError):
         asym_variance_a(1.5, 2.0, DIFF2)
 
@@ -333,14 +330,20 @@ def test_sn_scale_equivariance_general(lam, k):
 
 
 # ----------------------------------------------------------- scale curve g
+def scale_curve(spacing, k, f):
+    """t -> g(t), from the estimator's log curve."""
+    log_g = _probed_curve(spacing, k, f)[0]
+    return lambda t: math.exp(log_g(t))
+
+
 def test_g_scale_reference_value():
-    assert _scale_curve(1 / 256, 2.0, DIFF2)(0.5) == pytest.approx(2.0 / 256, rel=1e-14)
+    assert scale_curve(1 / 256, 2.0, DIFF2)(0.5) == pytest.approx(2.0 / 256, rel=1e-14)
 
 
 def test_g_scale_k2_reduces_to_pi_over_power():
     for t in (0.1, 0.5, 0.9):
         for n in (4, 64):
-            assert _scale_curve(1 / n, 2.0, DIFF2)(t) == pytest.approx(
+            assert scale_curve(1 / n, 2.0, DIFF2)(t) == pytest.approx(
                 n ** (-2.0 * t) * pi_gamma(t, 0, DIFF2), rel=1e-12
             )
 
@@ -348,9 +351,19 @@ def test_g_scale_k2_reduces_to_pi_over_power():
 @pytest.mark.parametrize("n", [2, 4, 256])
 def test_g_scale_strictly_decreasing(n):
     ts = np.arange(0.01, 0.99 + 1e-9, 1e-3)
-    g = _scale_curve(1 / n, 2.0, DIFF2)
-    vals = np.array([g(t) for t in ts])
+    log_g = _probed_curve(1 / n, 2.0, DIFF2)[0]
+    vals = np.array([log_g(t) for t in ts])
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_log_curve_is_finite_where_g_is_not():
+    # g(HURST_MAX) underflows a double at k = 200 on a 4096-point grid, and
+    # g(HURST_MIN) overflows one at k = 300 on an 8-point grid; their logs
+    # are finite and still decrease
+    _, lo, mid, hi = _probed_curve(1 / 4096, 200.0, DIFF2)
+    assert lo > mid > hi and -1e4 < hi < math.log(math.ulp(0.0))
+    _, lo, mid, hi = _probed_curve(1 / 8, 300.0, DIFF2)
+    assert 1e4 > lo > math.log(sys.float_info.max) and lo > mid > hi
 
 
 def test_curve_and_probe_built_once_per_key():
@@ -391,12 +404,13 @@ def test_filters_compare_on_coefficient_bytes_and_order():
 
 
 def test_probe_error_is_not_cached():
-    # g overflows at H = HURST_MAX on this grid; each call raises afresh
+    # the grid spacing 5e-324/32 rounds to 0, whose log the curve cannot
+    # take; each call raises afresh
     y = np.random.default_rng(3).standard_normal(32)
     _probed_curve.cache_clear()
     for _ in range(2):
-        with pytest.raises(EstimationRangeError, match="overflows"):
-            estimate_h(y, 1e300 * y.size)
+        with pytest.raises(EstimationRangeError, match="spacing underflows"):
+            estimate_h(y, 5e-324)
     assert _probed_curve.cache_info().currsize == 0
 
 
@@ -583,13 +597,13 @@ def test_estimator_ignores_added_drift():
 )
 def test_estimator_ignores_added_drift_at_full_precision(h, stream, c):
     # no dyadic rounding: y + c t rounds in the last bits, which moves
-    # S by ~1e-11 relative; the estimate may move only within the root
-    # finder's tolerance
+    # S by ~1e-11 relative and log S by as much; the estimate moves by
+    # that over the curve's slope
     n = 2**10
     t = np.arange(1, n + 1) / n
     y = FftSampler(n, 1.0, h).paths(RngStream(24, stream).generator(), 1)[0]
     base = estimate_h(y, 1.0).h_hat
-    assert abs(estimate_h(y + c * t, 1.0).h_hat - base) <= _ROOT_XTOL
+    assert abs(estimate_h(y + c * t, 1.0).h_hat - base) <= 1e-10
 
 
 def test_inversion_round_trip():
@@ -598,7 +612,7 @@ def test_inversion_round_trip():
     y0 = np.cumsum(gen.standard_normal(n)) / math.sqrt(n)
     s0 = s_n(y0, 2.0, DIFF2)
     for target in np.arange(0.1, 0.95, 0.1):
-        want = _scale_curve(1.0 / n, 2.0, DIFF2)(target)
+        want = scale_curve(1.0 / n, 2.0, DIFF2)(target)
         y = y0 * (want / s0) ** 0.5
         est = estimate_h(y, 1.0)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
@@ -612,7 +626,7 @@ def test_estimator_horizon_generalization():
     y0 = np.cumsum(gen.standard_normal(n))
     s0 = s_n(y0, 2.0, DIFF2)
     for target in (0.15, 0.5, 0.85):
-        want = _scale_curve(T / n, 2.0, DIFF2)(target)
+        want = scale_curve(T / n, 2.0, DIFF2)(target)
         est = estimate_h(y0 * (want / s0) ** 0.5, T)
         assert est.h_hat == pytest.approx(target, abs=1e-9)
     # and statistically: a T-horizon path estimates its H
@@ -697,7 +711,7 @@ def test_filtered_series_length():
 # ------------------------------------------------------------ root finding
 # (n, H, (k, filter), horizon) over the estimator's regimes; case i draws
 # two fast-sampler paths from RngStream(17, i)
-BRENT_GRID = list(
+ROOT_GRID = list(
     itertools.product(
         (8, 32, 256, 4096),
         (0.05, 0.15, 0.5, 0.85, 0.97),
@@ -707,143 +721,168 @@ BRENT_GRID = list(
 )
 
 
-def _brent_case(case):
-    n, h, (k, f), horizon = BRENT_GRID[case]
+def _root_case(case):
+    n, h, (k, f), horizon = ROOT_GRID[case]
     return FftSampler(n, horizon, h).paths(RngStream(17, case).generator(), 2), horizon, k, f
 
 
-def _grid_results(cases):
-    # (h_hat, asym_std) bits or the refusal message, per path
-    results = []
-    for case in cases:
-        paths, horizon, k, f = _brent_case(case)
-        for y in paths:
-            try:
-                est = estimate_h(y, horizon, k, f)
-            except EstimationRangeError as exc:
-                results.append(str(exc))
-            else:
-                results.append((est.h_hat.hex(), est.asym_std.hex()))
-    return results
-
-
-@pytest.mark.parametrize("n", [8, 32, 256, 4096])
-def test_brentq_port_matches_scipy_bit_for_bit(monkeypatch, n):
-    from scipy.optimize import brentq as scipy_brentq  # the oracle; fracmix never imports it
-
-    def oracle(f, a, b, fa, fb):
-        return scipy_brentq(f, a, b, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=_ROOT_MAX_ITER)
-
-    cases = [c for c, params in enumerate(BRENT_GRID) if params[0] == n]
-    ours = _grid_results(cases)
-    monkeypatch.setattr(hurst, "brentq", oracle)
-    want = _grid_results(cases)
-    assert ours == want
-    assert any(isinstance(r, tuple) for r in want)  # estimates, not only refusals
-
-
-PINNED_H_HAT = {  # scipy.optimize.brentq's h_hat on the first path of each case
-    1: "0x1.6dbfea642277cp-4",  # n=8, H=0.05, k=2.0, diff2, horizon 5
-    19: "0x1.51b69b36d6f03p-2",  # n=8, H=0.15, k=1.0, diff2, horizon 5
-    36: "0x1.b9afc18429fcdp-1",  # n=8, H=0.85, k=2.0, diff2, horizon 1
-    54: "0x1.f9586103c08f7p-1",  # n=8, H=0.97, k=1.0, diff2, horizon 1
-    72: "0x1.3ccfbda5186b2p-3",  # n=32, H=0.15, k=2.0, diff2, horizon 1
-    84: "0x1.d803cf4e49246p-2",  # n=32, H=0.5, k=2.0, diff2, horizon 1
-    97: "0x1.bcd37851a0c5ap-1",  # n=32, H=0.85, k=2.0, diff2, horizon 5
-    109: "0x1.eecc68dc87184p-1",  # n=32, H=0.97, k=2.0, diff2, horizon 5
-    121: "0x1.bfd9ee06cd3ccp-5",  # n=256, H=0.05, k=2.0, diff2, horizon 5
-    131: "0x1.d6a33c646e8b4p-4",  # n=256, H=0.05, k=4.0, diff3, horizon 50
-    141: "0x1.3fce3e7f5c46cp-3",  # n=256, H=0.15, k=4.0, diff3, horizon 1
-    150: "0x1.ef98f12c1f356p-2",  # n=256, H=0.5, k=1.0, diff2, horizon 1
-    160: "0x1.ade8c62300a7dp-1",  # n=256, H=0.85, k=1.5, diff3, horizon 5
-    170: "0x1.f0fd25c6fb002p-1",  # n=256, H=0.97, k=2.0, diff2, horizon 50
-    180: "0x1.95c363649e70fp-5",  # n=4096, H=0.05, k=2.0, diff2, horizon 1
-    190: "0x1.9a3b267a519c3p-5",  # n=4096, H=0.05, k=4.0, diff3, horizon 5
-    200: "0x1.3f35377a73980p-3",  # n=4096, H=0.15, k=1.0, diff2, horizon 50
-    210: "0x1.0050da7539432p-1",  # n=4096, H=0.5, k=1.0, diff2, horizon 1
-    220: "0x1.b3d7ba4f172dep-1",  # n=4096, H=0.85, k=1.5, diff3, horizon 5
-    230: "0x1.f05f6491c0a02p-1",  # n=4096, H=0.97, k=2.0, diff2, horizon 50
+PINNED_H_HAT = {  # h_hat on the first path of each case
+    1: "0x1.6dbfea6422780p-4",  # n=8, H=0.05, k=2.0, diff2, horizon 5
+    19: "0x1.51b69b36e0196p-2",  # n=8, H=0.15, k=1.0, diff2, horizon 5
+    36: "0x1.b9afc18429fcep-1",  # n=8, H=0.85, k=2.0, diff2, horizon 1
+    54: "0x1.f9586103c08f5p-1",  # n=8, H=0.97, k=1.0, diff2, horizon 1
+    72: "0x1.3ccfbda517bf1p-3",  # n=32, H=0.15, k=2.0, diff2, horizon 1
+    84: "0x1.d803cf4e49249p-2",  # n=32, H=0.5, k=2.0, diff2, horizon 1
+    97: "0x1.bcd378519d444p-1",  # n=32, H=0.85, k=2.0, diff2, horizon 5
+    109: "0x1.eecc68dc89539p-1",  # n=32, H=0.97, k=2.0, diff2, horizon 5
+    121: "0x1.bfd9ee06ce96bp-5",  # n=256, H=0.05, k=2.0, diff2, horizon 5
+    131: "0x1.d6a33c6357020p-4",  # n=256, H=0.05, k=4.0, diff3, horizon 50
+    141: "0x1.3fce3e7f5d401p-3",  # n=256, H=0.15, k=4.0, diff3, horizon 1
+    150: "0x1.ef98f12c1cfbbp-2",  # n=256, H=0.5, k=1.0, diff2, horizon 1
+    160: "0x1.ade8c622f3b1cp-1",  # n=256, H=0.85, k=1.5, diff3, horizon 5
+    170: "0x1.f0fd25c6fb0efp-1",  # n=256, H=0.97, k=2.0, diff2, horizon 50
+    180: "0x1.95c36365193ddp-5",  # n=4096, H=0.05, k=2.0, diff2, horizon 1
+    190: "0x1.9a3b267a564bap-5",  # n=4096, H=0.05, k=4.0, diff3, horizon 5
+    200: "0x1.3f35377a64029p-3",  # n=4096, H=0.15, k=1.0, diff2, horizon 50
+    210: "0x1.0050da7538560p-1",  # n=4096, H=0.5, k=1.0, diff2, horizon 1
+    220: "0x1.b3d7ba4f183c9p-1",  # n=4096, H=0.85, k=1.5, diff3, horizon 5
+    230: "0x1.f05f6491c0142p-1",  # n=4096, H=0.97, k=2.0, diff2, horizon 50
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_H_HAT))
 def test_h_hat_bits_pinned(case):
-    # holds whatever a later scipy's brentq does
-    (y, _), horizon, k, f = _brent_case(case)
+    (y, _), horizon, k, f = _root_case(case)
     assert estimate_h(y, horizon, k, f).h_hat.hex() == PINNED_H_HAT[case]
+
+
+@pytest.mark.parametrize("n", [8, 32, 256, 4096])
+def test_h_hat_within_4_ulps_of_the_40_digit_root(n):
+    # a random walk scaled so that S lands on g(h), or on e^{+-690} where
+    # g(h) is past the normal doubles (k = 200 on the long grids).  An ulp
+    # here is the move in t that shifts log g by one ulp of the sum of its
+    # terms' magnitudes, which bounds the rounding of that double sum; the
+    # estimate is also within 1e-15 of the root outright
+    mp = pytest.importorskip("mpmath")
+    y0 = np.random.default_rng(n).standard_normal(n).cumsum()
+    for h, horizon, (k, name) in itertools.product(
+        (0.05, 0.5, 0.95), (1.0, 5.0), ((0.5, "diff2"), (2.0, "diff2"), (4.0, "diff3"), (200.0, "diff2"))
+    ):
+        f = as_filter(name)
+        spacing = horizon / n
+        target = min(max(_probed_curve(spacing, k, f)[0](h), -690.0), 690.0)
+        y = y0 * math.exp((target - math.log(s_n(y0, k, f))) / k)
+        h_hat = estimate_h(y, horizon, k, f).h_hat
+        with mp.workdps(40):
+            c, kk = [mp.mpf(x) for x in f.coeffs.tolist()], mp.mpf(k)
+            log_ek = kk / 2 * mp.log(2) + mp.loggamma((kk + 1) / 2) - mp.loggamma(mp.mpf(0.5))
+            d = [(cq * cr, abs(q - r)) for q, cq in enumerate(c) for r, cr in enumerate(c) if q != r]
+            log_s = mp.log(s_n(y, k, f))
+
+            def terms(t):
+                p0 = -sum(w * mp.mpf(dist) ** (2 * t) for w, dist in d) / 2
+                return t * kk * mp.log(spacing), kk / 2 * mp.log(p0), log_ek, -log_s
+
+            lo, hi = mp.mpf(HURST_MIN), mp.mpf(HURST_MAX)
+            for _ in range(80):  # bisection on the decreasing curve, to 1e-24
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if sum(terms(mid)) > 0 else (lo, mid)
+            slope = abs(mp.diff(lambda t: sum(terms(t)), lo))
+            ulp = math.ulp(float(sum(abs(x) for x in terms(lo))))
+            case = (h, horizon, k, name, h_hat, float(lo))
+            assert abs(h_hat - lo) * slope <= 4 * ulp and abs(h_hat - lo) < 1e-15, case
 
 
 def _never_called(x):
     raise AssertionError(f"f evaluated at {x}")
 
 
-def test_brentq_rejects_a_same_sign_bracket():
-    # scipy's C code returns 0 here; a root of 0 would be a valid-looking H
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(_never_called, 0.0, 1.0, 2.0, 3.0)
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(_never_called, 0.0, 1.0, -2.0, -3.0)
+@pytest.mark.parametrize(
+    "fa,fb,root", [(0.0, 1.0, 0.25), (-0.0, 1.0, 0.25), (-1.0, 0.0, 0.75), (1.0, -0.0, 0.75)]
+)
+def test_secant_root_returns_an_endpoint_root(fa, fb, root):
+    assert _secant_root(_never_called, 0.25, 0.75, fa, fb) == root
 
 
-def test_brentq_rejects_nan():
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(_never_called, 0.0, 1.0, math.nan, 1.0)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0)
-
-
-@pytest.mark.parametrize("maxiter", [0, 1, 3])
-def test_brentq_raises_after_maxiter(monkeypatch, maxiter):
+def test_secant_root_converges_within_tolerance():
+    # the cube root of 0.3 on [0, 1], to a few ulps, in the handful of
+    # evaluations that superlinear convergence at a simple root takes
     calls = []
 
     def f(x):
         calls.append(x)
         return x**3 - 0.3
 
-    monkeypatch.setattr(hurst, "_ROOT_MAX_ITER", maxiter)
-    with pytest.raises(RuntimeError, match=f"no root after {maxiter} iterations"):
-        brentq(f, 0.0, 1.0, -0.3, 0.7)
-    assert len(calls) == maxiter
+    root = _secant_root(f, 0.0, 1.0, -0.3, 0.7)
+    assert abs(root - float("0.66943295008216951362")) <= 4 * math.ulp(root)
+    assert len(calls) <= 12, calls
 
 
-def test_brentq_converges_within_tolerance():
-    root = brentq(lambda x: x**3 - 0.3, 0.0, 1.0, -0.3, 0.7)
-    assert abs(root - 0.3 ** (1 / 3)) <= _ROOT_XTOL + _ROOT_RTOL * root
-
-
-BRENT_FUNCTIONS = {  # slow, flat, steep and pole-like sign changes on [0.01, 0.99]
-    "cubic": lambda x: x**3 - 0.3,
-    "cos": lambda x: math.cos(3 * x) - x,
-    "exp": lambda x: math.exp(x) - 2,
-    "flat": lambda x: (x - 0.4) ** 9,
-    "step": lambda x: math.tanh(200 * (x - 0.37)),
-    "pole": lambda x: 1 / (x - 0.3 - 1e-9),
-    "hump": lambda x: x * math.exp(-30 * x) - 0.005,
-    # the extrapolation's denominator underflows to 0 (an inf or NaN step
-    # in C, which bisects), or its products overflow
-    "tiny": lambda x: 1e-200 * (x**3 - 0.3),
-    "huge": lambda x: 1e300 * (math.cos(3 * x) - x),
+SECANT_FUNCTIONS = {  # slow, flat, steep, tiny and huge simple roots, at 20 digits
+    "cubic": (lambda x: x**3 - 0.3, "0.66943295008216951362"),
+    "cos": (lambda x: math.cos(3 * x) - x, "0.39004031666754201790"),
+    "exp": (lambda x: math.exp(x) - 2, "0.69314718055994530942"),
+    "flat": (lambda x: (x - 0.375) ** 3 + 1e-6 * (x - 0.375), "0.375"),
+    "step": (lambda x: math.tanh(200 * (x - 0.375)), "0.375"),
+    # a sign change at a pole, which it closes in on as on a root
+    "pole": (lambda x: 1 / (x - 0.3 - 1e-9), "0.300000001"),
+    "hump": (lambda x: x * math.exp(-30 * x) - 0.005, "0.09978649955914592785"),
+    "tiny": (lambda x: 1e-200 * (x**3 - 0.3), "0.66943295008216951362"),
+    "huge": (lambda x: 1e300 * (math.cos(3 * x) - x), "0.39004031666754201790"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
-def test_brentq_port_matches_scipy_on_hard_functions(name):
-    from scipy.optimize import brentq as scipy_brentq
-
-    f = BRENT_FUNCTIONS[name]
+@pytest.mark.parametrize("name", sorted(SECANT_FUNCTIONS))
+def test_secant_root_keeps_its_bracket(name):
+    # every point evaluated lies inside the bracket that the values so far
+    # leave with a sign change, and the point returned is the root to a
+    # few ulps
+    f, root = SECANT_FUNCTIONS[name]
     a, b = HURST_MIN, HURST_MAX
-    want = scipy_brentq(f, a, b, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=_ROOT_MAX_ITER)
-    assert brentq(f, a, b, f(a), f(b)).hex() == want.hex()
+    bracket = [a, b] if f(a) > 0.0 else [b, a]  # [positive end, negative end]
+
+    def traced(x):
+        assert min(bracket) <= x <= max(bracket), (x, bracket)
+        fx = f(x)
+        bracket[fx < 0.0] = x
+        return fx
+
+    r = _secant_root(traced, a, b, f(a), f(b))
+    assert abs(r - float(root)) <= 4 * math.ulp(r)
 
 
-@pytest.mark.parametrize("fa,fb,root", [(0.0, 1.0, 0.25), (-0.0, 1.0, 0.25), (-1.0, 0.0, 0.75)])
-def test_brentq_returns_an_endpoint_root(fa, fb, root):
-    assert brentq(_never_called, 0.25, 0.75, fa, fb) == root
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_secant_root_raises_after_its_cap(monkeypatch, cap):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x**3 - 0.3
+
+    monkeypatch.setattr(hurst, "_ROOT_MAX_ITER", cap)
+    with pytest.raises(EstimationRangeError, match=f"no root after {cap} secant steps"):
+        _secant_root(f, 0.0, 1.0, -0.3, 0.7)
+    assert len(calls) == cap
+
+
+def test_inversion_past_its_cap_is_a_refusal(monkeypatch):
+    # a FracmixError, so an H-estimating experiment counts the replication
+    # as a refusal, and `fracmix hurst` exits 4 (tests/test_cli.py)
+    from fracmix import ExperimentConfig, run_experiment
+
+    monkeypatch.setattr(hurst, "_ROOT_MAX_ITER", 1)
+    y = FftSampler(256, 1.0, 0.5).paths(RngStream(25).generator(), 1)[0]
+    with pytest.raises(EstimationRangeError, match="no root after 1 secant steps"):
+        estimate_h(y, 1.0)
+    cfg = ExperimentConfig(h_list=(0.5,), subjects_list=(3,), n_obs_list=(64,), horizon=1.0,
+                           mu0=0.0, sigma20=1.0, replications=4, estimate_hurst=True)
+    (cell,) = run_experiment(cfg)
+    assert cell.hurst_refusals == 4
 
 
 def test_estimator_reuses_the_bracket_values(monkeypatch):
-    # the probe's g at the bracket ends is brentq's fa and fb: the root
-    # finder evaluates g only inside the bracket
+    # the probe's log g at the bracket ends gives the inverter's fa and fb:
+    # it evaluates the curve only inside the bracket
     seen = []
 
     def spy(f, a, b, fa, fb):
@@ -852,11 +891,27 @@ def test_estimator_reuses_the_bracket_values(monkeypatch):
             return f(x)
 
         assert (fa, fb) == (f(a), f(b))
-        return brentq(traced, a, b, fa, fb)
+        return _secant_root(traced, a, b, fa, fb)
 
-    monkeypatch.setattr(hurst, "brentq", spy)
+    monkeypatch.setattr(hurst, "_secant_root", spy)
     estimate_h(FftSampler(256, 1.0, 0.5).paths(RngStream(25).generator(), 1)[0], 1.0)
     assert seen and all(HURST_MIN < x < HURST_MAX for x in seen)
+
+
+def test_large_k_estimates_do_not_collapse():
+    # g(HURST_MAX) underflows a double at k = 200 on a 1024-point grid;
+    # inverted in log space, three paths give three estimates
+    paths = FftSampler(1024, 1.0, 0.5).paths(RngStream(5).generator(), 3)
+    assert len({estimate_h(y, 1.0, 200.0).h_hat for y in paths}) == 3
+
+
+def test_a_subnormal_variation_is_refused():
+    # a Brownian path on 4096 points at k = 300: S is subnormal, having
+    # lost bits to the underflow, so it is refused instead of inverted
+    y = FftSampler(4096, 1.0, 0.5).paths(RngStream(28).generator(), 1)[0]
+    assert 0.0 < s_n(y, 300.0, DIFF2) < sys.float_info.min
+    with pytest.raises(EstimationRangeError, match="underflows a double"):
+        estimate_h(y, 1.0, 300.0)
 
 
 def test_hurst_study_script(capsys):
